@@ -14,16 +14,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from buckysob.graph import Involution
-from buckysob.polynomials import IntPolynomial
+from buckysob.polynomials import IntPolynomial, VerificationFailed
 from buckysob.ratmat import (PivotCounter, RationalMatrix, charpoly,
                              determinant, inverse)
 
 
-class BlockMismatch(ValueError):
+class BlockMismatch(VerificationFailed):
     """Relabeled matrix is not of the form [[A0, A1], [A1, A0]]."""
 
 
-class SpectrumSplitMismatch(ValueError):
+class SpectrumSplitMismatch(VerificationFailed):
     """Half charpolys do not multiply back to the full one."""
 
 

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from buckysob import blocks, closedform, graph, green, sobolev, spectral
-from buckysob.polynomials import IntPolynomial
+from buckysob.polynomials import VerificationFailed
 from buckysob.ratmat import (PivotCounter, RationalMatrix, charpoly,
                              parse_rat, rat_str)
 
@@ -42,6 +42,26 @@ def _parse_a_values(s: str) -> list[Fraction]:
     if any(a <= 0 for a in values):
         raise ValueError("a-values must be positive")
     return values
+
+
+def _count_at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return count
+
+
+def check(cond, msg: str):
+    """Raise VerificationFailed(msg) unless cond holds.
+
+    Used instead of ``assert`` so that ``python -O`` cannot turn a failed
+    check into a PASS.
+    """
+    if not cond:
+        raise VerificationFailed(msg)
 
 
 def cmd_build_graph(args) -> int:
@@ -129,16 +149,16 @@ def _verify_checks(trials: int, seed: int, parallel: int):
 
     def check_graph_combinatorics():
         census = graph.face_census(g)
-        assert g.n == 60 and len(g.edges) == 90, "vertex/edge count"
-        assert g.degrees() == [3] * 60, "3-regular"
-        assert g.is_connected(), "connected"
-        assert graph.girth(g) == 5, "girth"
-        assert census.pentagon_count == 12 and census.hexagon_count == 20, "faces"
-        assert g.n - len(g.edges) + census.face_count == 2, "Euler"
+        check(g.n == 60 and len(g.edges) == 90, "vertex/edge count")
+        check(g.degrees() == [3] * 60, "3-regular")
+        check(g.is_connected(), "connected")
+        check(graph.girth(g) == 5, "girth")
+        check(census.pentagon_count == 12 and census.hexagon_count == 20, "faces")
+        check(g.n - len(g.edges) + census.face_count == 2, "Euler")
         return {"faces": census.face_count}
 
     def check_charpoly_factorization():
-        assert p == closedform.charpoly_product(), "factor product mismatch"
+        check(p == closedform.charpoly_product(), "factor product mismatch")
         return {"degree": p.degree}
 
     g_star = green.pseudo_green(A)
@@ -146,9 +166,9 @@ def _verify_checks(trials: int, seed: int, parallel: int):
     def check_c0_three_routes():
         c_diag = green.c0_via_diagonal(g_star)
         c_trace = green.c0_via_trace(p)
-        assert c_diag == c_trace == closedform.C0, \
-            f"{c_diag} vs {c_trace} vs {closedform.C0}"
-        assert abs(float(c_diag) - closedform.C0_DECIMAL) < 5e-6, "decimal"
+        check(c_diag == c_trace == closedform.C0,
+              f"{c_diag} vs {c_trace} vs {closedform.C0}")
+        check(abs(float(c_diag) - closedform.C0_DECIMAL) < 5e-6, "decimal")
         return {"c0": rat_str(c_diag)}
 
     ca = None
@@ -160,7 +180,7 @@ def _verify_checks(trials: int, seed: int, parallel: int):
 
     def check_limit_identity():
         rf = ca if ca is not None else green.ca_via_charpoly(p)
-        assert green.limit_identity_check(rf, closedform.C0), "limit value"
+        check(green.limit_identity_check(rf, closedform.C0), "limit value")
         return {}
 
     def check_moore_penrose():
@@ -168,11 +188,11 @@ def _verify_checks(trials: int, seed: int, parallel: int):
         e0 = green.projection_e0(60)
         zero = RationalMatrix.zeros(60, 60)
         ag = A * g_star
-        assert (ag * A == A and g_star * ag == g_star
-                and ag.transpose() == ag
-                and (g_star * A).transpose() == g_star * A), "axioms"
-        assert ag == ident - e0 and g_star * A == ident - e0, "A G* = I - E0"
-        assert g_star * e0 == zero and e0 * g_star == zero, "G* E0 = 0"
+        check(ag * A == A and g_star * ag == g_star
+              and ag.transpose() == ag
+              and (g_star * A).transpose() == g_star * A, "axioms")
+        check(ag == ident - e0 and g_star * A == ident - e0, "A G* = I - E0")
+        check(g_star * e0 == zero and e0 * g_star == zero, "G* E0 = 0")
         green.constant_diagonal(g_star)
         for a in (Fraction(1, 10), Fraction(1), Fraction(10)):
             green.constant_diagonal(green.green_matrix(A, a))
@@ -182,11 +202,12 @@ def _verify_checks(trials: int, seed: int, parallel: int):
         table = spectral.build_spectral_table(p)
         num = spectral.numeric_eigenvalues(A)
         cv = spectral.cross_validate(num, table)
-        assert tuple(table.multiplicities()) == closedform.TABLE_MULTIPLICITIES
-        assert cv.max_deviation <= 1e-8, f"deviation {cv.max_deviation}"
+        check(tuple(table.multiplicities()) == closedform.TABLE_MULTIPLICITIES,
+              f"multiplicities {table.multiplicities()}")
+        check(cv.max_deviation <= 1e-8, f"deviation {cv.max_deviation}")
         trace = sum(m * x for m, x in zip(table.multiplicities(),
                                           table.numeric_roots()))
-        assert abs(trace - 180.0) <= 1e-8, f"trace {trace}"
+        check(abs(trace - 180.0) <= 1e-8, f"trace {trace}")
         return {"clusters": cv.cluster_count, "max_deviation": cv.max_deviation}
 
     def check_block_reduction():
@@ -198,15 +219,15 @@ def _verify_checks(trials: int, seed: int, parallel: int):
         conj = j_inv * relabeled * j
         expected = blocks._stack(split.a_plus, RationalMatrix.zeros(30, 30),
                                  RationalMatrix.zeros(30, 30), split.a_minus)
-        assert conj == expected, "J conjugation"
+        check(conj == expected, "J conjugation")
         blocks.half_spectra_check(split, p)
         full_counter, half_counter = PivotCounter(), PivotCounter()
         direct = green.pseudo_green(A, full_counter)
         via_blocks = blocks.assemble_green_via_blocks(split, None, half_counter)
-        assert via_blocks == direct, "block G* mismatch"
-        assert blocks.assemble_green_via_blocks(split, 1) == \
-            green.green_matrix(A, 1), "block G(1) mismatch"
-        assert half_counter.ops < full_counter.ops, "block route not cheaper"
+        check(via_blocks == direct, "block G* mismatch")
+        check(blocks.assemble_green_via_blocks(split, 1) ==
+              green.green_matrix(A, 1), "block G(1) mismatch")
+        check(half_counter.ops < full_counter.ops, "block route not cheaper")
         return {"half_ops": half_counter.ops, "full_ops": full_counter.ops}
 
     def check_sobolev_trials():
@@ -214,23 +235,25 @@ def _verify_checks(trials: int, seed: int, parallel: int):
         for _ in range(trials):
             u = sobolev.random_mean_zero(60, rng)
             lhs, rhs, holds = sobolev.sobolev_trial(u, closedform.C0, "meanzero", A)
-            assert holds, f"mean-zero inequality failed: {lhs} > {rhs}"
+            check(holds, f"mean-zero inequality failed: {lhs} > {rhs}")
         g1 = green.green_matrix(A, 1)
         c1 = green.constant_diagonal(g1)
         for _ in range(max(trials // 10, 1)):
             u = [Fraction(rng.randint(-100, 100), rng.randint(1, 10))
                  for _ in range(60)]
             _, _, holds = sobolev.sobolev_trial(u, c1, "damped", A, 1)
-            assert holds, "damped inequality failed"
+            check(holds, "damped inequality failed")
         for j0 in range(60):
             w = sobolev.equality_witness(g_star, j0, "meanzero", A)
-            assert w.lhs == w.rhs == closedform.C0 ** 2
+            check(w.lhs == w.rhs == closedform.C0 ** 2,
+                  f"mean-zero equality fails at column {j0}")
             w = sobolev.equality_witness(g1, j0, "damped", A, 1)
-            assert w.lhs == w.rhs == c1 ** 2
+            check(w.lhs == w.rhs == c1 ** 2,
+                  f"damped equality fails at column {j0}")
         # sharpness: any constant below C0 is beaten by a G* column
         below = closedform.C0 - Fraction(1, 10 ** 6)
         _, _, holds = sobolev.sobolev_trial(g_star.column(0), below, "meanzero", A)
-        assert not holds, "C0 - 1e-6 not refuted"
+        check(not holds, "C0 - 1e-6 not refuted")
         return {"trials": trials}
 
     def check_relabel_invariance():
@@ -240,9 +263,11 @@ def _verify_checks(trials: int, seed: int, parallel: int):
         g2 = graph.relabel(g, perm)
         A2 = graph.laplacian(g2)
         p2 = charpoly(A2)
-        assert p2 == p, "charpoly changed under relabeling"
-        assert green.c0_via_diagonal(green.pseudo_green(A2)) == closedform.C0
-        assert green.ca_via_charpoly(p2) == closedform.ca_closed_form()
+        check(p2 == p, "charpoly changed under relabeling")
+        check(green.c0_via_diagonal(green.pseudo_green(A2)) == closedform.C0,
+              "C0 changed under relabeling")
+        check(green.ca_via_charpoly(p2) == closedform.ca_closed_form(),
+              "C(a) changed under relabeling")
         return {}
 
     yield "block_reduction", check_block_reduction
@@ -284,37 +309,48 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact buckyball spectral data and sharp Sobolev constants")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, fn, formats=(), a_values=False, sampling=False,
+            parallel=False, **kwargs):
+        """Subcommand ``name`` with only the options ``fn`` reads."""
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--output", default=None, help="output file (default stdout)")
-        p.add_argument("--format", choices=("json", "csv", "dot"), default="json")
-        p.add_argument("--a-values", dest="a_values", default=None,
-                       help="comma-separated positive rationals, e.g. 1/10,1,10")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=int, default=100)
-        p.add_argument("--parallel", type=int, default=1, metavar="N")
+        if formats:
+            p.add_argument("--format", choices=formats, default=formats[0])
+        if a_values:
+            p.add_argument("--a-values", dest="a_values", default=None,
+                           help="comma-separated positive rationals, e.g. 1/10,1,10")
+        if sampling:
+            p.add_argument("--trials", type=_count_at_least(0), default=100)
+            p.add_argument("--seed", type=int, default=0)
+        if parallel:
+            p.add_argument("--parallel", type=_count_at_least(1), default=1,
+                           metavar="N")
         p.set_defaults(fn=fn)
-        return p
 
-    add("build-graph", cmd_build_graph, help="construct and export the graph")
-    add("charpoly", cmd_charpoly, help="exact characteristic polynomial")
-    add("spectrum", cmd_spectrum, help="eigenvalue table and numeric spectrum")
-    add("green", cmd_green, help="exact Green / pseudo-Green matrices")
-    add("constants", cmd_constants, help="sharp constants report")
-    add("sample-ca", cmd_sample_ca, help="CSV samples of C(a) and C(a)-1/(60a)")
-    add("verify-all", cmd_verify_all, help="run the full oracle suite")
+    add("build-graph", cmd_build_graph, formats=("json", "dot"),
+        help="construct and export the graph")
+    add("charpoly", cmd_charpoly, formats=("json", "csv"),
+        help="exact characteristic polynomial")
+    add("spectrum", cmd_spectrum, formats=("json", "csv"),
+        help="eigenvalue table and numeric spectrum")
+    add("green", cmd_green, a_values=True,
+        help="exact Green / pseudo-Green matrices")
+    add("constants", cmd_constants, parallel=True,
+        help="sharp constants report")
+    add("sample-ca", cmd_sample_ca, formats=("csv",), a_values=True,
+        help="CSV samples of C(a) and C(a)-1/(60a)")
+    add("verify-all", cmd_verify_all, sampling=True, parallel=True,
+        help="run the full oracle suite")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.trials < 0:
-        parser.exit(2, "trials must be nonnegative\n")
-    if args.parallel < 1:
-        parser.exit(2, "parallel must be at least 1\n")
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except VerificationFailed as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from buckysob import closedform
-from buckysob.polynomials import IntPolynomial, RationalFunction, fit_rational_function
+from buckysob.polynomials import (IntPolynomial, RationalFunction,
+                                  VerificationFailed, fit_rational_function)
 from buckysob.ratmat import PivotCounter, RationalMatrix, inverse, rat_str
 
 CA_NUM_DEGREE = 14
@@ -32,19 +33,19 @@ class NonPositiveParameter(ValueError):
     pass
 
 
-class KernelMismatch(ValueError):
+class KernelMismatch(VerificationFailed):
     """The matrix does not annihilate the constant vector."""
 
 
-class DiagonalMismatch(ValueError):
+class DiagonalMismatch(VerificationFailed):
     """Diagonal entries expected to be constant are not."""
 
 
-class RouteMismatch(ValueError):
+class RouteMismatch(VerificationFailed):
     """Independent computation routes disagree."""
 
 
-class PoleRemains(ValueError):
+class PoleRemains(VerificationFailed):
     """Subtracting the singular part did not remove the pole at 0."""
 
 

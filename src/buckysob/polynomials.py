@@ -17,8 +17,13 @@ class DegreeInsufficient(ValueError):
     """The sample system admits no nonzero solution at these degrees."""
 
 
-class VerificationFailed(ValueError):
-    """A fitted rational function mismatched a held-out sample."""
+class VerificationFailed(Exception):
+    """An exact check found two routes or a result and its oracle disagreeing.
+
+    Not a ValueError: a failed verification is a wrong answer, not bad
+    input, and the CLI reports it with exit code 1 instead of 2. Raised
+    directly when a fitted rational function mismatches a held-out sample.
+    """
 
 
 def _trim(coeffs):

@@ -1,9 +1,10 @@
 """Exact dense rational matrices over ``fractions.Fraction``.
 
-All elimination work is delegated to the integer kernels in ``_bareiss``:
-rational systems are cleared to integers row by row (row scaling changes
-neither solutions nor singularity), solved fraction-free, and only the
-final entries become Fractions. This keeps the hot loops on plain ints.
+All elimination work is delegated to the one pair of fraction-free Bareiss
+kernels in ``_bareiss`` (``det_int`` and ``jordan_int``): rational systems
+are cleared to integers row by row (row scaling changes neither solutions
+nor singularity), solved fraction-free, and only the final entries become
+Fractions. This keeps the hot loops on plain ints.
 """
 
 from __future__ import annotations
@@ -12,10 +13,10 @@ import math
 from fractions import Fraction
 
 from buckysob._bareiss import det_int, jordan_int
-from buckysob.polynomials import IntPolynomial
+from buckysob.polynomials import IntPolynomial, VerificationFailed
 
 
-class SingularMatrixError(ValueError):
+class SingularMatrixError(VerificationFailed):
     """Elimination found no nonzero pivot in some column."""
 
 

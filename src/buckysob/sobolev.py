@@ -11,14 +11,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from buckysob.polynomials import VerificationFailed
 from buckysob.ratmat import RationalMatrix
 
 
-class FormMismatch(ValueError):
+class FormMismatch(VerificationFailed):
     """Edge-sum and quadratic-form energies disagree (internal bug)."""
 
 
-class MaxNotAtDiagonal(ValueError):
+class MaxNotAtDiagonal(VerificationFailed):
     """An off-diagonal kernel entry beats the diagonal in absolute value."""
 
 

@@ -1,11 +1,18 @@
 """Command-line surface: outputs, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from buckysob import green
 from buckysob.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -84,6 +91,49 @@ def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["charpoly", "--format", "dot"],
+    ["build-graph", "--trials", "5"],
+    ["verify-all", "--trials", "-1"],
+    ["constants", "--parallel", "0"],
+])
+def test_option_not_read_or_out_of_range_exits_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_verification_failure_exits_1(monkeypatch, capsys):
+    def mismatch(*args, **kwargs):
+        raise green.RouteMismatch("C0 diagonal vs trace")
+
+    monkeypatch.setattr(green, "build_green_bundle", mismatch)
+    assert main(["constants"]) == 1
+    assert "verification failed" in capsys.readouterr().err
+
+
+def test_verify_checks_fail_under_optimize():
+    """A wrong C0 must FAIL even with asserts stripped by ``python -O``."""
+    script = """
+import sys
+from fractions import Fraction
+from buckysob import cli, closedform
+closedform.C0 += Fraction(1, 376200)
+checks = cli._verify_checks
+cli._verify_checks = lambda *args: [
+    (name, fn) for name, fn in checks(*args)
+    if name in ("c0_three_routes", "limit_identity")]
+sys.exit(cli.main(["verify-all", "--trials", "0"]))
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "FAIL c0_three_routes" in proc.stdout
+    assert "FAIL limit_identity" in proc.stdout
 
 
 def test_verify_all_deterministic_checks(capsys, tmp_path):

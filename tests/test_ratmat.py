@@ -1,22 +1,16 @@
-"""Exact linear algebra: kernels (both lanes), determinants, solves,
-characteristic polynomials against the brute-force cofactor oracle."""
+"""Exact linear algebra: kernels, determinants, solves, characteristic
+polynomials against the brute-force cofactor oracle."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from buckysob import _bareiss_py
+from buckysob._bareiss import det_int, jordan_int
 from buckysob.ratmat import (PivotCounter, RationalMatrix, SingularMatrixError,
                              bareiss_solve, charpoly, charpoly_coeffs,
                              charpoly_cofactor, determinant, inverse,
                              parse_rat, rat_str)
-
-try:
-    from buckysob import _bareiss_cy
-    LANES = [_bareiss_py, _bareiss_cy]
-except ImportError:
-    LANES = [_bareiss_py]
 
 
 def _cofactor_det(rows):
@@ -27,18 +21,16 @@ def _cofactor_det(rows):
         [r[:j] + r[j + 1:] for r in rows[1:]]) for j in range(n))
 
 
-@pytest.mark.parametrize("kernel", LANES, ids=lambda k: k.__name__.rsplit("_", 1)[-1])
-def test_kernel_det_against_cofactor(kernel):
+def test_kernel_det_against_cofactor():
     rng = random.Random(42)
     for _ in range(200):
         n = rng.randint(1, 6)
         rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-        d, _ = kernel.det_int(rows)
+        d, _ = det_int(rows)
         assert d == _cofactor_det(rows)
 
 
-@pytest.mark.parametrize("kernel", LANES, ids=lambda k: k.__name__.rsplit("_", 1)[-1])
-def test_kernel_jordan_solves_exactly(kernel):
+def test_kernel_jordan_solves_exactly():
     rng = random.Random(43)
     done = 0
     while done < 100:
@@ -50,25 +42,15 @@ def test_kernel_jordan_solves_exactly(kernel):
         aug = [mat[i] + rhs[i] for i in range(n)]
         if d == 0:
             with pytest.raises(ZeroDivisionError):
-                kernel.jordan_int(aug, n, m)
+                jordan_int(aug, n, m)
             continue
-        det, num, _ = kernel.jordan_int(aug, n, m)
+        det, num, _ = jordan_int(aug, n, m)
         assert det == d
         for j in range(m):
             for i in range(n):
                 s = sum(Fraction(mat[i][k] * num[k][j], det) for k in range(n))
                 assert s == rhs[i][j]
         done += 1
-
-
-def test_lanes_agree():
-    if len(LANES) < 2:
-        pytest.skip("compiled lane not built")
-    rng = random.Random(44)
-    for _ in range(50):
-        n = rng.randint(1, 7)
-        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        assert LANES[0].det_int(rows) == LANES[1].det_int(rows)
 
 
 def test_determinant_trivial_cases():
