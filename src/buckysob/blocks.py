@@ -37,10 +37,6 @@ class BlockSplit:
     perm: tuple[int, ...]  # original label -> block label
 
 
-def _submatrix(m: RationalMatrix, rows, cols):
-    return RationalMatrix([[m.data[i][j] for j in cols] for i in rows])
-
-
 def block_split(A: RationalMatrix, sigma: Involution) -> BlockSplit:
     """Relabel so sigma(i) = i + 30 and split the Laplacian into blocks.
 
@@ -62,21 +58,15 @@ def block_split(A: RationalMatrix, sigma: Involution) -> BlockSplit:
         perm[perm_map[r]] = k + half
     relabeled = A.permuted(perm)
     lo, hi = range(half), range(half, n)
-    a0 = _submatrix(relabeled, lo, lo)
-    a1 = _submatrix(relabeled, lo, hi)
-    if (_submatrix(relabeled, hi, hi) != a0 or _submatrix(relabeled, hi, lo) != a1
+    a0 = relabeled.submatrix(lo, lo)
+    a1 = relabeled.submatrix(lo, hi)
+    if (relabeled.submatrix(hi, hi) != a0 or relabeled.submatrix(hi, lo) != a1
             or not a0.is_symmetric() or not a1.is_symmetric()):
         raise BlockMismatch("relabeled matrix is not [[A0, A1], [A1, A0]]")
     ident = RationalMatrix.identity(half)
-    j_matrix = _stack(ident, ident, ident, -1 * ident)
+    j_matrix = RationalMatrix.block([[ident, ident], [ident, -1 * ident]])
     return BlockSplit(a0=a0, a1=a1, j_matrix=j_matrix,
                       a_plus=a0 + a1, a_minus=a0 - a1, perm=tuple(perm))
-
-
-def _stack(tl, tr, bl, br):
-    data = [list(r1) + list(r2) for r1, r2 in zip(tl.data, tr.data)]
-    data += [list(r1) + list(r2) for r1, r2 in zip(bl.data, br.data)]
-    return RationalMatrix(data)
 
 
 def half_spectra_check(split: BlockSplit, p: IntPolynomial,
@@ -112,7 +102,7 @@ def assemble_green_via_blocks(split: BlockSplit, a=None,
         g_minus = inverse(split.a_minus.scaled_add(a), counter)
     g0 = Fraction(1, 2) * (g_plus + g_minus)
     g1 = Fraction(1, 2) * (g_plus - g_minus)
-    assembled = _stack(g0, g1, g1, g0)
+    assembled = RationalMatrix.block([[g0, g1], [g1, g0]])
     inv_perm = [0] * len(split.perm)
     for i, p in enumerate(split.perm):
         inv_perm[p] = i

@@ -217,8 +217,8 @@ def _verify_checks(trials: int, seed: int, parallel: int):
         j = split.j_matrix
         j_inv = Fraction(1, 2) * j
         conj = j_inv * relabeled * j
-        expected = blocks._stack(split.a_plus, RationalMatrix.zeros(30, 30),
-                                 RationalMatrix.zeros(30, 30), split.a_minus)
+        zero = RationalMatrix.zeros(30, 30)
+        expected = RationalMatrix.block([[split.a_plus, zero], [zero, split.a_minus]])
         check(conj == expected, "J conjugation")
         blocks.half_spectra_check(split, p)
         full_counter, half_counter = PivotCounter(), PivotCounter()

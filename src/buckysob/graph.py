@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from buckysob.ratmat import RationalMatrix
 
@@ -285,13 +284,13 @@ def relabel(g: PolyhedralGraph, perm) -> PolyhedralGraph:
 
 def laplacian(g: PolyhedralGraph) -> RationalMatrix:
     """Degree matrix minus adjacency matrix."""
-    data = [[Fraction(0)] * g.n for _ in range(g.n)]
+    data = [[0] * g.n for _ in range(g.n)]
     for v in range(g.n):
-        data[v][v] = Fraction(g.degree(v))
+        data[v][v] = g.degree(v)
     for u, w in g.edges:
-        data[u][w] = Fraction(-1)
-        data[w][u] = Fraction(-1)
-    return RationalMatrix(data)
+        data[u][w] = -1
+        data[w][u] = -1
+    return RationalMatrix.from_ints(data)
 
 
 def to_dot(g: PolyhedralGraph) -> str:

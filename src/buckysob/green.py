@@ -1,8 +1,9 @@
 """Green matrix, pseudo-Green matrix, and the sharp constants.
 
-The pseudo-Green matrix is computed as (A + E0)^-1 - E0, one exact solve;
-the Moore-Penrose axioms and A G* = G* A = I - E0, G* E0 = 0 are then
-verified as theorems. C0 and C(a) each come by independent routes that
+The pseudo-Green matrix is computed as (A + J)^-1 - E0/60, one exact solve
+of an integral system (J is the all-ones matrix, J = 60 E0); the
+Moore-Penrose axioms and A G* = G* A = I - E0, G* E0 = 0 are then verified
+as theorems. C0 and C(a) each come by independent routes that
 must agree exactly:
 
   C0:   any diagonal entry of G*        vs  -(1/60) q'(0)/q(0), P = x q(x)
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,13 +65,18 @@ def green_matrix(A: RationalMatrix, a, counter: PivotCounter | None = None) -> R
 
 
 def pseudo_green(A: RationalMatrix, counter: PivotCounter | None = None) -> RationalMatrix:
-    """Moore-Penrose inverse of a Laplacian: (A + E0)^-1 - E0."""
+    """Moore-Penrose inverse of a Laplacian: (A + J)^-1 - E0/n.
+
+    J = n E0 is the all-ones matrix. With A 1 = 0 and A symmetric,
+    (A + J)(G* + E0/n) = (I - E0) + E0 = I. Unlike A + E0, the system
+    A + J is integral for an integral A, so no n^n row scale enters the
+    determinant of the solve.
+    """
     n = A.rows
-    ones = [Fraction(1)] * n
-    if any(x != 0 for x in A.matvec(ones)):
+    if any(x != 0 for x in A.matvec([1] * n)):
         raise KernelMismatch("constant vector is not in the kernel")
-    e0 = projection_e0(n)
-    return inverse(A + e0, counter) - e0
+    j = RationalMatrix.constant(n, n, 1)
+    return inverse(A + j, counter) - Fraction(1, n) * projection_e0(n)
 
 
 def constant_diagonal(m: RationalMatrix) -> Fraction:
@@ -94,9 +101,8 @@ def c0_via_trace(p: IntPolynomial) -> Fraction:
 
 
 def _diag_sample(args):
-    A_data, a = args
-    A = RationalMatrix(A_data)
-    g = green_matrix(A, a)
+    num, den, a = args
+    g = green_matrix(RationalMatrix.from_ints(num, den), a)
     return a, constant_diagonal(g)
 
 
@@ -104,16 +110,20 @@ def ca_via_fit(A: RationalMatrix, sample_points=None, parallel: int = 1) -> Rati
     """Fit N(a)/D(a) with degrees (14, 15) through exact diagonal samples.
 
     Sample points default to a = 1..33: every pole of C(a) sits at a
-    nonpositive value, so positive integers are always safe.
+    nonpositive value, so positive integers are always safe. With
+    ``parallel`` > 1 the samples are spread over at most
+    min(parallel, sample count, CPU count) worker processes, each sent the
+    integer rows of A.
     """
     if sample_points is None:
         sample_points = [Fraction(k) for k in range(1, CA_SAMPLE_COUNT + 1)]
+    args = [(A.num, A.den, a) for a in sample_points]
     if parallel > 1:
-        args = [(A.data, a) for a in sample_points]
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+        workers = min(parallel, len(args), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             samples = list(pool.map(_diag_sample, args))
     else:
-        samples = [_diag_sample((A.data, a)) for a in sample_points]
+        samples = [_diag_sample(x) for x in args]
     return fit_rational_function(samples, CA_NUM_DEGREE, CA_DEN_DEGREE)
 
 

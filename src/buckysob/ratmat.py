@@ -1,10 +1,18 @@
-"""Exact dense rational matrices over ``fractions.Fraction``.
+"""Exact dense rational matrices as integer rows over one denominator.
+
+A ``RationalMatrix`` stores its entries as integer rows ``num`` and one
+positive denominator ``den`` (the integer-matrix-plus-denominator form of
+FLINT's ``fmpq_mat``), reduced so that gcd(den, every entry) == 1. Equality
+is then a literal comparison, and sums, products, ``matvec``, transposes
+and permutations are integer arithmetic; products and ``matvec`` skip zero
+entries, so the 4-nonzeros-per-row Laplacian is cheap. Single entries are
+read as reduced ``Fraction``s through ``m[i, j]``.
 
 All elimination work is delegated to the one pair of fraction-free Bareiss
-kernels in ``_bareiss`` (``det_int`` and ``jordan_int``): rational systems
-are cleared to integers row by row (row scaling changes neither solutions
-nor singularity), solved fraction-free, and only the final entries become
-Fractions. This keeps the hot loops on plain ints.
+kernels in ``_bareiss`` (``det_int`` and ``jordan_int``): systems are
+cleared to integers row by row (row scaling changes neither solutions nor
+singularity) and solved fraction-free, and a solve's result is the kernel's
+integer rows over its determinant.
 """
 
 from __future__ import annotations
@@ -41,36 +49,91 @@ def parse_rat(s: str) -> Fraction:
 
 
 class RationalMatrix:
-    """Immutable-by-convention dense matrix of Fractions."""
+    """Immutable-by-convention dense rational matrix.
 
-    __slots__ = ("data", "rows", "cols")
+    Entry (i, j) is ``num[i][j] / den``: ``num`` holds the integer rows and
+    ``den`` is one positive denominator shared by every entry. The pair is
+    kept canonical, gcd(den, every entry of num) == 1, so two matrices are
+    equal exactly when their shapes, denominators and integer rows are.
+    """
+
+    __slots__ = ("num", "den", "rows", "cols", "_nonzeros")
 
     def __init__(self, data):
-        self.data = [[Fraction(x) for x in row] for row in data]
-        self.rows = len(self.data)
-        self.cols = len(self.data[0]) if self.data else 0
-        for row in self.data:
+        entries = [[Fraction(x) for x in row] for row in data]
+        den = math.lcm(*(x.denominator for row in entries for x in row))
+        # den is the lcm of reduced denominators, so the pair is canonical.
+        self._set([[x.numerator * (den // x.denominator) for x in row]
+                   for row in entries], den)
+
+    def _set(self, num, den):
+        self.num = num
+        self.den = den
+        self.rows = len(num)
+        self.cols = len(num[0]) if num else 0
+        self._nonzeros = None
+        for row in num:
             if len(row) != self.cols:
                 raise ValueError("ragged rows")
 
     @classmethod
+    def from_ints(cls, num, den=1):
+        """The matrix num / den for integer rows ``num`` and a nonzero
+        integer ``den``, brought to canonical form."""
+        if den == 0:
+            raise ZeroDivisionError("matrix denominator is zero")
+        if den < 0:
+            num, den = [[-x for x in row] for row in num], -den
+        g = math.gcd(den, *(x for row in num for x in row))
+        m = object.__new__(cls)
+        m._set([[x // g for x in row] for row in num], den // g)
+        return m
+
+    @classmethod
     def identity(cls, n):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls.from_ints([[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)])
+        return cls.from_ints([[0] * cols for _ in range(rows)])
 
     @classmethod
     def constant(cls, rows, cols, value):
-        return cls([[value] * cols for _ in range(rows)])
+        value = Fraction(value)
+        return cls.from_ints([[value.numerator] * cols for _ in range(rows)],
+                             value.denominator)
+
+    @classmethod
+    def block(cls, grid):
+        """The block matrix whose block rows are the lists in ``grid``."""
+        den = math.lcm(*(m.den for brow in grid for m in brow))
+        num = []
+        for brow in grid:
+            if any(m.rows != brow[0].rows for m in brow):
+                raise ValueError("blocks in one block row differ in height")
+            for i in range(brow[0].rows):
+                row = []
+                for m in brow:
+                    scale = den // m.den
+                    row.extend(scale * x for x in m.num[i])
+                num.append(row)
+        return cls.from_ints(num, den)
+
+    def nonzeros(self):
+        """Per row, the (column, numerator) pairs of the nonzero entries;
+        built once per matrix."""
+        if self._nonzeros is None:
+            self._nonzeros = [[(j, x) for j, x in enumerate(row) if x]
+                              for row in self.num]
+        return self._nonzeros
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.data[i][j]
+        return Fraction(self.num[i][j], self.den)
 
     def __eq__(self, other):
-        return isinstance(other, RationalMatrix) and self.data == other.data
+        return (isinstance(other, RationalMatrix) and self.den == other.den
+                and self.num == other.num)
 
     def __repr__(self):
         return f"RationalMatrix({self.rows}x{self.cols})"
@@ -81,35 +144,47 @@ class RationalMatrix:
     def is_symmetric(self):
         if not self.is_square():
             return False
-        d = self.data
-        return all(d[i][j] == d[j][i] for i in range(self.rows) for j in range(i))
+        a = self.num
+        return all(a[i][j] == a[j][i] for i in range(self.rows) for j in range(i))
 
     def is_integer(self):
-        return all(x.denominator == 1 for row in self.data for x in row)
+        return self.den == 1
 
     def transpose(self):
-        return RationalMatrix([[self.data[i][j] for i in range(self.rows)]
-                               for j in range(self.cols)])
+        return RationalMatrix.from_ints([list(col) for col in zip(*self.num)],
+                                        self.den)
+
+    def _combine(self, other, sign):
+        self._check_same_shape(other)
+        den = math.lcm(self.den, other.den)
+        s, t = den // self.den, sign * (den // other.den)
+        return RationalMatrix.from_ints([[s * a + t * b for a, b in zip(r1, r2)]
+                                         for r1, r2 in zip(self.num, other.num)],
+                                        den)
 
     def __add__(self, other):
-        self._check_same_shape(other)
-        return RationalMatrix([[a + b for a, b in zip(r1, r2)]
-                               for r1, r2 in zip(self.data, other.data)])
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        self._check_same_shape(other)
-        return RationalMatrix([[a - b for a, b in zip(r1, r2)]
-                               for r1, r2 in zip(self.data, other.data)])
+        return self._combine(other, -1)
 
     def __mul__(self, other):
         if isinstance(other, RationalMatrix):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch")
-            bt = other.transpose().data
-            return RationalMatrix([[sum(a * b for a, b in zip(row, col))
-                                    for col in bt] for row in self.data])
+            right = other.nonzeros()
+            out = []
+            for row in self.nonzeros():
+                acc = [0] * other.cols
+                for j, a in row:
+                    for k, b in right[j]:
+                        acc[k] += a * b
+                out.append(acc)
+            return RationalMatrix.from_ints(out, self.den * other.den)
         s = Fraction(other)
-        return RationalMatrix([[s * x for x in row] for row in self.data])
+        return RationalMatrix.from_ints([[s.numerator * x for x in row]
+                                         for row in self.num],
+                                        self.den * s.denominator)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -122,52 +197,75 @@ class RationalMatrix:
         if not self.is_square():
             raise ValueError("square matrix required")
         s = Fraction(s)
-        return RationalMatrix([[x + s if i == j else x
-                                for j, x in enumerate(row)]
-                               for i, row in enumerate(self.data)])
+        den = math.lcm(self.den, s.denominator)
+        scale, shift = den // self.den, s.numerator * (den // s.denominator)
+        return RationalMatrix.from_ints([[scale * x + shift if i == j else scale * x
+                                          for j, x in enumerate(row)]
+                                         for i, row in enumerate(self.num)], den)
 
     def matvec(self, v):
+        """The product with the rational vector v, as a list of Fractions."""
         if len(v) != self.cols:
             raise ValueError("shape mismatch")
-        return [sum(a * b for a, b in zip(row, v)) for row in self.data]
+        v_den = math.lcm(*(x.denominator for x in v))
+        v_num = [x.numerator * (v_den // x.denominator) for x in v]
+        den = self.den * v_den
+        return [Fraction(sum(a * v_num[j] for j, a in row), den)
+                for row in self.nonzeros()]
+
+    def submatrix(self, rows, cols):
+        return RationalMatrix.from_ints([[self.num[i][j] for j in cols]
+                                         for i in rows], self.den)
 
     def column(self, j):
-        return [row[j] for row in self.data]
+        return [Fraction(row[j], self.den) for row in self.num]
 
     def diagonal(self):
-        return [self.data[i][i] for i in range(min(self.rows, self.cols))]
+        return [Fraction(self.num[i][i], self.den)
+                for i in range(min(self.rows, self.cols))]
 
     def trace(self):
-        return sum(self.diagonal(), Fraction(0))
+        return Fraction(sum(self.num[i][i] for i in range(min(self.rows, self.cols))),
+                        self.den)
 
     def permuted(self, perm):
         """P m P^t for the permutation sending old index i to perm[i]."""
         n = self.rows
-        out = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                out[perm[i]][perm[j]] = self.data[i][j]
-        return RationalMatrix(out)
+        out = [[0] * n for _ in range(n)]
+        for i, row in enumerate(self.num):
+            out_row = out[perm[i]]
+            for j, x in enumerate(row):
+                out_row[perm[j]] = x
+        return RationalMatrix.from_ints(out, self.den)
 
     def to_json(self):
-        return [[rat_str(x) for x in row] for row in self.data]
+        return [[rat_str(Fraction(x, self.den)) for x in row] for row in self.num]
 
     def _check_same_shape(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
 
 
-def _int_rows(m: RationalMatrix, extra: RationalMatrix | None = None):
-    """Clear denominators row by row; returns (int rows, row scale factors).
+def _cleared_rows(m: RationalMatrix, rhs: RationalMatrix | None = None):
+    """Integer rows of [m | rhs], each scaled by the lcm of its own reduced
+    denominators; returns (int rows, row scale factors).
 
-    When `extra` is given the rows are the augmented [m | extra] rows.
+    Row scaling changes neither solutions nor singularity, and scaling each
+    row by its own lcm instead of the common denominator keeps the
+    determinant as small as the entries allow.
     """
+    if rhs is None:
+        den, rows = m.den, m.num
+    else:
+        den = math.lcm(m.den, rhs.den)
+        s, t = den // m.den, den // rhs.den
+        rows = [[s * x for x in r1] + [t * y for y in r2]
+                for r1, r2 in zip(m.num, rhs.num)]
     out, scales = [], []
-    for i in range(m.rows):
-        row = list(m.data[i]) + (list(extra.data[i]) if extra is not None else [])
-        s = math.lcm(*(x.denominator for x in row))
-        out.append([int(x * s) for x in row])
-        scales.append(s)
+    for row in rows:
+        g = math.gcd(den, *row)
+        out.append([x // g for x in row] if g > 1 else row)
+        scales.append(den // g)
     return out, scales
 
 
@@ -176,7 +274,7 @@ def determinant(m: RationalMatrix, counter: PivotCounter | None = None) -> Fract
         raise ValueError("square matrix required")
     if m.rows == 0:
         return Fraction(1)
-    rows, scales = _int_rows(m)
+    rows, scales = _cleared_rows(m)
     d, ops = det_int(rows)
     if counter is not None:
         counter.add(ops)
@@ -185,19 +283,20 @@ def determinant(m: RationalMatrix, counter: PivotCounter | None = None) -> Fract
 
 def bareiss_solve(m: RationalMatrix, rhs: RationalMatrix,
                   counter: PivotCounter | None = None) -> RationalMatrix:
-    """Exact X with m @ X == rhs, fraction-free Gauss-Jordan."""
+    """Exact X with m @ X == rhs, fraction-free Gauss-Jordan; the kernel's
+    (det, num) becomes the result num / det directly."""
     if not m.is_square():
         raise ValueError("square matrix required")
     if rhs.rows != m.rows:
         raise ValueError("rhs row count mismatch")
-    rows, _ = _int_rows(m, rhs)
+    rows, _ = _cleared_rows(m, rhs)
     try:
         det, num, ops = jordan_int(rows, m.rows, rhs.cols)
     except ZeroDivisionError as exc:
         raise SingularMatrixError(str(exc)) from None
     if counter is not None:
         counter.add(ops)
-    return RationalMatrix([[Fraction(x, det) for x in row] for row in num])
+    return RationalMatrix.from_ints(num, det)
 
 
 def inverse(m: RationalMatrix, counter: PivotCounter | None = None) -> RationalMatrix:
@@ -220,8 +319,8 @@ def charpoly_coeffs(m: RationalMatrix,
     values = []
     for x in range(n + 1):
         if integral:
-            rows = [[(x if i == j else 0) - int(m.data[i][j]) for j in range(n)]
-                    for i in range(n)]
+            rows = [[(x if i == j else 0) - a for j, a in enumerate(row)]
+                    for i, row in enumerate(m.num)]
             d, ops = det_int(rows)
             values.append(Fraction(d))
         else:
@@ -274,7 +373,7 @@ def charpoly_cofactor(m: RationalMatrix) -> list[Fraction]:
             out[i] += b
         return out
 
-    entries = [[[Fraction(-m.data[i][j])] + ([Fraction(1)] if i == j else [])
+    entries = [[[-m[i, j]] + ([Fraction(1)] if i == j else [])
                 for j in range(n)] for i in range(n)]
 
     def det(rows, cols):

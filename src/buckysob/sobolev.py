@@ -24,8 +24,8 @@ class MaxNotAtDiagonal(VerificationFailed):
 
 
 def laplacian_edges(A: RationalMatrix) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(A.rows) for j in range(i + 1, A.cols)
-            if A.data[i][j] != 0]
+    """Pairs i < j with A[i, j] != 0, read off the matrix's sparse rows."""
+    return [(i, j) for i, row in enumerate(A.nonzeros()) for j, _ in row if j > i]
 
 
 def is_mean_zero(u) -> bool:
@@ -107,7 +107,7 @@ def equality_witness(kernel: RationalMatrix, j0: int, mode: str,
     attains the column max, the column's energy equals the diagonal value,
     and both sides of the inequality coincide at the square of it."""
     col = kernel.column(j0)
-    c = kernel.data[j0][j0]
+    c = kernel[j0, j0]
     max_abs = max(abs(x) for x in col)
     if max_abs != abs(c):
         raise MaxNotAtDiagonal(f"column {j0}: max {max_abs} off the diagonal")

@@ -63,7 +63,7 @@ class SpectralTable:
 def numeric_eigenvalues(m: RationalMatrix) -> NumericSpectrum:
     if not m.is_symmetric():
         raise NonSymmetric("matrix is not symmetric")
-    a0 = np.array([[float(x) for x in row] for row in m.data])
+    a0 = np.array([[x / m.den for x in row] for row in m.num])
     lam, vec = np.linalg.eigh(a0)
     residual = float(np.max(np.abs(a0 @ vec - vec * lam)))
     return NumericSpectrum(values=tuple(float(x) for x in lam), residual=residual)

@@ -90,7 +90,7 @@ def test_criterion_7_block_reduction(bucky, lap, p_char, g_star):
         relabeled = lap.permuted(list(split.perm))
         conj = (Fraction(1, 2) * split.j_matrix) * relabeled * split.j_matrix
         zeros = RationalMatrix.zeros(30, 30)
-        assert conj == blocks._stack(split.a_plus, zeros, zeros, split.a_minus)
+        assert conj == RationalMatrix.block([[split.a_plus, zeros], [zeros, split.a_minus]])
         assert charpoly(split.a_plus) * charpoly(split.a_minus) == p_char
         counter = PivotCounter()
         assert blocks.assemble_green_via_blocks(split, None, counter) == g_star

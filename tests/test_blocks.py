@@ -3,8 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from buckysob import blocks, green
+from buckysob import blocks, closedform, green
 from buckysob.graph import Involution
 from buckysob.polynomials import IntPolynomial
 from buckysob.ratmat import PivotCounter, RationalMatrix, charpoly
@@ -18,7 +20,7 @@ def split(lap, sigma):
 def test_split_block_structure(split):
     assert split.a0.rows == split.a1.rows == 30
     assert split.a0.is_symmetric() and split.a1.is_symmetric()
-    assert all(split.a0.data[i][i] == 3 for i in range(30))
+    assert all(split.a0[i, i] == 3 for i in range(30))
     assert split.a_plus == split.a0 + split.a1
     assert split.a_minus == split.a0 - split.a1
 
@@ -35,7 +37,7 @@ def test_j_conjugation(lap, split):
     relabeled = lap.permuted(list(split.perm))
     conj = j_inv * relabeled * j
     zero = RationalMatrix.zeros(30, 30)
-    assert conj == blocks._stack(split.a_plus, zero, zero, split.a_minus)
+    assert conj == RationalMatrix.block([[split.a_plus, zero], [zero, split.a_minus]])
 
 
 def test_split_rejects_non_involution(lap):
@@ -72,6 +74,14 @@ def test_green_via_blocks(lap, split, g_one):
     assert blocks.assemble_green_via_blocks(split, 1) == g_one
     a = Fraction(1, 3)
     assert blocks.assemble_green_via_blocks(split, a) == green.green_matrix(lap, a)
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.builds(Fraction, st.integers(1, 2 ** 8), st.integers(1, 2 ** 8)))
+def test_green_via_blocks_random_a(lap, split, a):
+    via_blocks = blocks.assemble_green_via_blocks(split, a)
+    assert via_blocks == green.green_matrix(lap, a)
+    assert via_blocks.diagonal() == [closedform.ca_closed_form()(a)] * 60
 
 
 def test_reassembly_identities(split):

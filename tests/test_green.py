@@ -1,18 +1,21 @@
 """Green / pseudo-Green matrices and the sharp constants."""
 
+import os
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from buckysob import closedform, green
+from buckysob import closedform, graph, green
 from buckysob.polynomials import IntPolynomial, RationalFunction
-from buckysob.ratmat import RationalMatrix
+from buckysob.ratmat import RationalMatrix, inverse
 
 
 def test_projection_entries():
     e0 = green.projection_e0(60)
-    assert all(x == Fraction(1, 60) for row in e0.data for x in row)
+    assert all(e0[i, j] == Fraction(1, 60) for i in range(60) for j in range(60))
     ones = [Fraction(1)] * 60
     assert e0.matvec(ones) == ones
 
@@ -63,6 +66,21 @@ def test_pseudo_green_defining_relations(lap, g_star):
     assert g_star.is_symmetric()
 
 
+@pytest.mark.parametrize("seed", [None, 7])
+def test_pseudo_green_matches_projection_formula(bucky, seed):
+    # (A + J)^-1 - E0/60 against the formula (A + E0)^-1 - E0, entrywise.
+    if seed is not None:
+        perm = list(range(60))
+        random.Random(seed).shuffle(perm)
+        bucky = graph.relabel(bucky, perm)
+    A = graph.laplacian(bucky)
+    e0 = green.projection_e0(60)
+    old = inverse(A + e0) - e0
+    new = green.pseudo_green(A)
+    assert all(new[i, j] == old[i, j] for i in range(60) for j in range(60))
+    assert new == old
+
+
 def test_pseudo_green_kills_constants(g_star):
     ones = [Fraction(1)] * 60
     assert all(x == 0 for x in g_star.matvec(ones))
@@ -108,6 +126,31 @@ def test_ca_denominator_is_squarefree_part(ca, p_char):
 def test_ca_fit_route(lap):
     fitted = green.ca_via_fit(lap)
     assert fitted == closedform.ca_closed_form()
+
+
+def test_ca_fit_pool_is_capped(lap, monkeypatch):
+    requested, sent = [], []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            args = list(args)
+            sent.extend(args)
+            return map(fn, args)
+
+    monkeypatch.setattr(green, "ProcessPoolExecutor", InProcessPool)
+    assert green.ca_via_fit(lap, parallel=5000) == closedform.ca_closed_form()
+    assert requested and requested[0] <= min(os.cpu_count() or 1,
+                                             green.CA_SAMPLE_COUNT)
+    assert all(type(x) is int for num, den, _ in sent for row in num for x in row)
 
 
 def test_ca_three_routes(lap, p_char):
@@ -162,6 +205,13 @@ def test_monotonicity(ca):
     assert green.monotonicity_scan(ca, pts)
     assert green.monotonicity_scan(ca, [Fraction(3)])
     assert ca(Fraction(1)) > ca(Fraction(2))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.builds(Fraction, st.integers(1, 2 ** 12), st.integers(1, 2 ** 12)),
+                min_size=1, max_size=8, unique=True))
+def test_monotonicity_on_random_points(points):
+    assert green.monotonicity_scan(closedform.ca_closed_form(), sorted(points))
 
 
 def test_monotonicity_rejects_bad_points(ca):

@@ -1,10 +1,13 @@
 """Exact linear algebra: kernels, determinants, solves, characteristic
 polynomials against the brute-force cofactor oracle."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from buckysob._bareiss import det_int, jordan_int
 from buckysob.ratmat import (PivotCounter, RationalMatrix, SingularMatrixError,
@@ -151,3 +154,85 @@ def test_rational_serialization_roundtrip():
 def test_matrix_json():
     m = RationalMatrix([[Fraction(1, 2), 3]])
     assert m.to_json() == [["1/2", "3"]]
+
+
+small_fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
+
+
+def fraction_rows(rows, cols):
+    return st.lists(st.lists(small_fractions, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+def entries(m):
+    return [[m[i, j] for j in range(m.cols)] for i in range(m.rows)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_operations_match_fraction_reference(data):
+    n, k, w = (data.draw(st.integers(1, 4)) for _ in range(3))
+    a, b = data.draw(fraction_rows(n, k)), data.draw(fraction_rows(n, k))
+    c, sq = data.draw(fraction_rows(k, w)), data.draw(fraction_rows(n, n))
+    s = data.draw(small_fractions)
+    v = data.draw(st.lists(small_fractions, min_size=k, max_size=k))
+    perm = data.draw(st.permutations(range(n)))
+    A, B, C, S = (RationalMatrix(x) for x in (a, b, c, sq))
+
+    assert entries(A + B) == [[x + y for x, y in zip(r, q)] for r, q in zip(a, b)]
+    assert entries(A - B) == [[x - y for x, y in zip(r, q)] for r, q in zip(a, b)]
+    assert entries(A * C) == [[sum((r[t] * c[t][j] for t in range(k)), Fraction(0))
+                               for j in range(w)] for r in a]
+    assert entries(A * s) == entries(s * A) == [[s * x for x in r] for r in a]
+    assert entries(-A) == [[-x for x in r] for r in a]
+    assert entries(A.transpose()) == [[a[i][j] for i in range(n)] for j in range(k)]
+    permuted = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            permuted[perm[i]][perm[j]] = sq[i][j]
+    assert entries(S.permuted(perm)) == permuted
+    assert entries(S.scaled_add(s)) == [[x + s if i == j else x
+                                         for j, x in enumerate(r)]
+                                        for i, r in enumerate(sq)]
+    assert A.matvec(v) == [sum((x * y for x, y in zip(r, v)), Fraction(0))
+                           for r in a]
+    assert (A == B) == (a == b)
+    assert A == RationalMatrix(a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_canonical_form(data):
+    n, k = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    a = data.draw(fraction_rows(n, k))
+    m = RationalMatrix(a)
+    assert m.den > 0
+    assert math.gcd(m.den, *(x for row in m.num for x in row)) == 1
+    assert entries(m) == a
+    # The same matrix built other ways is equal, with the same pair.
+    scale = data.draw(st.integers(1, 50)) * data.draw(st.sampled_from((1, -1)))
+    rebuilt = RationalMatrix.from_ints([[scale * x for x in row] for row in m.num],
+                                       scale * m.den)
+    for other in (rebuilt, (m + m) * Fraction(1, 2), m.transpose().transpose(),
+                  m - RationalMatrix.zeros(n, k), RationalMatrix(entries(m))):
+        assert other == m
+        assert (other.den, other.num) == (m.den, m.num)
+
+
+def test_zero_matrix_has_denominator_one():
+    m = RationalMatrix([[Fraction(1, 3), Fraction(-2, 9)]])
+    assert (m - m).den == 1
+    assert (m * 0) == RationalMatrix.zeros(1, 2)
+    with pytest.raises(ZeroDivisionError):
+        RationalMatrix.from_ints([[1]], 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_solve_round_trips(data):
+    n, w = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3))
+    m = RationalMatrix(data.draw(fraction_rows(n, n)))
+    rhs = RationalMatrix(data.draw(fraction_rows(n, w)))
+    assume(determinant(m) != 0)
+    x = bareiss_solve(m, rhs)
+    assert m * x == rhs

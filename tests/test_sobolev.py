@@ -133,6 +133,10 @@ def test_schwarz_intermediate(lap, g_star):
             assert pairing == u[j]  # reproducing relation again
 
 
+def test_laplacian_edges_are_the_graph_edges(bucky, lap):
+    assert sorted(sobolev.laplacian_edges(lap)) == sorted(bucky.edges)
+
+
 def test_form_mismatch_detection():
     from buckysob.ratmat import RationalMatrix
     # forged "Laplacian" whose quadratic form disagrees with its edge sum
@@ -142,7 +146,7 @@ def test_form_mismatch_detection():
 
 
 def test_max_not_at_diagonal_detection(lap, g_star):
-    rigged = [row[:] for row in g_star.data]
+    rigged = [[g_star[i, j] for j in range(60)] for i in range(60)]
     rigged[5][0] = Fraction(2)  # bigger than the diagonal
     from buckysob.ratmat import RationalMatrix
     with pytest.raises(sobolev.MaxNotAtDiagonal):
