@@ -7,7 +7,7 @@ rational function C(a)) is computed in exact rational arithmetic by
 independent routes that are required to agree.
 """
 
-from buckysob._bareiss import KERNEL_LANE
+from buckysob._modular import KERNEL_LANE
 from buckysob.graph import (FaceCensus, Involution, PolyhedralGraph,
                             SeedPolyhedron, buckyball, canonical_icosahedron,
                             face_census, find_antipodal_involution, girth,

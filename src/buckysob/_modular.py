@@ -1,0 +1,319 @@
+"""Multimodular exact elimination kernels on integer matrices.
+
+Both kernels take integer matrices (lists of lists of Python ints of any
+size) and return exact integers. The elimination itself runs modulo
+word-size primes: the residues of the rows are eliminated on int64 numpy
+arrays, a chunk of primes at a time, and each chunk is folded into the
+running result by Chinese remaindering. How many primes are used is fixed
+by the Hadamard bound H = prod_i (isqrt(|row_i|^2) + 1), which bounds the
+determinant and, taken over the rows of [M | R], every Cramer numerator of
+M X = R. Once the primes' product passes 2H the symmetric residues are the
+integers themselves, so the results are exact by construction, not by a
+probabilistic stopping rule (Abbott, Bronstein & Mulders, ISSAC 1999).
+"""
+
+import math
+import operator
+
+import numpy as np
+
+# Kept as a constant: ``perfbench/run.py`` stamps every result with it.
+KERNEL_LANE = "python"
+
+# Every prime lies in (2**30, 2**31): residues are below 2**31, so a product
+# of two residues plus one more residue stays below 2**63 in int64, and each
+# prime adds more than 30 bits to the modulus.
+_PRIME_BITS = 30
+# Primes eliminated together in one batch of int64 arrays: at most _CHUNK,
+# and fewer where that keeps each array within _CHUNK_ENTRIES residues
+# (128 KiB), so that the kernel's peak memory stays near the size of its
+# input.
+_CHUNK = 8
+_CHUNK_ENTRIES = 1 << 14
+# Bits per limb when an entry is split to be reduced modulo a prime.
+_LIMB_BITS = 30
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
+
+# The table only ever grows by the same deterministic sequence, so sharing
+# it between callers changes no result.
+_primes = []
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin; the bases 2, 3, 5, 7 decide every
+    n < 3,215,031,751."""
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7):
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for base in (2, 3, 5, 7):
+        x = pow(base, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def prime_table(count):
+    """The first ``count`` primes below 2**31, largest first; the table is
+    built on first use and grown on demand."""
+    candidate = _primes[-1] - 2 if _primes else (1 << 31) - 1
+    while len(_primes) < count:
+        if _is_prime(candidate):
+            _primes.append(candidate)
+        candidate -= 2
+    if _primes[count - 1] >> _PRIME_BITS != 1:
+        raise OverflowError("prime table left (2**30, 2**31)")
+    return _primes[:count]
+
+
+def hadamard_bound(rows):
+    """prod_i (isqrt(|row_i|^2) + 1): a bound on |det| of every square
+    matrix whose rows are taken, one entry each, from these rows."""
+    return math.prod(math.isqrt(sum(x * x for x in row)) + 1 for row in rows)
+
+
+def _next_primes(used, modulus, bound, entries):
+    """The primes after the first ``used`` for the next chunk of a matrix
+    of ``entries``: the primes still needed to bring ``modulus`` past
+    ``bound``, split into as few chunks as the size limits allow and as
+    evenly as possible."""
+    need = -(-(bound.bit_length() + 1 - modulus.bit_length()) // _PRIME_BITS)
+    most = max(1, min(_CHUNK, _CHUNK_ENTRIES // entries))
+    count = -(-need // -(-need // most))
+    return prime_table(used + count)[used:]
+
+
+class _Residues:
+    """The entries of an integer matrix, ready to be reduced modulo any
+    chunk of primes."""
+
+    def __init__(self, rows):
+        try:
+            self.limbs, self.negative = [np.array(rows, dtype=np.int64)], None
+        except OverflowError:
+            # Entries beyond int64: the magnitudes in 30-bit limbs.
+            big = np.array(rows, dtype=object)
+            self.negative = big < 0
+            big = np.abs(big)
+            self.limbs = []
+            while big.any():
+                self.limbs.append((big & _LIMB_MASK).astype(np.int64))
+                big >>= _LIMB_BITS
+
+    def modulo(self, primes):
+        """A c x n x w int64 array whose slice t is the matrix modulo
+        primes[t]."""
+        p = np.array(primes, dtype=np.int64)[:, None, None]
+        res = np.remainder(self.limbs[0], p)
+        for t in range(1, len(self.limbs)):
+            shift = np.array([pow(2, _LIMB_BITS * t, q) for q in primes],
+                             dtype=np.int64)[:, None, None]
+            res += self.limbs[t] * shift % p
+            res %= p
+        if self.negative is not None:
+            np.negative(res, out=res, where=self.negative)
+            res %= p
+        return res
+
+
+def _mod(x, primes, p, scratch):
+    """x <- x mod p in place, for 0 <= x < 2**63, where x[t] is reduced
+    modulo primes[t] and p holds the primes shaped to broadcast against x.
+    A floor division by each prime as a scalar, which numpy runs two to
+    three times faster than int64 remainder or division by a broadcast
+    array, then a multiply-subtract; ``scratch`` has x's shape."""
+    for t, q in enumerate(primes):
+        np.floor_divide(x[t], q, out=scratch[t])
+    np.multiply(scratch, p, out=scratch)
+    np.subtract(x, scratch, out=x)
+
+
+class _Crt:
+    """Chinese remaindering of an r x m integer matrix from its residues,
+    added a chunk of primes at a time.
+
+    Each pair of primes is combined at once in int64 (Garner's step, the
+    product of two primes being below 2**62); the Python integer values are
+    updated once per _CHUNK primes, row by row, so that the number of passes
+    over the wide values does not grow as chunks get smaller.
+    """
+
+    def __init__(self, r, m):
+        self.modulus = 1
+        self.values = [[0] * m for _ in range(r)]
+        self._moduli, self._terms, self._pending = [], [], 0
+
+    def add(self, primes, residues):
+        """Add residues[t] (an r x m int64 array) modulo primes[t]."""
+        for t in range(0, len(primes) - 1, 2):
+            p, q = primes[t], primes[t + 1]
+            lift = (residues[t + 1] - residues[t]) % q
+            lift *= pow(p, -1, q)
+            lift %= q
+            lift *= p
+            lift += residues[t]
+            self._moduli.append(p * q)
+            self._terms.append(lift)
+        if len(primes) % 2:
+            self._moduli.append(primes[-1])
+            self._terms.append(residues[-1].copy())
+        self.modulus *= math.prod(primes)
+        self._pending += len(primes)
+        if self._pending >= _CHUNK:
+            self._fold()
+
+    def _fold(self):
+        q = math.prod(self._moduli)
+        basis = [(q // qi) * pow(q // qi, -1, qi) for qi in self._moduli]
+        terms = np.stack(self._terms)
+        self._moduli, self._terms, self._pending = [], [], 0
+        m = self.modulus // q
+        m_inv = pow(m, -1, q)
+        # Row by row, so that only one row of temporaries is alive.
+        for i, row in enumerate(self.values):
+            self.values[i] = [
+                x + m * ((sum(map(operator.mul, ts, basis)) - x % q) * m_inv % q)
+                for x, ts in zip(row, zip(*terms[:, i].tolist()))]
+
+    def symmetric(self):
+        """The values in the symmetric range (-modulus/2, modulus/2]."""
+        if self._terms:
+            self._fold()
+        m, half = self.modulus, self.modulus >> 1
+        return [[x - m if x > half else x for x in row] for row in self.values]
+
+
+def _eliminate(a, primes, jordan):
+    """Eliminate the residues a (c x n x w int64, one n x w slice per prime),
+    forward only or Gauss-Jordan with unit pivots.
+
+    Each step writes the updated rows as one contiguous array without the
+    pivot column (and, forward, without the pivot row), which numpy reduces
+    several times faster than a strided view; two buffers of a's size take
+    turns holding it. Returns (det residue per prime, whether each prime
+    had a pivot in every column, ops, the last array). A prime without a
+    pivot in some column has det = 0 modulo it; its slice is carried on
+    with a stand-in pivot and must be ignored. After a Gauss-Jordan pass
+    the last array is M^-1 R modulo each prime.
+    """
+    c, n, w = a.shape
+    p2 = np.array(primes, dtype=np.int64)[:, None]
+    p3 = p2[:, :, None]
+    here, there = a.reshape(-1), np.empty(a.size, dtype=np.int64)
+    det = [1] * c
+    live = [True] * c
+    ops = 0
+    for k in range(n):
+        # Column 0 of a is column k; row `top` of a is row k.
+        top = k if jordan else 0
+        piv = a[:, top, 0].tolist()
+        for t in range(c):
+            if piv[t]:
+                continue
+            below = np.flatnonzero(a[t, top:, 0])
+            if below.size == 0:
+                live[t] = False
+                piv[t] = 1
+                continue
+            r = top + int(below[0])
+            a[t, [top, r]] = a[t, [r, top]]
+            piv[t] = int(a[t, top, 0])
+            det[t] = -det[t]
+        det = [d * x % q for d, x, q in zip(det, piv, primes)]
+        inv = np.array([pow(x, -1, q) for x, q in zip(piv, primes)],
+                       dtype=np.int64)[:, None]
+        width = w - k - 1
+        rowk = a[:, top, 1:]
+        if jordan:
+            # Row i gains -a[i][k]/pivot times row k; row k itself gains
+            # (1/pivot - 1) times itself, which scales it to a unit pivot.
+            factors = (p2 - a[:, :, 0]) * inv % p2
+            factors[:, k] = inv[:, 0] - 1
+            body = a[:, :, 1:]
+            ops += c * (n - 1) * width
+        else:
+            factors = p2 - a[:, 1:, 0] * inv % p2
+            body = a[:, 1:, 1:]
+            ops += c * (n - k - 1) * width
+        shape = body.shape
+        a = there[:body.size].reshape(shape)
+        np.multiply(factors[:, :, None], rowk[:, None, :], out=a)
+        np.add(a, body, out=a)
+        # The last array is no longer read: its buffer holds the quotients.
+        _mod(a, primes, p3, here[:a.size].reshape(shape))
+        here, there = there, here
+    det = [d if alive else 0 for d, alive in zip(det, live)]
+    return det, live, ops, a
+
+
+def det_int(rows):
+    """Determinant of a square integer matrix.
+
+    Returns (det, ops) where ops counts the multiply-mod updates of the
+    forward elimination, summed over the primes. The input is not mutated.
+    """
+    n = len(rows)
+    if n == 0:
+        return 1, 0
+    bound = 2 * hadamard_bound(rows)
+    residues = _Residues(rows)
+    crt = _Crt(1, 1)
+    used = ops = 0
+    while crt.modulus <= bound:
+        primes = _next_primes(used, crt.modulus, bound, n * n)
+        used += len(primes)
+        # The last array is dropped at once, and its buffer with it.
+        det, _, chunk_ops = _eliminate(residues.modulo(primes), primes,
+                                       jordan=False)[:3]
+        ops += chunk_ops
+        crt.add(primes, np.array(det, dtype=np.int64)[:, None, None])
+    return crt.symmetric()[0][0], ops
+
+
+def jordan_int(aug, n, m):
+    """Gauss-Jordan on an n x (n+m) integer matrix [M | R].
+
+    Returns (det, num, ops) where det = det(M) and num = adj(M) R, the
+    n x m integer matrix with M @ (num / det) == R exactly; ops counts the
+    multiply-mod updates, summed over the primes. Primes that divide det(M)
+    are skipped; M is singular exactly when the skipped primes' product
+    passes the bound, and then ZeroDivisionError is raised. The input is
+    not mutated.
+    """
+    if n == 0:
+        return 1, [], 0
+    bound = 2 * hadamard_bound(aug)
+    residues = _Residues(aug)
+    crt, det_crt = _Crt(n, m), _Crt(1, 1)
+    used = ops = 0
+    skipped = 1
+    while crt.modulus <= bound:
+        if skipped > bound:
+            raise ZeroDivisionError("matrix is singular")
+        primes = _next_primes(used, crt.modulus, bound, n * (n + m))
+        used += len(primes)
+        det, live, chunk_ops, sol = _eliminate(residues.modulo(primes), primes,
+                                               jordan=True)
+        ops += chunk_ops
+        skipped *= math.prod(q for q, ok in zip(primes, live) if not ok)
+        keep = [t for t, ok in enumerate(live) if ok]
+        if keep:
+            primes = [primes[t] for t in keep]
+            det = np.array([det[t] for t in keep], dtype=np.int64)[:, None, None]
+            sol = sol[keep] * det
+            sol %= np.array(primes, dtype=np.int64)[:, None, None]
+            crt.add(primes, sol)
+            det_crt.add(primes, det)
+        # The chunk's buffers go before the next chunk's are made.
+        del sol
+    return det_crt.symmetric()[0][0], crt.symmetric(), ops

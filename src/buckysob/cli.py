@@ -9,6 +9,7 @@ seed produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -145,7 +146,10 @@ def _verify_checks(trials: int, seed: int, parallel: int):
     """Yield (name, result dict) for every verification item."""
     g = graph.buckyball()
     A = graph.laplacian(g)
-    p = charpoly(A)
+    # The charpoly and G* are computed on first use, inside the first check
+    # that needs them, so that their time shows in that check's report.
+    charpoly_of_a = functools.cache(lambda: charpoly(A))
+    pseudo_green_of_a = functools.cache(lambda: green.pseudo_green(A))
 
     def check_graph_combinatorics():
         census = graph.face_census(g)
@@ -158,14 +162,13 @@ def _verify_checks(trials: int, seed: int, parallel: int):
         return {"faces": census.face_count}
 
     def check_charpoly_factorization():
+        p = charpoly_of_a()
         check(p == closedform.charpoly_product(), "factor product mismatch")
         return {"degree": p.degree}
 
-    g_star = green.pseudo_green(A)
-
     def check_c0_three_routes():
-        c_diag = green.c0_via_diagonal(g_star)
-        c_trace = green.c0_via_trace(p)
+        c_diag = green.c0_via_diagonal(pseudo_green_of_a())
+        c_trace = green.c0_via_trace(charpoly_of_a())
         check(c_diag == c_trace == closedform.C0,
               f"{c_diag} vs {c_trace} vs {closedform.C0}")
         check(abs(float(c_diag) - closedform.C0_DECIMAL) < 5e-6, "decimal")
@@ -175,15 +178,16 @@ def _verify_checks(trials: int, seed: int, parallel: int):
 
     def check_ca_three_routes():
         nonlocal ca
-        ca = green.c_of_a(A, p, parallel=parallel)
+        ca = green.c_of_a(A, charpoly_of_a(), parallel=parallel)
         return {"num_degree": ca.num.degree, "den_degree": ca.den.degree}
 
     def check_limit_identity():
-        rf = ca if ca is not None else green.ca_via_charpoly(p)
+        rf = ca if ca is not None else green.ca_via_charpoly(charpoly_of_a())
         check(green.limit_identity_check(rf, closedform.C0), "limit value")
         return {}
 
     def check_moore_penrose():
+        g_star = pseudo_green_of_a()
         ident = RationalMatrix.identity(60)
         e0 = green.projection_e0(60)
         zero = RationalMatrix.zeros(60, 60)
@@ -199,7 +203,7 @@ def _verify_checks(trials: int, seed: int, parallel: int):
         return {}
 
     def check_eigenvalue_table():
-        table = spectral.build_spectral_table(p)
+        table = spectral.build_spectral_table(charpoly_of_a())
         num = spectral.numeric_eigenvalues(A)
         cv = spectral.cross_validate(num, table)
         check(tuple(table.multiplicities()) == closedform.TABLE_MULTIPLICITIES,
@@ -220,7 +224,7 @@ def _verify_checks(trials: int, seed: int, parallel: int):
         zero = RationalMatrix.zeros(30, 30)
         expected = RationalMatrix.block([[split.a_plus, zero], [zero, split.a_minus]])
         check(conj == expected, "J conjugation")
-        blocks.half_spectra_check(split, p)
+        blocks.half_spectra_check(split, charpoly_of_a())
         full_counter, half_counter = PivotCounter(), PivotCounter()
         direct = green.pseudo_green(A, full_counter)
         via_blocks = blocks.assemble_green_via_blocks(split, None, half_counter)
@@ -231,6 +235,7 @@ def _verify_checks(trials: int, seed: int, parallel: int):
         return {"half_ops": half_counter.ops, "full_ops": full_counter.ops}
 
     def check_sobolev_trials():
+        g_star = pseudo_green_of_a()
         rng = random.Random(seed)
         for _ in range(trials):
             u = sobolev.random_mean_zero(60, rng)
@@ -263,7 +268,7 @@ def _verify_checks(trials: int, seed: int, parallel: int):
         g2 = graph.relabel(g, perm)
         A2 = graph.laplacian(g2)
         p2 = charpoly(A2)
-        check(p2 == p, "charpoly changed under relabeling")
+        check(p2 == charpoly_of_a(), "charpoly changed under relabeling")
         check(green.c0_via_diagonal(green.pseudo_green(A2)) == closedform.C0,
               "C0 changed under relabeling")
         check(green.ca_via_charpoly(p2) == closedform.ca_closed_form(),

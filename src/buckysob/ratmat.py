@@ -8,11 +8,12 @@ and permutations are integer arithmetic; products and ``matvec`` skip zero
 entries, so the 4-nonzeros-per-row Laplacian is cheap. Single entries are
 read as reduced ``Fraction``s through ``m[i, j]``.
 
-All elimination work is delegated to the one pair of fraction-free Bareiss
-kernels in ``_bareiss`` (``det_int`` and ``jordan_int``): systems are
-cleared to integers row by row (row scaling changes neither solutions nor
-singularity) and solved fraction-free, and a solve's result is the kernel's
-integer rows over its determinant.
+All elimination work is delegated to the one pair of multimodular kernels
+in ``_modular`` (``det_int`` and ``jordan_int``): systems are cleared to
+integers row by row (row scaling changes neither solutions nor
+singularity), eliminated modulo word-size primes and rebuilt exactly by
+Chinese remaindering under a Hadamard bound, and a solve's result is the
+kernel's integer rows adj(M) R over its determinant det(M).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from buckysob._bareiss import det_int, jordan_int
+from buckysob._modular import det_int, jordan_int
 from buckysob.polynomials import IntPolynomial, VerificationFailed
 
 
@@ -29,7 +30,13 @@ class SingularMatrixError(VerificationFailed):
 
 
 class PivotCounter:
-    """Accumulates pivot-update operation counts across kernel calls."""
+    """Accumulates the kernels' operation counts across calls.
+
+    A kernel's count is the number of multiply-mod updates of its
+    elimination loops, taken from the loop bounds and summed over the primes
+    it used, so it scales with both the matrix shape and the bit size of
+    the entries.
+    """
 
     def __init__(self):
         self.ops = 0
@@ -283,8 +290,8 @@ def determinant(m: RationalMatrix, counter: PivotCounter | None = None) -> Fract
 
 def bareiss_solve(m: RationalMatrix, rhs: RationalMatrix,
                   counter: PivotCounter | None = None) -> RationalMatrix:
-    """Exact X with m @ X == rhs, fraction-free Gauss-Jordan; the kernel's
-    (det, num) becomes the result num / det directly."""
+    """Exact X with m @ X == rhs by the multimodular Gauss-Jordan kernel;
+    its (det, num) becomes the result num / det directly."""
     if not m.is_square():
         raise ValueError("square matrix required")
     if rhs.rows != m.rows:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from buckysob import green
+from buckysob import cli, green, ratmat
 from buckysob.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -134,6 +134,25 @@ sys.exit(cli.main(["verify-all", "--trials", "0"]))
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "FAIL c0_three_routes" in proc.stdout
     assert "FAIL limit_identity" in proc.stdout
+
+
+def test_verify_checks_compute_nothing_before_the_checks(monkeypatch):
+    """The charpoly and G* are made inside the checks that use them, so
+    listing the checks runs no elimination."""
+    calls = []
+    for name in ("det_int", "jordan_int"):
+        def counted(*args, _kernel=getattr(ratmat, name), _name=name):
+            calls.append(_name)
+            return _kernel(*args)
+        monkeypatch.setattr(ratmat, name, counted)
+    checks = dict(cli._verify_checks(0, 0, 1))
+    assert len(checks) == 10
+    assert calls == []
+    checks["c0_three_routes"]()
+    assert {"det_int", "jordan_int"} <= set(calls)
+    done = len(calls)
+    checks["charpoly_factorization"]()
+    assert len(calls) == done
 
 
 def test_verify_all_deterministic_checks(capsys, tmp_path):

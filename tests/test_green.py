@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from buckysob import closedform, graph, green
 from buckysob.polynomials import IntPolynomial, RationalFunction
-from buckysob.ratmat import RationalMatrix, inverse
+from buckysob.ratmat import RationalMatrix, charpoly, inverse
 
 
 def test_projection_entries():
@@ -79,6 +79,14 @@ def test_pseudo_green_matches_projection_formula(bucky, seed):
     new = green.pseudo_green(A)
     assert all(new[i, j] == old[i, j] for i in range(60) for j in range(60))
     assert new == old
+
+
+@settings(max_examples=3, deadline=None)
+@given(st.permutations(range(60)))
+def test_relabeling_keeps_charpoly_and_c0(bucky, perm):
+    A = graph.laplacian(graph.relabel(bucky, perm))
+    assert charpoly(A) == closedform.charpoly_product()
+    assert green.pseudo_green(A).diagonal() == [closedform.C0] * 60
 
 
 def test_pseudo_green_kills_constants(g_star):

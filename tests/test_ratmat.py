@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from buckysob._bareiss import det_int, jordan_int
+from buckysob import _modular
+from buckysob._modular import det_int, hadamard_bound, jordan_int, prime_table
 from buckysob.ratmat import (PivotCounter, RationalMatrix, SingularMatrixError,
                              bareiss_solve, charpoly, charpoly_coeffs,
                              charpoly_cofactor, determinant, inverse,
@@ -54,6 +55,148 @@ def test_kernel_jordan_solves_exactly():
                 s = sum(Fraction(mat[i][k] * num[k][j], det) for k in range(n))
                 assert s == rhs[i][j]
         done += 1
+
+
+def _fraction_solve(mat, rhs):
+    """Plain Gauss-Jordan over Fractions: X with mat @ X == rhs."""
+    n = len(mat)
+    a = [[Fraction(x) for x in mat[i] + rhs[i]] for i in range(n)]
+    for k in range(n):
+        piv = next(i for i in range(k, n) if a[i][k])
+        a[k], a[piv] = a[piv], a[k]
+        a[k] = [x / a[k][k] for x in a[k]]
+        for i in range(n):
+            if i != k and a[i][k]:
+                a[i] = [x - a[i][k] * y for x, y in zip(a[i], a[k])]
+    return [row[n:] for row in a]
+
+
+def _int_matmul(a, b):
+    return [[sum(x * b[t][j] for t, x in enumerate(row)) for j in range(len(b[0]))]
+            for row in a]
+
+
+def _lu(diag, seed):
+    """A non-diagonal integer matrix L U with det = prod(diag): L unit lower
+    and U upper triangular with small random off-diagonal entries."""
+    rng = random.Random(seed)
+    n = len(diag)
+    lower = [[1 if i == j else rng.randint(-3, 3) if j < i else 0
+              for j in range(n)] for i in range(n)]
+    upper = [[diag[i] if i == j else rng.randint(-3, 3) if j > i else 0
+              for j in range(n)] for i in range(n)]
+    return _int_matmul(lower, upper)
+
+
+@pytest.fixture
+def chunks(monkeypatch):
+    """(primes, whether each had a pivot in every column) for every chunk
+    the kernels eliminate."""
+    seen = []
+    eliminate = _modular._eliminate
+
+    def recording(a, primes, jordan):
+        out = eliminate(a, primes, jordan)
+        seen.append((list(primes), out[1]))
+        return out
+
+    monkeypatch.setattr(_modular, "_eliminate", recording)
+    return seen
+
+
+def test_kernel_skips_primes_dividing_det(chunks):
+    # det = -p0 p1 for the first two kernel primes; modulo either, columns
+    # 2 or 4 run out of pivots halfway through the elimination.
+    p0, p1 = prime_table(2)
+    mat = _lu([1, 1, p0, -1, p1, 1], seed=50)
+    assert any(mat[i][j] for i in range(6) for j in range(6) if i != j)
+    rhs = [[i - j for j in range(2)] for i in range(6)]
+    assert det_int(mat)[0] == -p0 * p1 == _cofactor_det(mat)
+    chunks.clear()
+    det, num, _ = jordan_int([r + s for r, s in zip(mat, rhs)], 6, 2)
+    assert det == -p0 * p1
+    assert [[Fraction(x, det) for x in row] for row in num] == _fraction_solve(mat, rhs)
+    skipped = {q for primes, live in chunks for q, ok in zip(primes, live) if not ok}
+    assert skipped == {p0, p1}
+
+
+def test_kernel_swaps_rows_for_some_primes_only():
+    # The first pivot vanishes modulo p0 only, so only p0's slice swaps rows.
+    p0 = prime_table(1)[0]
+    mat = [[p0, 1, 2], [1, 1, -1], [3, -2, 1]]
+    rhs = [[1], [0], [2]]
+    assert det_int(mat)[0] == _cofactor_det(mat)
+    det, num, _ = jordan_int([r + s for r, s in zip(mat, rhs)], 3, 1)
+    assert det == _cofactor_det(mat)
+    assert [[Fraction(x, det) for x in row] for row in num] == _fraction_solve(mat, rhs)
+
+
+@pytest.mark.parametrize("mat", [
+    [[1, 2], [2, 4]],
+    [[0, 0], [0, 0]],
+    [[2 ** 70, 3, 1], [2 ** 71, 6, 2], [5, -1, 2 ** 90]],
+    _lu([1, 3, 0, -2, 1], seed=51),
+])
+def test_kernel_singular(mat):
+    n = len(mat)
+    assert det_int(mat)[0] == 0
+    with pytest.raises(ZeroDivisionError):
+        jordan_int([row + [int(i == j) for j in range(n)]
+                    for i, row in enumerate(mat)], n, n)
+    with pytest.raises(SingularMatrixError):
+        bareiss_solve(RationalMatrix(mat), RationalMatrix.identity(n))
+
+
+def test_kernel_entries_beyond_int64():
+    rng = random.Random(48)
+    edges = [2 ** 62, -2 ** 63, 2 ** 63, -(2 ** 64) - 1]
+    for n in (1, 2, 3, 5):
+        mat = [[rng.choice(edges) if rng.random() < 0.3 else
+                rng.randint(-2 ** 100, 2 ** 100) for _ in range(n)] for _ in range(n)]
+        rhs = [[rng.randint(-2 ** 70, 2 ** 70) for _ in range(2)] for _ in range(n)]
+        d = _cofactor_det(mat)
+        assert d != 0
+        assert det_int(mat)[0] == d
+        det, num, _ = jordan_int([r + s for r, s in zip(mat, rhs)], n, 2)
+        assert det == d
+        assert [[Fraction(x, det) for x in row] for row in num] == _fraction_solve(mat, rhs)
+
+
+def test_kernel_small_shapes_and_signs():
+    assert det_int([[-7]])[0] == -7
+    assert det_int([[0, 1], [1, 0]])[0] == -1
+    assert jordan_int([[-3, 6]], 1, 1)[:2] == (-3, [[6]])
+    assert jordan_int([[0, 2, 4], [1, 0, 1]], 2, 1)[:2] == (-2, [[-2], [-4]])
+    assert jordan_int([[2, 1], [1, 3]], 2, 0)[:2] == (5, [[], []])
+    with pytest.raises(ZeroDivisionError):
+        jordan_int([[0]], 1, 0)
+
+
+def test_prime_table():
+    primes = prime_table(40)
+    assert len(set(primes)) == 40
+    assert primes == sorted(primes, reverse=True)
+    assert all(2 ** 30 < p < 2 ** 31 for p in primes)
+    for p in primes[:3] + primes[-2:]:
+        assert p % 2 and all(p % d for d in range(3, math.isqrt(p) + 1, 2))
+    assert prime_table(3) == primes[:3]
+
+
+def test_primes_used_pass_twice_hadamard(chunks):
+    rng = random.Random(49)
+    mat = [[rng.randint(-2 ** 40, 2 ** 40) for _ in range(8)] for _ in range(8)]
+    aug = [row + [rng.randint(-9, 9) for _ in range(3)] for row in mat]
+    d = _cofactor_det(mat)
+    assert abs(d) <= hadamard_bound(mat) <= hadamard_bound(aug)
+    for run, bound in ((lambda: det_int(mat), hadamard_bound(mat)),
+                       (lambda: jordan_int(aug, 8, 3), hadamard_bound(aug))):
+        chunks.clear()
+        run()
+        assert all(len(primes) <= 8 for primes, _ in chunks)
+        assert all(all(live) for _, live in chunks)
+        used = [primes for primes, _ in chunks]
+        assert math.prod(map(math.prod, used)) > 2 * bound
+        assert math.prod(map(math.prod, used[:-1])) <= 2 * bound
 
 
 def test_determinant_trivial_cases():
@@ -236,3 +379,26 @@ def test_solve_round_trips(data):
     assume(determinant(m) != 0)
     x = bareiss_solve(m, rhs)
     assert m * x == rhs
+
+
+kernel_entries = st.one_of(st.integers(-2, 2), st.integers(-2 ** 80, 2 ** 80))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_kernel_matches_cofactor_and_fractions(data):
+    n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 3))
+    mat = data.draw(st.lists(st.lists(kernel_entries, min_size=n, max_size=n),
+                             min_size=n, max_size=n))
+    rhs = data.draw(st.lists(st.lists(kernel_entries, min_size=m, max_size=m),
+                             min_size=n, max_size=n))
+    d = _cofactor_det(mat)
+    assert det_int(mat)[0] == d
+    aug = [r + s for r, s in zip(mat, rhs)]
+    if d == 0:
+        with pytest.raises(ZeroDivisionError):
+            jordan_int(aug, n, m)
+        return
+    det, num, _ = jordan_int(aug, n, m)
+    assert det == d
+    assert [[Fraction(x, det) for x in row] for row in num] == _fraction_solve(mat, rhs)
