@@ -1,14 +1,18 @@
-"""Multimodular exact elimination kernels on integer matrices.
+"""Multimodular exact kernels on integer matrices.
 
-Both kernels take integer matrices (lists of lists of Python ints of any
-size) and return exact integers. The elimination itself runs modulo
-word-size primes: the residues of the rows are eliminated on int64 numpy
-arrays, a chunk of primes at a time, and each chunk is folded into the
-running result by Chinese remaindering. How many primes are used is fixed
-by the Hadamard bound H = prod_i (isqrt(|row_i|^2) + 1), which bounds the
-determinant and, taken over the rows of [M | R], every Cramer numerator of
-M X = R. Once the primes' product passes 2H the symmetric residues are the
-integers themselves, so the results are exact by construction, not by a
+The three kernels take integer matrices (lists of lists of Python ints of
+any size) and return exact integers. The work itself runs modulo word-size
+primes: the residues of the rows are reduced on int64 numpy arrays, a chunk
+of primes at a time, and each chunk is folded into the running result by
+Chinese remaindering. ``det_int`` and ``jordan_int`` eliminate; how many
+primes they use is fixed by the Hadamard bound
+H = prod_i (isqrt(|row_i|^2) + 1), which bounds the determinant and, taken
+over the rows of [M | R], every Cramer numerator of M X = R.
+``charpoly_int`` brings M to Hessenberg form by similarity and runs the
+Hessenberg charpoly recurrence, under the bound
+B = prod_i (isqrt(|row_i|^2) + 2) on its coefficients. Once the primes'
+product passes twice the bound the symmetric residues are the integers
+themselves, so the results are exact by construction, not by a
 probabilistic stopping rule (Abbott, Bronstein & Mulders, ISSAC 1999).
 """
 
@@ -317,3 +321,124 @@ def jordan_int(aug, n, m):
         # The chunk's buffers go before the next chunk's are made.
         del sol
     return det_crt.symmetric()[0][0], crt.symmetric(), ops
+
+
+def charpoly_bound(rows):
+    """prod_i (isqrt(|row_i|^2) + 2): a bound on the sum of the absolute
+    values of the coefficients of det(xI - M).
+
+    The coefficient of x^(n-k) is (-1)^k times the sum of the principal
+    k x k minors, and Hadamard bounds each minor on the rows S by
+    prod_{i in S} |row_i|; summed over every S that is prod_i (1 + |row_i|).
+    """
+    return math.prod(math.isqrt(sum(x * x for x in row)) + 2 for row in rows)
+
+
+def _dot_mod(a, v, p):
+    """(a @ v) mod p per prime for a (c x r x s) and v (c x s), entries
+    below 2**31 and s < 2**16: v is split into 16-bit limbs, so that every
+    partial sum stays below 2**63."""
+    lo = np.matmul(a, (v & 0xFFFF)[:, :, None])[:, :, 0]
+    hi = np.matmul(a, (v >> 16)[:, :, None])[:, :, 0]
+    hi %= p
+    hi <<= 16
+    hi += lo
+    hi %= p
+    return hi
+
+
+def _hessenberg(h, primes):
+    """Bring each slice h[t] to upper Hessenberg form modulo primes[t] by
+    similarity, in place; entries below the subdiagonal are left as they
+    are and must be ignored. Returns the multiply-mod updates, summed over
+    the primes.
+
+    Column k is cleared below row k + 1 by the row updates row_i -= u_i
+    row_{k+1} and their inverse, column k+1 += sum_i u_i column_i. A slice
+    whose pivot h[k+1][k] vanishes first swaps in a row below with a
+    nonzero entry, together with the matching column; a slice without one
+    is already reduced in column k, since every u_i is then 0.
+    """
+    c, n, _ = h.shape
+    p = np.array(primes, dtype=np.int64)[:, None]
+    ops = 0
+    for k in range(n - 2):
+        piv = h[:, k + 1, k].tolist()
+        for t in range(c):
+            if piv[t]:
+                continue
+            below = np.flatnonzero(h[t, k + 2:, k])
+            if below.size:
+                r = k + 2 + int(below[0])
+                h[t, [k + 1, r]] = h[t, [r, k + 1]]
+                h[t][:, [k + 1, r]] = h[t][:, [r, k + 1]]
+                piv[t] = int(h[t, k + 1, k])
+        inv = np.array([pow(x, -1, q) if x else 0 for x, q in zip(piv, primes)],
+                       dtype=np.int64)[:, None]
+        u = h[:, k + 2:, k] * inv % p
+        body = h[:, k + 2:, k + 1:]
+        body += (p - u)[:, :, None] * h[:, k + 1, None, k + 1:]
+        body %= p[:, :, None]
+        col = h[:, :, k + 1]
+        col += _dot_mod(h[:, :, k + 2:], u, p)
+        col %= p
+        ops += c * (n - k - 2) * (2 * n - k - 1)
+    return ops
+
+
+def _hessenberg_charpoly(h, primes):
+    """Coefficients, constant term first, of det(xI - h[t]) modulo
+    primes[t] for upper Hessenberg slices h[t]: a c x (n+1) array, and the
+    multiply-mod updates summed over the primes.
+
+    The recurrence of Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 2.2.9, on the leading principal minors q_m of xI - h:
+    q_{m+1} = x q_m - sum_{i<=m} h[i][m] s_i q_i, where s_i is the product
+    of the subdiagonal entries h[j][j-1] for i < j <= m.
+    """
+    c, n, _ = h.shape
+    p = np.array(primes, dtype=np.int64)[:, None]
+    # Row m holds q_m, whose degree is m.
+    q = np.zeros((c, n + 1, n + 1), dtype=np.int64)
+    q[:, 0, 0] = 1
+    s = np.ones((c, n), dtype=np.int64)
+    ops = 0
+    for m in range(n):
+        if m:
+            s[:, :m] *= h[:, m, m - 1, None]
+            s[:, :m] %= p
+        t = h[:, :m + 1, m] * s[:, :m + 1] % p
+        nxt = q[:, m + 1]
+        nxt[:, 1:m + 2] = q[:, m, :m + 1]
+        nxt[:, :m + 1] -= _dot_mod(q[:, :m + 1, :m + 1].transpose(0, 2, 1), t, p)
+        nxt %= p
+        ops += c * (m + 1) * (m + 2)
+    return q[:, n], ops
+
+
+def charpoly_int(rows):
+    """Characteristic polynomial det(xI - M) of a square integer matrix.
+
+    Returns (coeffs, ops): the n + 1 integer coefficients, constant term
+    first, and the multiply-mod updates of the Hessenberg reductions and
+    recurrences, summed over the primes. Hessenberg reduction needs no
+    division by anything but a nonzero pivot, so every prime is usable;
+    primes are taken until their product passes twice ``charpoly_bound``.
+    The input is not mutated.
+    """
+    n = len(rows)
+    if n == 0:
+        return [1], 0
+    bound = 2 * charpoly_bound(rows)
+    residues = _Residues(rows)
+    crt = _Crt(1, n + 1)
+    used = ops = 0
+    while crt.modulus <= bound:
+        primes = _next_primes(used, crt.modulus, bound, n * n)
+        used += len(primes)
+        h = residues.modulo(primes)
+        ops += _hessenberg(h, primes)
+        coeffs, chunk_ops = _hessenberg_charpoly(h, primes)
+        ops += chunk_ops
+        crt.add(primes, coeffs[:, None, :])
+    return crt.symmetric()[0], ops

@@ -8,12 +8,15 @@ and permutations are integer arithmetic; products and ``matvec`` skip zero
 entries, so the 4-nonzeros-per-row Laplacian is cheap. Single entries are
 read as reduced ``Fraction``s through ``m[i, j]``.
 
-All elimination work is delegated to the one pair of multimodular kernels
-in ``_modular`` (``det_int`` and ``jordan_int``): systems are cleared to
-integers row by row (row scaling changes neither solutions nor
-singularity), eliminated modulo word-size primes and rebuilt exactly by
-Chinese remaindering under a Hadamard bound, and a solve's result is the
+All elimination work is delegated to the multimodular kernels in
+``_modular``, which work modulo word-size primes and rebuild exact integers
+by Chinese remaindering under a Hadamard-type bound. For ``det_int`` and
+``jordan_int`` systems are cleared to integers row by row (row scaling
+changes neither solutions nor singularity), and a solve's result is the
 kernel's integer rows adj(M) R over its determinant det(M).
+``charpoly_int`` takes the rows ``num`` as they are, since the
+characteristic polynomial is a similarity invariant and row scaling is not
+a similarity; the denominator is divided out of the coefficients.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from buckysob._modular import det_int, jordan_int
+from buckysob._modular import charpoly_int, det_int, jordan_int
 from buckysob.polynomials import IntPolynomial, VerificationFailed
 
 
@@ -32,10 +35,11 @@ class SingularMatrixError(VerificationFailed):
 class PivotCounter:
     """Accumulates the kernels' operation counts across calls.
 
-    A kernel's count is the number of multiply-mod updates of its
-    elimination loops, taken from the loop bounds and summed over the primes
-    it used, so it scales with both the matrix shape and the bit size of
-    the entries.
+    A kernel's count is the number of multiply-mod updates of its loops
+    (elimination for determinants and solves; Hessenberg reduction and the
+    charpoly recurrence for characteristic polynomials), taken from the
+    loop bounds and summed over the primes it used, so it scales with both
+    the matrix shape and the bit size of the entries.
     """
 
     def __init__(self):
@@ -312,44 +316,20 @@ def inverse(m: RationalMatrix, counter: PivotCounter | None = None) -> RationalM
 
 def charpoly_coeffs(m: RationalMatrix,
                     counter: PivotCounter | None = None) -> list[Fraction]:
-    """Coefficients (ascending) of det(xI - m) by multipoint interpolation.
+    """Coefficients (ascending) of det(xI - m).
 
-    det(xI - m) is evaluated exactly at x = 0..n and recovered through
-    Newton divided differences; degree n and monicity come for free.
+    The kernel reduces the integer rows N = m.num to Hessenberg form modulo
+    word-size primes and rebuilds det(xI - N) exactly by Chinese
+    remaindering; for m = N/d the coefficient of x^k is that of N over
+    d^(n-k).
     """
     if not m.is_square():
         raise ValueError("square matrix required")
+    coeffs, ops = charpoly_int(m.num)
+    if counter is not None:
+        counter.add(ops)
     n = m.rows
-    if n == 0:
-        return [Fraction(1)]
-    integral = m.is_integer()
-    values = []
-    for x in range(n + 1):
-        if integral:
-            rows = [[(x if i == j else 0) - a for j, a in enumerate(row)]
-                    for i, row in enumerate(m.num)]
-            d, ops = det_int(rows)
-            values.append(Fraction(d))
-        else:
-            shifted = (-m).scaled_add(x)
-            d = determinant(shifted, counter)
-            ops = 0
-            values.append(d)
-        if counter is not None and ops:
-            counter.add(ops)
-    # Newton form on nodes 0..n, then expansion to the monomial basis.
-    coef = list(values)
-    for level in range(1, n + 1):
-        for i in range(n, level - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / level
-    poly = [Fraction(0)] * (n + 1)
-    poly[0] = coef[n]
-    for node in range(n - 1, -1, -1):
-        # poly <- poly*(x - node) + coef[node]
-        for k in range(n, 0, -1):
-            poly[k] = poly[k - 1] - node * poly[k]
-        poly[0] = coef[node] - node * poly[0]
-    return poly
+    return [Fraction(c, m.den ** (n - k)) for k, c in enumerate(coeffs)]
 
 
 def charpoly(m: RationalMatrix, counter: PivotCounter | None = None) -> IntPolynomial:

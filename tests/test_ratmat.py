@@ -9,8 +9,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from buckysob import _modular
-from buckysob._modular import det_int, hadamard_bound, jordan_int, prime_table
+from buckysob import _modular, ratmat
+from buckysob._modular import (charpoly_bound, charpoly_int, det_int,
+                               hadamard_bound, jordan_int, prime_table)
+from buckysob.graph import laplacian, relabel
 from buckysob.ratmat import (PivotCounter, RationalMatrix, SingularMatrixError,
                              bareiss_solve, charpoly, charpoly_coeffs,
                              charpoly_cofactor, determinant, inverse,
@@ -214,9 +216,31 @@ def test_laplacian_determinant_is_zero(lap):
     assert determinant(lap) == 0
 
 
-def test_det_of_shifted_laplacian_matches_charpoly(lap, p_char):
-    # det(A + I) = (-1)^60 P(-1)
-    assert determinant(lap.scaled_add(1)) == p_char(-1)
+def test_det_of_shifted_laplacian_matches_charpoly(bucky, lap, p_char):
+    # The elimination kernel against the Hessenberg one: det(xI - A) = P(x),
+    # also on a relabeled Laplacian, whose charpoly is not recomputed.
+    rng = random.Random(52)
+    perm = list(range(60))
+    rng.shuffle(perm)
+    relabeled = laplacian(relabel(bucky, perm))
+    for x in (-1, 3, 60, Fraction(7, 3), Fraction(-1, 2)):
+        assert determinant((-lap).scaled_add(x)) == p_char(x)
+    for x in (-1, 60, Fraction(7, 3)):
+        assert determinant((-relabeled).scaled_add(x)) == p_char(x)
+
+
+def test_charpoly_runs_no_elimination(monkeypatch, lap, p_char):
+    """The charpoly is its own route: it never reaches det_int, jordan_int
+    or their shared elimination loop."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("charpoly reached the elimination kernel")
+
+    monkeypatch.setattr(_modular, "_eliminate", refuse)
+    for name in ("det_int", "jordan_int"):
+        monkeypatch.setattr(ratmat, name, refuse)
+    assert charpoly(lap) == p_char
+    m = RationalMatrix([[Fraction(1, 2), 3], [Fraction(-2, 3), 1]])
+    assert charpoly_coeffs(m) == charpoly_cofactor(m)
 
 
 def test_solve_identity_roundtrip():
@@ -268,7 +292,7 @@ def test_charpoly_k4_laplacian():
     assert charpoly_cofactor(k4) == charpoly_coeffs(k4)
 
 
-def test_charpoly_interpolation_matches_cofactor():
+def test_charpoly_hessenberg_matches_cofactor():
     rng = random.Random(46)
     for _ in range(60):
         n = rng.randint(1, 6)
@@ -402,3 +426,101 @@ def test_kernel_matches_cofactor_and_fractions(data):
     det, num, _ = jordan_int(aug, n, m)
     assert det == d
     assert [[Fraction(x, det) for x in row] for row in num] == _fraction_solve(mat, rhs)
+
+
+@pytest.fixture
+def hessenberg_chunks(monkeypatch):
+    """The primes of every chunk the charpoly kernel reduces."""
+    seen = []
+    hessenberg = _modular._hessenberg
+
+    def recording(h, primes):
+        seen.append(list(primes))
+        return hessenberg(h, primes)
+
+    monkeypatch.setattr(_modular, "_hessenberg", recording)
+    return seen
+
+
+def _cofactor_charpoly(rows):
+    return [int(c) for c in charpoly_cofactor(RationalMatrix(rows))]
+
+
+def test_charpoly_kernel_swaps_for_some_primes_only():
+    # The first subdiagonal pivot vanishes modulo p0 only, so only p0's
+    # slice swaps a row and a column in; the same happens in column 1.
+    p0 = prime_table(1)[0]
+    for mat in ([[1, 2, 3, 4], [p0, 4, 5, 1], [1, 6, 7, -2], [2, 0, 1, 3]],
+                [[2, 1, 0, 5], [1, 3, 1, 1], [0, 2 * p0, 1, 4], [0, -3, 1, 2]]):
+        assert charpoly_int(mat)[0] == _cofactor_charpoly(mat)
+
+
+@pytest.mark.parametrize("mat", [
+    # Column 0 is zero below the diagonal: nothing to reduce there.
+    [[1, 2, 3, 4], [0, 5, 6, 7], [0, 0, 8, 9], [0, 0, 1, 2]],
+    # Already upper Hessenberg.
+    [[1, 2, 3, 4], [5, 6, 7, 8], [0, -1, 2, 3], [0, 0, 4, -5]],
+    # Block upper triangular with a full 2 x 2 block in the middle.
+    [[3, 1, 4, 1], [0, 5, 9, 2], [0, 6, 5, 3], [0, 0, 0, -5]],
+])
+def test_charpoly_kernel_skips_reduced_columns(mat):
+    assert charpoly_int(mat)[0] == _cofactor_charpoly(mat)
+
+
+def test_charpoly_kernel_skips_columns_for_some_primes_only():
+    # Modulo p0, column 0 is zero below the diagonal; modulo every other
+    # prime it must be reduced.
+    p0 = prime_table(1)[0]
+    mat = [[1, 2, 3], [p0, 4, 5], [3 * p0, 6, 7]]
+    assert charpoly_int(mat)[0] == _cofactor_charpoly(mat)
+
+
+def test_charpoly_kernel_small_shapes():
+    assert charpoly_int([]) == ([1], 0)
+    assert charpoly_int([[-7]])[0] == [7, 1]
+    assert charpoly_int([[0] * 4 for _ in range(4)])[0] == [0, 0, 0, 0, 1]
+    assert charpoly_int([[0, 1], [1, 0]])[0] == [-1, 0, 1]
+    assert charpoly_coeffs(RationalMatrix([])) == [1]
+    assert charpoly_coeffs(RationalMatrix([[Fraction(-3, 4)]])) == [Fraction(3, 4), 1]
+    c = PivotCounter()
+    charpoly(RationalMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 10]]), c)
+    assert c.ops > 0
+
+
+def test_charpoly_primes_pass_twice_the_bound(hessenberg_chunks):
+    rng = random.Random(53)
+    mat = [[rng.randint(-2 ** 40, 2 ** 40) for _ in range(8)] for _ in range(8)]
+    bound = math.prod(math.isqrt(sum(x * x for x in row)) + 2 for row in mat)
+    assert charpoly_bound(mat) == bound
+    coeffs = charpoly_int(mat)[0]
+    assert sum(map(abs, coeffs)) <= bound
+    assert len(hessenberg_chunks) > 1
+    assert all(len(primes) <= 8 for primes in hessenberg_chunks)
+    assert math.prod(map(math.prod, hessenberg_chunks)) > 2 * bound
+    assert math.prod(map(math.prod, hessenberg_chunks[:-1])) <= 2 * bound
+
+
+def test_charpoly_bound_decides_the_prime_count(hessenberg_chunks):
+    # B = p0 for the 1 x 1 matrix [p0 - 2]: the first prime passes B but not
+    # 2B, and one prime alone would give the constant term 2 mod p0.
+    p0, p1 = prime_table(2)
+    assert charpoly_int([[p0 - 2]])[0] == [2 - p0, 1]
+    assert hessenberg_chunks == [[p0, p1]]
+
+
+integer_entries = st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70))
+rational_entries = st.builds(Fraction, st.integers(-2 ** 20, 2 ** 20),
+                             st.integers(2, 2 ** 12))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_charpoly_matches_cofactor_property(data):
+    n = data.draw(st.integers(1, 6))
+    entry = data.draw(st.sampled_from((integer_entries, rational_entries)))
+    m = RationalMatrix(data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                          min_size=n, max_size=n)))
+    coeffs = charpoly_coeffs(m)
+    assert coeffs == charpoly_cofactor(m)
+    assert sum(abs(c) * m.den ** (n - k) for k, c in enumerate(coeffs)) \
+        <= charpoly_bound(m.num)
