@@ -4,7 +4,8 @@ The three kernels take integer matrices (lists of lists of Python ints of
 any size) and return exact integers. The work itself runs modulo word-size
 primes: the residues of the rows are reduced on int64 numpy arrays, a chunk
 of primes at a time, and each chunk is folded into the running result by
-Chinese remaindering. ``det_int`` and ``jordan_int`` eliminate; how many
+Chinese remaindering. ``det_int`` and ``jordan_int`` run the one
+Gauss-Jordan elimination of the package, on M and on [M | R]; how many
 primes they use is fixed by the Hadamard bound
 H = prod_i (isqrt(|row_i|^2) + 1), which bounds the determinant and, taken
 over the rows of [M | R], every Cramer numerator of M X = R.
@@ -197,18 +198,17 @@ class _Crt:
         return [[x - m if x > half else x for x in row] for row in self.values]
 
 
-def _eliminate(a, primes, jordan):
-    """Eliminate the residues a (c x n x w int64, one n x w slice per prime),
-    forward only or Gauss-Jordan with unit pivots.
+def _eliminate(a, primes):
+    """Gauss-Jordan elimination with unit pivots on the residues a
+    (c x n x w int64, one n x w slice per prime).
 
     Each step writes the updated rows as one contiguous array without the
-    pivot column (and, forward, without the pivot row), which numpy reduces
-    several times faster than a strided view; two buffers of a's size take
-    turns holding it. Returns (det residue per prime, whether each prime
-    had a pivot in every column, ops, the last array). A prime without a
-    pivot in some column has det = 0 modulo it; its slice is carried on
-    with a stand-in pivot and must be ignored. After a Gauss-Jordan pass
-    the last array is M^-1 R modulo each prime.
+    pivot column, which numpy reduces several times faster than a strided
+    view; two buffers of a's size take turns holding it. Returns (det
+    residue per prime, whether each prime had a pivot in every column, ops,
+    the last array). A prime without a pivot in some column has det = 0
+    modulo it; its slice is carried on with a stand-in pivot and must be
+    ignored. For a = [M | R] the last array is M^-1 R modulo each prime.
     """
     c, n, w = a.shape
     p2 = np.array(primes, dtype=np.int64)[:, None]
@@ -218,37 +218,30 @@ def _eliminate(a, primes, jordan):
     live = [True] * c
     ops = 0
     for k in range(n):
-        # Column 0 of a is column k; row `top` of a is row k.
-        top = k if jordan else 0
-        piv = a[:, top, 0].tolist()
+        # Column 0 of a is column k.
+        piv = a[:, k, 0].tolist()
         for t in range(c):
             if piv[t]:
                 continue
-            below = np.flatnonzero(a[t, top:, 0])
+            below = np.flatnonzero(a[t, k:, 0])
             if below.size == 0:
                 live[t] = False
                 piv[t] = 1
                 continue
-            r = top + int(below[0])
-            a[t, [top, r]] = a[t, [r, top]]
-            piv[t] = int(a[t, top, 0])
+            r = k + int(below[0])
+            a[t, [k, r]] = a[t, [r, k]]
+            piv[t] = int(a[t, k, 0])
             det[t] = -det[t]
         det = [d * x % q for d, x, q in zip(det, piv, primes)]
         inv = np.array([pow(x, -1, q) for x, q in zip(piv, primes)],
                        dtype=np.int64)[:, None]
-        width = w - k - 1
-        rowk = a[:, top, 1:]
-        if jordan:
-            # Row i gains -a[i][k]/pivot times row k; row k itself gains
-            # (1/pivot - 1) times itself, which scales it to a unit pivot.
-            factors = (p2 - a[:, :, 0]) * inv % p2
-            factors[:, k] = inv[:, 0] - 1
-            body = a[:, :, 1:]
-            ops += c * (n - 1) * width
-        else:
-            factors = p2 - a[:, 1:, 0] * inv % p2
-            body = a[:, 1:, 1:]
-            ops += c * (n - k - 1) * width
+        rowk = a[:, k, 1:]
+        # Row i gains -a[i][k]/pivot times row k; row k itself gains
+        # (1/pivot - 1) times itself, which scales it to a unit pivot.
+        factors = (p2 - a[:, :, 0]) * inv % p2
+        factors[:, k] = inv[:, 0] - 1
+        body = a[:, :, 1:]
+        ops += c * (n - 1) * (w - k - 1)
         shape = body.shape
         a = there[:body.size].reshape(shape)
         np.multiply(factors[:, :, None], rowk[:, None, :], out=a)
@@ -264,7 +257,8 @@ def det_int(rows):
     """Determinant of a square integer matrix.
 
     Returns (det, ops) where ops counts the multiply-mod updates of the
-    forward elimination, summed over the primes. The input is not mutated.
+    Gauss-Jordan elimination, summed over the primes; a singular matrix
+    has det 0 modulo every prime, and det 0. The input is not mutated.
     """
     n = len(rows)
     if n == 0:
@@ -277,8 +271,7 @@ def det_int(rows):
         primes = _next_primes(used, crt.modulus, bound, n * n)
         used += len(primes)
         # The last array is dropped at once, and its buffer with it.
-        det, _, chunk_ops = _eliminate(residues.modulo(primes), primes,
-                                       jordan=False)[:3]
+        det, _, chunk_ops = _eliminate(residues.modulo(primes), primes)[:3]
         ops += chunk_ops
         crt.add(primes, np.array(det, dtype=np.int64)[:, None, None])
     return crt.symmetric()[0][0], ops
@@ -306,8 +299,7 @@ def jordan_int(aug, n, m):
             raise ZeroDivisionError("matrix is singular")
         primes = _next_primes(used, crt.modulus, bound, n * (n + m))
         used += len(primes)
-        det, live, chunk_ops, sol = _eliminate(residues.modulo(primes), primes,
-                                               jordan=True)
+        det, live, chunk_ops, sol = _eliminate(residues.modulo(primes), primes)
         ops += chunk_ops
         skipped *= math.prod(q for q, ok in zip(primes, live) if not ok)
         keep = [t for t, ok in enumerate(live) if ok]

@@ -1,4 +1,6 @@
-"""Half-size block reduction through the antipodal involution.
+"""Half-size block reduction through a fixed-point-free involutive
+automorphism (``graph.find_antipodal_involution``, a half-turn of the
+buckyball, not the antipodal map).
 
 Relabeling the buckyball so the involution maps i <-> i+30 puts the
 Laplacian in the form [[A0, A1], [A1, A0]]; conjugation by J = [[I, I],
@@ -107,13 +109,3 @@ def assemble_green_via_blocks(split: BlockSplit, a=None,
     for i, p in enumerate(split.perm):
         inv_perm[p] = i
     return assembled.permuted(inv_perm)
-
-
-def blocks_json(split: BlockSplit, counter: PivotCounter | None = None) -> dict:
-    return {
-        "schema_version": 1,
-        "a0": split.a0.to_json(),
-        "a1": split.a1.to_json(),
-        "charpoly_plus": charpoly(split.a_plus, counter).to_json(),
-        "charpoly_minus": charpoly(split.a_minus, counter).to_json(),
-    }

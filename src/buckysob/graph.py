@@ -2,9 +2,10 @@
 
 Everything is combinatorial: a polyhedron is carried as a rotation system
 (counterclockwise cyclic neighbor order at every vertex), faces are traced
-by the next-edge-in-rotation walk, and the antipodal involution is found
-by backtracking over automorphisms. All objects are immutable after
-construction and all functions are pure.
+by the next-edge-in-rotation walk, and a fixed-point-free involutive
+automorphism (for the block split) is found by backtracking over
+automorphisms. All objects are immutable after construction and all
+functions are pure.
 """
 
 from __future__ import annotations
@@ -222,6 +223,12 @@ def distance_matrix(g: PolyhedralGraph) -> list[list[int]]:
 
 def find_antipodal_involution(g: PolyhedralGraph) -> Involution:
     """Lexicographically smallest fixed-point-free involutive automorphism.
+
+    Despite the name this is not the antipodal map (the central
+    inversion). On the buckyball it is a half-turn: it swaps the two ends
+    of each of two opposite edges, so 4 vertices go to a neighbour, and only
+    4 vertices go to their antipode at distance 9. The block split needs no
+    more than a fixed-point-free involution.
 
     Backtracking over paired assignments i <-> j in vertex order, pruned
     by degree, pairwise distance preservation, and adjacency consistency

@@ -107,7 +107,8 @@ def _diag_sample(args):
 
 
 def ca_via_fit(A: RationalMatrix, sample_points=None, parallel: int = 1) -> RationalFunction:
-    """Fit N(a)/D(a) with degrees (14, 15) through exact diagonal samples.
+    """Fit N(a)/D(a) with degrees (14, 15) through exact diagonal samples:
+    the first 30 samples determine the fit and the last 3 are held out.
 
     Sample points default to a = 1..33: every pole of C(a) sits at a
     nonpositive value, so positive integers are always safe. With
@@ -174,7 +175,6 @@ def monotonicity_scan(ca: RationalFunction, points) -> bool:
 
 @dataclass(frozen=True)
 class GreenBundle:
-    e0: RationalMatrix
     g_star: RationalMatrix
     c0: Fraction
     c_of_a: RationalFunction
@@ -203,7 +203,7 @@ def build_green_bundle(A: RationalMatrix, p: IntPolynomial,
     ca = c_of_a(A, p, parallel=parallel)
     if not limit_identity_check(ca, c0_diag, n):
         raise RouteMismatch("limit of C(a) - 1/(na) at 0 is not C0")
-    return GreenBundle(e0=e0, g_star=g_star, c0=c0_diag, c_of_a=ca)
+    return GreenBundle(g_star=g_star, c0=c0_diag, c_of_a=ca)
 
 
 def constants_report(bundle: GreenBundle, checks: dict | None = None) -> dict:

@@ -5,16 +5,16 @@ Coefficients are stored ascending. RationalFunction keeps a canonical
 form: integer coefficients, numerator/denominator coprime as polynomials,
 jointly content-free, positive leading denominator coefficient. That makes
 equality with any published coefficient list a literal comparison.
+
+A rational function is recovered from exact samples by one square linear
+solve through the multimodular kernel (``ratmat.bareiss_solve``), with the
+remaining samples held out as a check.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-
-class DegreeInsufficient(ValueError):
-    """The sample system admits no nonzero solution at these degrees."""
 
 
 class VerificationFailed(Exception):
@@ -24,6 +24,10 @@ class VerificationFailed(Exception):
     input, and the CLI reports it with exit code 1 instead of 2. Raised
     directly when a fitted rational function mismatches a held-out sample.
     """
+
+
+class DegreeInsufficient(VerificationFailed):
+    """The fit's linear system is singular at these degrees."""
 
 
 def _trim(coeffs):
@@ -47,10 +51,6 @@ class IntPolynomial:
                 c = c.numerator
             cs.append(int(c))
         self.coeffs = tuple(_trim(cs))
-
-    @classmethod
-    def x(cls):
-        return cls([0, 1])
 
     @property
     def degree(self):
@@ -115,10 +115,6 @@ class IntPolynomial:
         """p(-x)."""
         return IntPolynomial([c if k % 2 == 0 else -c
                               for k, c in enumerate(self.coeffs)])
-
-    def shift_up(self, k):
-        """x^k * p."""
-        return IntPolynomial([0] * k + list(self.coeffs))
 
     def content(self):
         return math.gcd(*self.coeffs) if self.coeffs else 0
@@ -254,70 +250,39 @@ class RationalFunction:
                                 self.den * other.den)
 
 
-def _nullspace(rows):
-    """Right-nullspace basis of a Fraction matrix via rref."""
-    if not rows:
-        return []
-    a = [list(map(Fraction, r)) for r in rows]
-    nrows, ncols = len(a), len(a[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -a[i][fc]
-        basis.append(v)
-    return basis
-
-
 def fit_rational_function(samples, num_deg, den_deg) -> RationalFunction:
-    """Recover the unique rational function of bounded degrees through
-    exact samples.
+    """Recover the rational function N/D with deg N <= num_deg and
+    deg D == den_deg through exact samples.
 
-    Solves the homogeneous linear system value*D(a) - N(a) = 0 in the
-    unknown coefficients; the last two samples are held out and used to
-    verify the fit. Raises DegreeInsufficient when no nonzero solution
-    exists, VerificationFailed when a held-out sample mismatches.
+    The leading coefficient of D is fixed at 1, so the equations
+    N(a) - v D(a) = 0 at the first num_deg + den_deg + 1 samples form a
+    square linear system in the other coefficients, solved by the exact
+    kernel; every later sample is held out and must match the fit. Raises
+    DegreeInsufficient when the system is singular (no fit of exactly
+    these degrees is unique), VerificationFailed when a held-out sample
+    mismatches.
     """
+    # Imported here because ratmat imports this module.
+    from buckysob.ratmat import (RationalMatrix, SingularMatrixError,
+                                 bareiss_solve)
+
     need = num_deg + den_deg + 2
     if len(samples) < need:
         raise ValueError(f"need at least {need} samples, got {len(samples)}")
     pts = [(Fraction(a), Fraction(v)) for a, v in samples]
     if len({a for a, _ in pts}) != len(pts):
         raise ValueError("sample points must be distinct")
-    fit_pts, held_out = pts[:-2], pts[-2:]
-    rows = []
-    for a, v in fit_pts:
-        row = [-(a ** k) for k in range(num_deg + 1)]
-        row += [v * a ** j for j in range(den_deg + 1)]
-        rows.append(row)
-    basis = _nullspace(rows)
-    if not basis:
+    fit_pts, held_out = pts[:need - 1], pts[need - 1:]
+    rows = [[a ** k for k in range(num_deg + 1)]
+            + [-v * a ** j for j in range(den_deg)] for a, v in fit_pts]
+    rhs = [[v * a ** den_deg] for a, v in fit_pts]
+    try:
+        coeffs = bareiss_solve(RationalMatrix(rows), RationalMatrix(rhs)).column(0)
+    except SingularMatrixError:
         raise DegreeInsufficient(
-            f"no rational function of degrees ({num_deg},{den_deg}) fits")
-    vec = basis[0]
-    num_c, den_c = vec[:num_deg + 1], vec[num_deg + 1:]
-    if not _trim(den_c):
-        raise DegreeInsufficient("degenerate fit: zero denominator")
-    rf = RationalFunction(num_c, den_c)
+            f"no unique rational function of degrees ({num_deg},{den_deg}) "
+            "fits") from None
+    rf = RationalFunction(coeffs[:num_deg + 1], coeffs[num_deg + 1:] + [1])
     for a, v in held_out:
         if rf(a) != v:
             raise VerificationFailed(f"held-out sample at a={a} mismatches")

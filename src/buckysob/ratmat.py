@@ -8,12 +8,14 @@ and permutations are integer arithmetic; products and ``matvec`` skip zero
 entries, so the 4-nonzeros-per-row Laplacian is cheap. Single entries are
 read as reduced ``Fraction``s through ``m[i, j]``.
 
-All elimination work is delegated to the multimodular kernels in
-``_modular``, which work modulo word-size primes and rebuild exact integers
-by Chinese remaindering under a Hadamard-type bound. For ``det_int`` and
-``jordan_int`` systems are cleared to integers row by row (row scaling
-changes neither solutions nor singularity), and a solve's result is the
-kernel's integer rows adj(M) R over its determinant det(M).
+All elimination work in the package is delegated to the multimodular
+kernels in ``_modular``, which work modulo word-size primes and rebuild
+exact integers by Chinese remaindering under a Hadamard-type bound; this
+includes the linear system of ``polynomials.fit_rational_function``, which
+goes through ``bareiss_solve``. For ``det_int`` and ``jordan_int`` systems
+are cleared to integers row by row (row scaling changes neither solutions
+nor singularity), and a solve's result is the kernel's integer rows
+adj(M) R over its determinant det(M).
 ``charpoly_int`` takes the rows ``num`` as they are, since the
 characteristic polynomial is a similarity invariant and row scaling is not
 a similarity; the denominator is divided out of the coefficients.
@@ -56,7 +58,12 @@ def rat_str(x: Fraction) -> str:
 
 
 def parse_rat(s: str) -> Fraction:
-    return Fraction(s.strip())
+    """The rational written as "p/q" or "p"; raises ValueError on malformed
+    text and on a zero denominator."""
+    try:
+        return Fraction(s.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s.strip()!r}") from None
 
 
 class RationalMatrix:
@@ -157,9 +164,6 @@ class RationalMatrix:
             return False
         a = self.num
         return all(a[i][j] == a[j][i] for i in range(self.rows) for j in range(i))
-
-    def is_integer(self):
-        return self.den == 1
 
     def transpose(self):
         return RationalMatrix.from_ints([list(col) for col in zip(*self.num)],

@@ -136,14 +136,3 @@ def random_mean_zero(n: int, rng: random.Random) -> list[Fraction]:
         u = [x - mean for x in u]
         if any(u):
             return u
-
-
-def trial_record(u, lhs, rhs, holds) -> dict:
-    from buckysob.ratmat import rat_str
-
-    return {
-        "lhs": rat_str(lhs),
-        "rhs": rat_str(rhs),
-        "holds": holds,
-        "u": [rat_str(x) for x in u],
-    }

@@ -168,12 +168,3 @@ def table_csv(table: SpectralTable) -> str:
         w.writerow([str(e.factor), e.root_index, e.closed_form_hint,
                     f"{e.numeric:.12f}", e.multiplicity])
     return buf.getvalue()
-
-
-def eigenvalues_csv(num: NumericSpectrum) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["index", "eigenvalue"])
-    for i, x in enumerate(num.values):
-        w.writerow([i, f"{x:.12f}"])
-    return buf.getvalue()

@@ -1,4 +1,5 @@
-"""Half-size block reduction via the antipodal involution."""
+"""Half-size block reduction via a fixed-point-free involutive automorphism
+(a half-turn of the buckyball, not the antipodal map)."""
 
 from fractions import Fraction
 
@@ -102,13 +103,6 @@ def test_block_route_is_cheaper(lap, split):
     via = blocks.assemble_green_via_blocks(split, None, halves)
     assert via == direct
     assert halves.ops < full.ops
-
-
-def test_blocks_json(split):
-    d = blocks.blocks_json(split)
-    assert len(d["a0"]) == 30
-    assert len(d["charpoly_plus"]) == 31
-    assert d["schema_version"] == 1
 
 
 def test_block_rejects_mismatched_matrix(sigma):

@@ -11,6 +11,7 @@ import pytest
 
 from buckysob import cli, green, ratmat
 from buckysob.cli import main
+from buckysob.polynomials import DegreeInsufficient
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -80,6 +81,15 @@ def test_bad_a_values_exit_code(capsys):
     assert main(["green", "--a-values", "0"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["green", "--a-values", "1/0"],
+    ["sample-ca", "--a-values", "1/2,1/0"],
+])
+def test_zero_denominator_in_a_values_exits_2(argv, capsys):
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_byte_identical_outputs(tmp_path):
     f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
     main(["charpoly", "--output", str(f1)])
@@ -110,6 +120,15 @@ def test_verification_failure_exits_1(monkeypatch, capsys):
         raise green.RouteMismatch("C0 diagonal vs trace")
 
     monkeypatch.setattr(green, "build_green_bundle", mismatch)
+    assert main(["constants"]) == 1
+    assert "verification failed" in capsys.readouterr().err
+
+
+def test_failed_fit_exits_1(monkeypatch, capsys):
+    def no_fit(*args, **kwargs):
+        raise DegreeInsufficient("no unique rational function fits")
+
+    monkeypatch.setattr(green, "fit_rational_function", no_fit)
     assert main(["constants"]) == 1
     assert "verification failed" in capsys.readouterr().err
 

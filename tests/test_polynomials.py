@@ -3,8 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from buckysob import closedform
+from buckysob import closedform, ratmat
 from buckysob.polynomials import (DegreeInsufficient, IntPolynomial,
                                   RationalFunction, VerificationFailed,
                                   exact_div, fit_rational_function, poly_gcd,
@@ -101,6 +103,66 @@ def test_fit_degree_insufficient():
     samples = [(Fraction(k), Fraction(k * k)) for k in range(1, 6)]
     with pytest.raises((DegreeInsufficient, VerificationFailed)):
         fit_rational_function(samples, 0, 0)
+
+
+small_ints = st.integers(-5, 5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fit_recovers_random_rational_function(data):
+    p, q = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    num = IntPolynomial(data.draw(st.lists(small_ints, min_size=p + 1,
+                                           max_size=p + 1)))
+    den = IntPolynomial(data.draw(st.lists(small_ints, min_size=q, max_size=q))
+                        + [data.draw(small_ints.filter(bool))])
+    assume(poly_gcd(num, den).degree == 0)
+    count = p + q + 2 + data.draw(st.integers(0, 2))
+    points = [a for a in range(1, count + q + 1) if den(a)][:count]
+    f = RationalFunction(num, den)
+    samples = [(Fraction(a), f(Fraction(a))) for a in points]
+    assert fit_rational_function(samples, p, q) == f
+
+
+@pytest.mark.parametrize("f, num_deg, den_deg", [
+    # 1/x with room for a second pole.
+    (RationalFunction(IntPolynomial([1]), IntPolynomial([0, 1])), 0, 2),
+    # (x+1)/(x+2) with room for a common factor.
+    (RationalFunction(IntPolynomial([1, 1]), IntPolynomial([2, 1])), 2, 2),
+])
+def test_fit_rejects_overspecified_denominator_degree(f, num_deg, den_deg):
+    samples = [(Fraction(k), f(Fraction(k))) for k in range(1, 9)]
+    with pytest.raises(DegreeInsufficient):
+        fit_rational_function(samples, num_deg, den_deg)
+
+
+@pytest.mark.parametrize("held_out", [3, 4, 5])
+def test_fit_checks_every_held_out_sample(held_out):
+    # Degrees (1, 1) fit the first three samples and hold out the rest.
+    f = RationalFunction(IntPolynomial([1, 1]), IntPolynomial([2, 1]))
+    samples = [(Fraction(k), f(Fraction(k))) for k in range(1, 7)]
+    a, v = samples[held_out]
+    samples[held_out] = (a, v + Fraction(1, 10 ** 6))
+    with pytest.raises(VerificationFailed) as exc:
+        fit_rational_function(samples, 1, 1)
+    assert not isinstance(exc.value, DegreeInsufficient)
+
+
+def test_fit_is_one_kernel_solve(monkeypatch):
+    """The C(a) fit is one 30 x 30 solve; the last 3 of 33 samples are
+    held out."""
+    sizes = []
+    jordan_int = ratmat.jordan_int
+
+    def counted(aug, n, m):
+        sizes.append((n, m))
+        return jordan_int(aug, n, m)
+
+    monkeypatch.setattr(ratmat, "jordan_int", counted)
+    ca = closedform.ca_closed_form()
+    samples = [(Fraction(k), ca(Fraction(k))) for k in range(1, 34)]
+    assert fit_rational_function(samples, 14, 15) == ca
+    assert sizes == [(30, 1)]
 
 
 def test_fit_rejects_too_few_samples():

@@ -97,8 +97,8 @@ def chunks(monkeypatch):
     seen = []
     eliminate = _modular._eliminate
 
-    def recording(a, primes, jordan):
-        out = eliminate(a, primes, jordan)
+    def recording(a, primes):
+        out = eliminate(a, primes)
         seen.append((list(primes), out[1]))
         return out
 

@@ -151,11 +151,3 @@ def test_max_not_at_diagonal_detection(lap, g_star):
     from buckysob.ratmat import RationalMatrix
     with pytest.raises(sobolev.MaxNotAtDiagonal):
         sobolev.equality_witness(RationalMatrix(rigged), 0, "meanzero", lap)
-
-
-def test_trial_record_shape(lap):
-    u = delta(0)
-    lhs, rhs, holds = sobolev.sobolev_trial(u, Fraction(1), "damped", lap, 1)
-    rec = sobolev.trial_record(u, lhs, rhs, holds)
-    assert rec["lhs"] == "1"
-    assert rec["holds"] is holds
