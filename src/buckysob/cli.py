@@ -146,10 +146,12 @@ def _verify_checks(trials: int, seed: int, parallel: int):
     """Yield (name, result dict) for every verification item."""
     g = graph.buckyball()
     A = graph.laplacian(g)
-    # The charpoly and G* are computed on first use, inside the first check
-    # that needs them, so that their time shows in that check's report.
+    # The charpoly, G* and G(1), which several checks share, are computed on
+    # first use, inside the first check that needs them, so that their time
+    # shows in that check's report.
     charpoly_of_a = functools.cache(lambda: charpoly(A))
     pseudo_green_of_a = functools.cache(lambda: green.pseudo_green(A))
+    green_at_one = functools.cache(lambda: green.green_matrix(A, 1))
 
     def check_graph_combinatorics():
         census = graph.face_census(g)
@@ -188,6 +190,13 @@ def _verify_checks(trials: int, seed: int, parallel: int):
 
     def check_moore_penrose():
         g_star = pseudo_green_of_a()
+        green.constant_diagonal(g_star)
+        # The G(a) solves come before the products below, whose
+        # intermediates would otherwise be alive during them; G(1/10) and
+        # G(10) serve this check only and are not kept.
+        green.constant_diagonal(green.green_matrix(A, Fraction(1, 10)))
+        green.constant_diagonal(green_at_one())
+        green.constant_diagonal(green.green_matrix(A, 10))
         ident = RationalMatrix.identity(60)
         e0 = green.projection_e0(60)
         zero = RationalMatrix.zeros(60, 60)
@@ -197,9 +206,6 @@ def _verify_checks(trials: int, seed: int, parallel: int):
               and (g_star * A).transpose() == g_star * A, "axioms")
         check(ag == ident - e0 and g_star * A == ident - e0, "A G* = I - E0")
         check(g_star * e0 == zero and e0 * g_star == zero, "G* E0 = 0")
-        green.constant_diagonal(g_star)
-        for a in (Fraction(1, 10), Fraction(1), Fraction(10)):
-            green.constant_diagonal(green.green_matrix(A, a))
         return {}
 
     def check_eigenvalue_table():
@@ -230,7 +236,7 @@ def _verify_checks(trials: int, seed: int, parallel: int):
         via_blocks = blocks.assemble_green_via_blocks(split, None, half_counter)
         check(via_blocks == direct, "block G* mismatch")
         check(blocks.assemble_green_via_blocks(split, 1) ==
-              green.green_matrix(A, 1), "block G(1) mismatch")
+              green_at_one(), "block G(1) mismatch")
         check(half_counter.ops < full_counter.ops, "block route not cheaper")
         return {"half_ops": half_counter.ops, "full_ops": full_counter.ops}
 
@@ -241,7 +247,7 @@ def _verify_checks(trials: int, seed: int, parallel: int):
             u = sobolev.random_mean_zero(60, rng)
             lhs, rhs, holds = sobolev.sobolev_trial(u, closedform.C0, "meanzero", A)
             check(holds, f"mean-zero inequality failed: {lhs} > {rhs}")
-        g1 = green.green_matrix(A, 1)
+        g1 = green_at_one()
         c1 = green.constant_diagonal(g1)
         for _ in range(max(trials // 10, 1)):
             u = [Fraction(rng.randint(-100, 100), rng.randint(1, 10))

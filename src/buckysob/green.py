@@ -7,9 +7,15 @@ as theorems. C0 and C(a) each come by independent routes that
 must agree exactly:
 
   C0:   any diagonal entry of G*        vs  -(1/60) q'(0)/q(0), P = x q(x)
-  C(a): rational-function fit through exact diagonal samples
+  C(a): rational-function fit through exact diagonal entries, one vertex
+        per sample, each from a one-column solve
         vs  -(1/60) P'(-a)/P(-a)
         vs  the known closed-form coefficient lists.
+
+That every diagonal entry of G(a) and of G* is the same is proved once by
+``walk_regular``: both are polynomials in A (Cayley-Hamilton), so equal
+closed-walk moments (A^k)_jj for k < n make their diagonals constant for
+every a > 0.
 """
 
 from __future__ import annotations
@@ -24,7 +30,8 @@ from fractions import Fraction
 from buckysob import closedform
 from buckysob.polynomials import (IntPolynomial, RationalFunction,
                                   VerificationFailed, fit_rational_function)
-from buckysob.ratmat import PivotCounter, RationalMatrix, inverse, rat_str
+from buckysob.ratmat import (PivotCounter, RationalMatrix, bareiss_solve,
+                             inverse, rat_str)
 
 CA_NUM_DEGREE = 14
 CA_DEN_DEGREE = 15
@@ -56,12 +63,16 @@ def projection_e0(n: int) -> RationalMatrix:
     return RationalMatrix.constant(n, n, Fraction(1, n))
 
 
-def green_matrix(A: RationalMatrix, a, counter: PivotCounter | None = None) -> RationalMatrix:
-    """(A + aI)^-1, exact."""
+def _positive(a) -> Fraction:
     a = Fraction(a)
     if a <= 0:
         raise NonPositiveParameter(f"damping parameter must be positive, got {a}")
-    return inverse(A.scaled_add(a), counter)
+    return a
+
+
+def green_matrix(A: RationalMatrix, a, counter: PivotCounter | None = None) -> RationalMatrix:
+    """(A + aI)^-1, exact."""
+    return inverse(A.scaled_add(_positive(a)), counter)
 
 
 def pseudo_green(A: RationalMatrix, counter: PivotCounter | None = None) -> RationalMatrix:
@@ -100,27 +111,70 @@ def c0_via_trace(p: IntPolynomial) -> Fraction:
     return Fraction(-q.derivative()(0), n * q(0))
 
 
+def walk_regular(A: RationalMatrix) -> None:
+    """Raise DiagonalMismatch unless every vertex has the closed-walk
+    moments m_k(j) = (A^k)_jj of vertex 0 for every k <= n - 1.
+
+    By Cayley-Hamilton, every power of A, (A + aI)^-1 for every a > 0 and
+    the pseudo-inverse G* are polynomials in A of degree below n (Godsil &
+    McKay, LAA 1980). Equal moments up to k = n - 1 therefore prove that
+    all their diagonal entries are equal. For symmetric A, with
+    v = A^t e_j, the moments are m_2t = v.v and m_2t+1 = v.(A v), computed
+    by sparse integer matvecs on the numerators (the common denominator
+    scales every vertex alike).
+    """
+    if not A.is_symmetric():
+        raise ValueError("closed-walk moments need a symmetric matrix")
+    n, rows = A.rows, A.nonzeros()
+
+    def moments(j):
+        v = [0] * n
+        v[j] = 1
+        out = []
+        while len(out) < n:
+            w = [sum(a * v[c] for c, a in row) for row in rows]
+            out += [sum(x * x for x in v), sum(x * y for x, y in zip(v, w))]
+            v = w
+        return out[:n]
+
+    first = moments(0)
+    for j in range(1, n):
+        for k, (x, y) in enumerate(zip(first, moments(j))):
+            if x != y:
+                raise DiagonalMismatch(
+                    f"closed-walk moment m_{k} of vertex {j} differs from vertex 0's")
+
+
 def _diag_sample(args):
-    num, den, a = args
-    g = green_matrix(RationalMatrix.from_ints(num, den), a)
-    return a, constant_diagonal(g)
+    """(a, G(a)_jj) from the one-column solve (A + aI) x = e_j."""
+    num, den, a, j = args
+    a = _positive(a)
+    A = RationalMatrix.from_ints(num, den)
+    e_j = RationalMatrix.from_ints([[int(i == j)] for i in range(A.rows)])
+    return a, bareiss_solve(A.scaled_add(a), e_j)[j, 0]
 
 
 def ca_via_fit(A: RationalMatrix, sample_points=None, parallel: int = 1) -> RationalFunction:
     """Fit N(a)/D(a) with degrees (14, 15) through exact diagonal samples:
     the first 30 samples determine the fit and the last 3 are held out.
 
+    Sample k is the entry G(a_k)_jj at vertex j = k mod n, read off the
+    one-column solve (A + a_k I) x = e_j, so the fit can pass only if the
+    diagonals of those vertices agree. Before sampling, ``walk_regular``
+    proves that every diagonal entry of G(a) is the same for every a > 0.
+
     Sample points default to a = 1..33: every pole of C(a) sits at a
     nonpositive value, so positive integers are always safe. With
     ``parallel`` > 1 the samples are spread over at most
     min(parallel, sample count, CPU count) worker processes, each sent the
-    integer rows of A.
+    integer rows of A; when that is one worker they run in-process.
     """
+    walk_regular(A)
     if sample_points is None:
         sample_points = [Fraction(k) for k in range(1, CA_SAMPLE_COUNT + 1)]
-    args = [(A.num, A.den, a) for a in sample_points]
-    if parallel > 1:
-        workers = min(parallel, len(args), os.cpu_count() or 1)
+    args = [(A.num, A.den, a, k % A.rows) for k, a in enumerate(sample_points)]
+    workers = min(parallel, len(args), os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             samples = list(pool.map(_diag_sample, args))
     else:

@@ -156,8 +156,8 @@ sys.exit(cli.main(["verify-all", "--trials", "0"]))
 
 
 def test_verify_checks_compute_nothing_before_the_checks(monkeypatch):
-    """The charpoly and G* are made inside the checks that use them, so
-    listing the checks runs no elimination."""
+    """The charpoly, G* and G(1) are made once, inside the first check that
+    uses them, so listing the checks runs no elimination."""
     calls = []
     for name in ("charpoly_int", "det_int", "jordan_int"):
         def counted(*args, _kernel=getattr(ratmat, name), _name=name):
@@ -172,6 +172,25 @@ def test_verify_checks_compute_nothing_before_the_checks(monkeypatch):
     done = len(calls)
     checks["charpoly_factorization"]()
     assert len(calls) == done
+    # G(1) is solved once, by the first check that needs it.
+    checks["moore_penrose"]()
+    done = len(calls)
+    checks["sobolev_trials"]()
+    assert "jordan_int" not in calls[done:]
+
+
+def test_failed_walk_regularity_fails_ca_three_routes(monkeypatch, capsys, tmp_path):
+    def not_walk_regular(A):
+        raise green.DiagonalMismatch("closed-walk moment m_3 of vertex 1 differs")
+
+    monkeypatch.setattr(green, "walk_regular", not_walk_regular)
+    out_file = tmp_path / "report.json"
+    code, out = run(capsys, "verify-all", "--trials", "0",
+                    "--output", str(out_file))
+    assert code == 1
+    assert "FAIL ca_three_routes: closed-walk moment m_3" in out
+    checks = json.loads(out_file.read_text())["checks"]
+    assert [n for n, r in checks.items() if not r["ok"]] == ["ca_three_routes"]
 
 
 def test_verify_all_deterministic_checks(capsys, tmp_path):

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from buckysob import closedform, graph, green
-from buckysob.polynomials import IntPolynomial, RationalFunction
+from buckysob import closedform, graph, green, ratmat
+from buckysob.polynomials import IntPolynomial, RationalFunction, VerificationFailed
 from buckysob.ratmat import RationalMatrix, charpoly, inverse
 
 
@@ -158,7 +158,97 @@ def test_ca_fit_pool_is_capped(lap, monkeypatch):
     assert green.ca_via_fit(lap, parallel=5000) == closedform.ca_closed_form()
     assert requested and requested[0] <= min(os.cpu_count() or 1,
                                              green.CA_SAMPLE_COUNT)
-    assert all(type(x) is int for num, den, _ in sent for row in num for x in row)
+    assert all(type(x) is int for num, den, _, _ in sent for row in num for x in row)
+
+
+def _laplacian_of(n, edges):
+    rows = [[0] * n for _ in range(n)]
+    for i, j in edges:
+        rows[i][j] = rows[j][i] = -1
+    for i, row in enumerate(rows):
+        row[i] = -sum(row)
+    return RationalMatrix(rows)
+
+
+def test_walk_regular_vertex_transitive(lap):
+    green.walk_regular(lap)
+    green.walk_regular(graph.laplacian(graph.truncate(graph.canonical_tetrahedron())))
+
+
+@settings(max_examples=3, deadline=None)
+@given(st.permutations(range(60)))
+def test_walk_regular_relabeled(bucky, perm):
+    green.walk_regular(graph.laplacian(graph.relabel(bucky, perm)))
+
+
+def test_walk_regular_rejects_k4_plus_q3():
+    # Both components are 3-regular, so m_0..m_2 agree; m_3 = 54 - 2 t(j)
+    # counts the t(j) triangles at j: 3 in K4, 0 in Q3.
+    k4 = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    q3 = [(4 + b, 4 + (b ^ (1 << t))) for b in range(8) for t in range(3)
+          if b < b ^ (1 << t)]
+    with pytest.raises(green.DiagonalMismatch, match="m_3 "):
+        green.walk_regular(_laplacian_of(12, k4 + q3))
+
+
+def test_walk_regular_checks_up_to_n_minus_1():
+    # On the path 0-1-2 the moments agree up to k = 1 and first differ at
+    # the last one compared, k = n - 1 = 2 (1 at the ends, 2 in the middle).
+    path = RationalMatrix([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    with pytest.raises(green.DiagonalMismatch, match="m_2 "):
+        green.walk_regular(path)
+
+
+def test_walk_regular_requires_symmetry():
+    with pytest.raises(ValueError):
+        green.walk_regular(RationalMatrix([[0, 1], [0, 0]]))
+
+
+def test_ca_fit_solves_one_column_per_sample(lap, monkeypatch):
+    """33 one-column solves at vertices k mod 60, then the fit's one 30x30
+    solve; no full inverse."""
+    sizes, vertices = [], []
+    jordan_int, diag_sample = ratmat.jordan_int, green._diag_sample
+
+    def counted(aug, n, m):
+        sizes.append((n, m))
+        return jordan_int(aug, n, m)
+
+    def sample(args):
+        vertices.append(args[3])
+        return diag_sample(args)
+
+    def no_green_matrix(*args, **kwargs):
+        raise AssertionError("green_matrix called")
+
+    monkeypatch.setattr(ratmat, "jordan_int", counted)
+    monkeypatch.setattr(green, "_diag_sample", sample)
+    monkeypatch.setattr(green, "green_matrix", no_green_matrix)
+    assert green.ca_via_fit(lap) == closedform.ca_closed_form()
+    assert sizes == [(60, 1)] * green.CA_SAMPLE_COUNT + [(30, 1)]
+    assert vertices == list(range(green.CA_SAMPLE_COUNT))
+
+
+@pytest.mark.parametrize("vertex", [0, 31], ids=["fitted", "held_out"])
+def test_ca_fit_rejects_one_shifted_diagonal_entry(lap, p_char, monkeypatch, vertex):
+    diag_sample = green._diag_sample
+
+    def shifted(args):
+        a, value = diag_sample(args)
+        return a, value + Fraction(1, 10 ** 6) * (args[3] == vertex)
+
+    monkeypatch.setattr(green, "_diag_sample", shifted)
+    with pytest.raises(VerificationFailed):
+        green.c_of_a(lap, p_char)
+
+
+def test_ca_fit_single_worker_runs_in_process(lap, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started for one worker")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(green, "ProcessPoolExecutor", no_pool)
+    assert green.ca_via_fit(lap, parallel=2) == closedform.ca_closed_form()
 
 
 def test_ca_three_routes(lap, p_char):
