@@ -1,12 +1,12 @@
 """Multimodular exact kernels on integer matrices.
 
 The three kernels take integer matrices (lists of lists of Python ints of
-any size) and return exact integers. The work itself runs modulo word-size
-primes: the residues of the rows are reduced on int64 numpy arrays, a chunk
-of primes at a time, and each chunk is folded into the running result by
-Chinese remaindering. ``det_int`` and ``jordan_int`` run the one
-Gauss-Jordan elimination of the package, on M and on [M | R]; how many
-primes they use is fixed by the Hadamard bound
+any size) and return exact integers. Each is a bound and a step on one
+loop, ``_multimodular``: the rows are reduced modulo a chunk of word-size
+primes at a time on int64 numpy arrays, the step turns each slice into
+residues of the result, and one Chinese remaindering per call rebuilds it.
+``det_int`` and ``jordan_int`` run the one Gauss-Jordan elimination of the
+package, on M and on [M | R], under the Hadamard bound
 H = prod_i (isqrt(|row_i|^2) + 1), which bounds the determinant and, taken
 over the rows of [M | R], every Cramer numerator of M X = R.
 ``charpoly_int`` brings M to Hessenberg form by similarity and runs the
@@ -29,12 +29,10 @@ KERNEL_LANE = "python"
 # of two residues plus one more residue stays below 2**63 in int64, and each
 # prime adds more than 30 bits to the modulus.
 _PRIME_BITS = 30
-# Primes eliminated together in one batch of int64 arrays: at most _CHUNK,
-# and fewer where that keeps each array within _CHUNK_ENTRIES residues
-# (128 KiB), so that the kernel's peak memory stays near the size of its
-# input.
+# Primes reduced together in one batch of int64 arrays, a slice per prime:
+# numpy's per-call overhead is paid once per chunk, and a chunk's arrays
+# hold at most _CHUNK residues per entry of the input.
 _CHUNK = 8
-_CHUNK_ENTRIES = 1 << 14
 # Bits per limb when an entry is split to be reduced modulo a prime.
 _LIMB_BITS = 30
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
@@ -87,14 +85,12 @@ def hadamard_bound(rows):
     return math.prod(math.isqrt(sum(x * x for x in row)) + 1 for row in rows)
 
 
-def _next_primes(used, modulus, bound, entries):
-    """The primes after the first ``used`` for the next chunk of a matrix
-    of ``entries``: the primes still needed to bring ``modulus`` past
-    ``bound``, split into as few chunks as the size limits allow and as
-    evenly as possible."""
+def _next_primes(used, modulus, bound):
+    """The primes after the first ``used`` for the next chunk: the primes
+    still needed to bring ``modulus`` past ``bound``, split into as few
+    chunks of at most _CHUNK as possible and as evenly as possible."""
     need = -(-(bound.bit_length() + 1 - modulus.bit_length()) // _PRIME_BITS)
-    most = max(1, min(_CHUNK, _CHUNK_ENTRIES // entries))
-    count = -(-need // -(-need // most))
+    count = -(-need // -(-need // _CHUNK))
     return prime_table(used + count)[used:]
 
 
@@ -145,12 +141,12 @@ def _mod(x, primes, p, scratch):
 
 class _Crt:
     """Chinese remaindering of an r x m integer matrix from its residues,
-    added a chunk of primes at a time.
+    added a chunk of primes at a time; each kernel call builds one.
 
     Each pair of primes is combined at once in int64 (Garner's step, the
     product of two primes being below 2**62); the Python integer values are
-    updated once per _CHUNK primes, row by row, so that the number of passes
-    over the wide values does not grow as chunks get smaller.
+    updated row by row once _CHUNK primes are pending, and at the end, so
+    that there is about one pass over the wide values per _CHUNK primes.
     """
 
     def __init__(self, r, m):
@@ -196,6 +192,32 @@ class _Crt:
             self._fold()
         m, half = self.modulus, self.modulus >> 1
         return [[x - m if x > half else x for x in row] for row in self.values]
+
+
+def _multimodular(rows, bound, shape, step):
+    """The r x m integer matrix, (r, m) = shape, with entries at most
+    ``bound`` in absolute value, from the residues ``step`` computes; and
+    the ops of ``step``, summed. ``step(a, primes)`` may overwrite a, the
+    rows modulo a chunk of primes, and returns (c x r x m residues, whether
+    each prime was usable, ops). ZeroDivisionError is raised once the
+    unusable primes' product passes 2 * bound.
+    """
+    bound *= 2
+    residues = _Residues(rows)
+    crt = _Crt(*shape)
+    used, ops, skipped = 0, 0, 1
+    while crt.modulus <= bound:
+        if skipped > bound:
+            raise ZeroDivisionError("matrix is singular")
+        primes = _next_primes(used, crt.modulus, bound)
+        used += len(primes)
+        out, live, chunk_ops = step(residues.modulo(primes), primes)
+        ops += chunk_ops
+        skipped *= math.prod(q for q, ok in zip(primes, live) if not ok)
+        crt.add([q for q, ok in zip(primes, live) if ok], out[live])
+        # The chunk's arrays go before the next chunk's are made.
+        del out
+    return crt.symmetric(), ops
 
 
 def _eliminate(a, primes):
@@ -253,6 +275,12 @@ def _eliminate(a, primes):
     return det, live, ops, a
 
 
+def _det_step(a, primes):
+    # det 0 modulo a prime without a pivot is still the det's residue.
+    det, _, ops, _ = _eliminate(a, primes)
+    return np.array(det, dtype=np.int64)[:, None, None], [True] * len(primes), ops
+
+
 def det_int(rows):
     """Determinant of a square integer matrix.
 
@@ -260,21 +288,21 @@ def det_int(rows):
     Gauss-Jordan elimination, summed over the primes; a singular matrix
     has det 0 modulo every prime, and det 0. The input is not mutated.
     """
-    n = len(rows)
-    if n == 0:
+    if not rows:
         return 1, 0
-    bound = 2 * hadamard_bound(rows)
-    residues = _Residues(rows)
-    crt = _Crt(1, 1)
-    used = ops = 0
-    while crt.modulus <= bound:
-        primes = _next_primes(used, crt.modulus, bound, n * n)
-        used += len(primes)
-        # The last array is dropped at once, and its buffer with it.
-        det, _, chunk_ops = _eliminate(residues.modulo(primes), primes)[:3]
-        ops += chunk_ops
-        crt.add(primes, np.array(det, dtype=np.int64)[:, None, None])
-    return crt.symmetric()[0][0], ops
+    values, ops = _multimodular(rows, hadamard_bound(rows), (1, 1), _det_step)
+    return values[0][0], ops
+
+
+def _solve_step(a, primes):
+    # adj(M) [R | M 1] = [adj(M) R | det(M) 1]: det(M) is rebuilt as one
+    # more column of the solution. Primes that divide det(M) are unusable.
+    det, live, ops, sol = _eliminate(a, primes)
+    det = np.array(det, dtype=np.int64)[:, None, None]
+    sol *= det
+    sol %= np.array(primes, dtype=np.int64)[:, None, None]
+    column = np.broadcast_to(det, sol.shape[:2] + (1,))
+    return np.concatenate((sol, column), axis=2), live, ops
 
 
 def jordan_int(aug, n, m):
@@ -282,37 +310,14 @@ def jordan_int(aug, n, m):
 
     Returns (det, num, ops) where det = det(M) and num = adj(M) R, the
     n x m integer matrix with M @ (num / det) == R exactly; ops counts the
-    multiply-mod updates, summed over the primes. Primes that divide det(M)
-    are skipped; M is singular exactly when the skipped primes' product
-    passes the bound, and then ZeroDivisionError is raised. The input is
-    not mutated.
+    multiply-mod updates, summed over the primes. Primes dividing det(M) are
+    skipped; M is singular exactly when their product passes the bound,
+    and then ZeroDivisionError is raised. The input is not mutated.
     """
     if n == 0:
         return 1, [], 0
-    bound = 2 * hadamard_bound(aug)
-    residues = _Residues(aug)
-    crt, det_crt = _Crt(n, m), _Crt(1, 1)
-    used = ops = 0
-    skipped = 1
-    while crt.modulus <= bound:
-        if skipped > bound:
-            raise ZeroDivisionError("matrix is singular")
-        primes = _next_primes(used, crt.modulus, bound, n * (n + m))
-        used += len(primes)
-        det, live, chunk_ops, sol = _eliminate(residues.modulo(primes), primes)
-        ops += chunk_ops
-        skipped *= math.prod(q for q, ok in zip(primes, live) if not ok)
-        keep = [t for t, ok in enumerate(live) if ok]
-        if keep:
-            primes = [primes[t] for t in keep]
-            det = np.array([det[t] for t in keep], dtype=np.int64)[:, None, None]
-            sol = sol[keep] * det
-            sol %= np.array(primes, dtype=np.int64)[:, None, None]
-            crt.add(primes, sol)
-            det_crt.add(primes, det)
-        # The chunk's buffers go before the next chunk's are made.
-        del sol
-    return det_crt.symmetric()[0][0], crt.symmetric(), ops
+    values, ops = _multimodular(aug, hadamard_bound(aug), (n, m + 1), _solve_step)
+    return values[0][m], [row[:m] for row in values], ops
 
 
 def charpoly_bound(rows):
@@ -408,6 +413,12 @@ def _hessenberg_charpoly(h, primes):
     return q[:, n], ops
 
 
+def _charpoly_step(h, primes):
+    ops = _hessenberg(h, primes)
+    coeffs, more = _hessenberg_charpoly(h, primes)
+    return coeffs[:, None, :], [True] * len(primes), ops + more
+
+
 def charpoly_int(rows):
     """Characteristic polynomial det(xI - M) of a square integer matrix.
 
@@ -418,19 +429,8 @@ def charpoly_int(rows):
     primes are taken until their product passes twice ``charpoly_bound``.
     The input is not mutated.
     """
-    n = len(rows)
-    if n == 0:
+    if not rows:
         return [1], 0
-    bound = 2 * charpoly_bound(rows)
-    residues = _Residues(rows)
-    crt = _Crt(1, n + 1)
-    used = ops = 0
-    while crt.modulus <= bound:
-        primes = _next_primes(used, crt.modulus, bound, n * n)
-        used += len(primes)
-        h = residues.modulo(primes)
-        ops += _hessenberg(h, primes)
-        coeffs, chunk_ops = _hessenberg_charpoly(h, primes)
-        ops += chunk_ops
-        crt.add(primes, coeffs[:, None, :])
-    return crt.symmetric()[0], ops
+    values, ops = _multimodular(rows, charpoly_bound(rows), (1, len(rows) + 1),
+                                _charpoly_step)
+    return values[0], ops

@@ -148,9 +148,12 @@ def _verify_checks(trials: int, seed: int, parallel: int):
     A = graph.laplacian(g)
     # The charpoly, G* and G(1), which several checks share, are computed on
     # first use, inside the first check that needs them, so that their time
-    # shows in that check's report.
+    # shows in that check's report. G*'s counter holds the ops of its one
+    # solve, which block_reduction reports.
     charpoly_of_a = functools.cache(lambda: charpoly(A))
-    pseudo_green_of_a = functools.cache(lambda: green.pseudo_green(A))
+    full_counter = PivotCounter()
+    pseudo_green_of_a = functools.cache(
+        lambda: green.pseudo_green(A, full_counter))
     green_at_one = functools.cache(lambda: green.green_matrix(A, 1))
 
     def check_graph_combinatorics():
@@ -200,11 +203,10 @@ def _verify_checks(trials: int, seed: int, parallel: int):
         ident = RationalMatrix.identity(60)
         e0 = green.projection_e0(60)
         zero = RationalMatrix.zeros(60, 60)
-        ag = A * g_star
+        ag, ga = A * g_star, g_star * A
         check(ag * A == A and g_star * ag == g_star
-              and ag.transpose() == ag
-              and (g_star * A).transpose() == g_star * A, "axioms")
-        check(ag == ident - e0 and g_star * A == ident - e0, "A G* = I - E0")
+              and ag.transpose() == ag and ga.transpose() == ga, "axioms")
+        check(ag == ident - e0 and ga == ident - e0, "A G* = I - E0")
         check(g_star * e0 == zero and e0 * g_star == zero, "G* E0 = 0")
         return {}
 
@@ -231,8 +233,8 @@ def _verify_checks(trials: int, seed: int, parallel: int):
         expected = RationalMatrix.block([[split.a_plus, zero], [zero, split.a_minus]])
         check(conj == expected, "J conjugation")
         blocks.half_spectra_check(split, charpoly_of_a())
-        full_counter, half_counter = PivotCounter(), PivotCounter()
-        direct = green.pseudo_green(A, full_counter)
+        direct = pseudo_green_of_a()
+        half_counter = PivotCounter()
         via_blocks = blocks.assemble_green_via_blocks(split, None, half_counter)
         check(via_blocks == direct, "block G* mismatch")
         check(blocks.assemble_green_via_blocks(split, 1) ==

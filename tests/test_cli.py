@@ -193,11 +193,30 @@ def test_failed_walk_regularity_fails_ca_three_routes(monkeypatch, capsys, tmp_p
     assert [n for n, r in checks.items() if not r["ok"]] == ["ca_three_routes"]
 
 
-def test_verify_all_deterministic_checks(capsys, tmp_path):
+def test_verify_all_deterministic_checks(capsys, tmp_path, monkeypatch, lap):
+    solved = []
+
+    def pseudo_green(A, *args, _solve=green.pseudo_green):
+        solved.append(A)
+        return _solve(A, *args)
+
+    products = []
+
+    def mul(self, other, _mul=ratmat.RationalMatrix.__mul__):
+        if isinstance(other, ratmat.RationalMatrix):
+            products.append((self.rows, other.cols))
+        return _mul(self, other)
+
+    monkeypatch.setattr(green, "pseudo_green", pseudo_green)
+    monkeypatch.setattr(ratmat.RationalMatrix, "__mul__", mul)
     out_file = tmp_path / "report.json"
     code, out = run(capsys, "verify-all", "--trials", "0",
                     "--output", str(out_file))
     assert code == 0
+    # G* of A is solved once; the other solve is of the relabeled Laplacian.
+    assert len(solved) == 2 and sum(m == lap for m in solved) == 1
+    # Matrix products: 6 in moore_penrose, 2 in the block conjugation.
+    assert len(products) == 8
     lines = [l for l in out.strip().splitlines() if l.startswith(("PASS", "FAIL"))]
     assert len(lines) == 10
     assert all(l.startswith("PASS") for l in lines)

@@ -201,6 +201,22 @@ def test_primes_used_pass_twice_hadamard(chunks):
         assert math.prod(map(math.prod, used[:-1])) <= 2 * bound
 
 
+def test_solve_primes_run_in_even_chunks(lap, chunks):
+    # [A + I | I] is 60 x 120 and needs 5 primes: one chunk, however wide
+    # the arrays.
+    inverse(lap.scaled_add(1))
+    assert [len(primes) for primes, _ in chunks] == [5]
+    # A shift of 2**30 needs about 60 primes: split evenly into chunks of
+    # at most _CHUNK, the first full and none but the last short by more
+    # than one prime.
+    chunks.clear()
+    inverse(lap.scaled_add(2 ** 30))
+    sizes = [len(primes) for primes, _ in chunks]
+    assert sizes[0] == _modular._CHUNK
+    assert sizes == sorted(sizes, reverse=True)
+    assert min(sizes[:-1]) >= _modular._CHUNK - 1
+
+
 def test_determinant_trivial_cases():
     assert determinant(RationalMatrix.identity(3)) == 1
     assert determinant(RationalMatrix([[2, 1], [1, 1]])) == 1
@@ -506,6 +522,12 @@ def test_charpoly_bound_decides_the_prime_count(hessenberg_chunks):
     p0, p1 = prime_table(2)
     assert charpoly_int([[p0 - 2]])[0] == [2 - p0, 1]
     assert hessenberg_chunks == [[p0, p1]]
+
+
+def test_laplacian_charpoly_runs_as_one_chunk(lap, hessenberg_chunks):
+    # Its bound needs 5 primes, which fit in one chunk of _CHUNK.
+    charpoly(lap)
+    assert [len(primes) for primes in hessenberg_chunks] == [5]
 
 
 integer_entries = st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70))
