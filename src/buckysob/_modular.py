@@ -89,7 +89,10 @@ def _next_primes(used, modulus, bound):
     """The primes after the first ``used`` for the next chunk: the primes
     still needed to bring ``modulus`` past ``bound``, split into as few
     chunks of at most _CHUNK as possible and as evenly as possible."""
-    need = -(-(bound.bit_length() + 1 - modulus.bit_length()) // _PRIME_BITS)
+    need = 0
+    while modulus <= bound:
+        need += 1
+        modulus *= prime_table(used + need)[-1]
     count = -(-need // -(-need // _CHUNK))
     return prime_table(used + count)[used:]
 

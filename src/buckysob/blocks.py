@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from buckysob.graph import Involution
+from buckysob.green import positive
 from buckysob.polynomials import IntPolynomial, VerificationFailed
 from buckysob.ratmat import (PivotCounter, RationalMatrix, charpoly,
                              determinant, inverse)
@@ -79,8 +80,7 @@ def half_spectra_check(split: BlockSplit, p: IntPolynomial,
     p_minus = charpoly(split.a_minus, counter)
     if p_plus * p_minus != p:
         raise SpectrumSplitMismatch("half charpolys do not multiply to the full one")
-    ones = [Fraction(1)] * split.a_plus.rows
-    if any(x != 0 for x in split.a_plus.matvec(ones)):
+    if any(map(sum, split.a_plus.num)):  # the row sums are A+ 1
         raise SpectrumSplitMismatch("A+ does not annihilate the constant vector")
     if determinant(split.a_minus, counter) == 0:
         raise SpectrumSplitMismatch("A- is singular")
@@ -97,9 +97,7 @@ def assemble_green_via_blocks(split: BlockSplit, a=None,
         g_plus = inverse(split.a_plus + e_half, counter) - e_half
         g_minus = inverse(split.a_minus, counter)
     else:
-        a = Fraction(a)
-        if a <= 0:
-            raise ValueError("damping parameter must be positive")
+        a = positive(a)
         g_plus = inverse(split.a_plus.scaled_add(a), counter)
         g_minus = inverse(split.a_minus.scaled_add(a), counter)
     g0 = Fraction(1, 2) * (g_plus + g_minus)

@@ -247,25 +247,25 @@ def _verify_checks(trials: int, seed: int, parallel: int):
         rng = random.Random(seed)
         for _ in range(trials):
             u = sobolev.random_mean_zero(60, rng)
-            lhs, rhs, holds = sobolev.sobolev_trial(u, closedform.C0, "meanzero", A)
+            lhs, rhs, holds = sobolev.sobolev_trial(u, closedform.C0, A)
             check(holds, f"mean-zero inequality failed: {lhs} > {rhs}")
         g1 = green_at_one()
         c1 = green.constant_diagonal(g1)
         for _ in range(max(trials // 10, 1)):
-            u = [Fraction(rng.randint(-100, 100), rng.randint(1, 10))
-                 for _ in range(60)]
-            _, _, holds = sobolev.sobolev_trial(u, c1, "damped", A, 1)
+            u = sobolev.random_vector(60, rng)
+            _, _, holds = sobolev.sobolev_trial(u, c1, A, 1)
             check(holds, "damped inequality failed")
         for j0 in range(60):
-            w = sobolev.equality_witness(g_star, j0, "meanzero", A)
+            w = sobolev.equality_witness(g_star, j0, A)
             check(w.lhs == w.rhs == closedform.C0 ** 2,
                   f"mean-zero equality fails at column {j0}")
-            w = sobolev.equality_witness(g1, j0, "damped", A, 1)
+            w = sobolev.equality_witness(g1, j0, A, 1)
             check(w.lhs == w.rhs == c1 ** 2,
                   f"damped equality fails at column {j0}")
         # sharpness: any constant below C0 is beaten by a G* column
         below = closedform.C0 - Fraction(1, 10 ** 6)
-        _, _, holds = sobolev.sobolev_trial(g_star.column(0), below, "meanzero", A)
+        column = g_star.submatrix(range(60), [0])
+        _, _, holds = sobolev.sobolev_trial(column, below, A)
         check(not holds, "C0 - 1e-6 not refuted")
         return {"trials": trials}
 

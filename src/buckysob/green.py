@@ -63,7 +63,9 @@ def projection_e0(n: int) -> RationalMatrix:
     return RationalMatrix.constant(n, n, Fraction(1, n))
 
 
-def _positive(a) -> Fraction:
+def positive(a) -> Fraction:
+    """The damping parameter a as a Fraction; a <= 0 raises
+    NonPositiveParameter."""
     a = Fraction(a)
     if a <= 0:
         raise NonPositiveParameter(f"damping parameter must be positive, got {a}")
@@ -72,7 +74,7 @@ def _positive(a) -> Fraction:
 
 def green_matrix(A: RationalMatrix, a, counter: PivotCounter | None = None) -> RationalMatrix:
     """(A + aI)^-1, exact."""
-    return inverse(A.scaled_add(_positive(a)), counter)
+    return inverse(A.scaled_add(positive(a)), counter)
 
 
 def pseudo_green(A: RationalMatrix, counter: PivotCounter | None = None) -> RationalMatrix:
@@ -84,7 +86,7 @@ def pseudo_green(A: RationalMatrix, counter: PivotCounter | None = None) -> Rati
     determinant of the solve.
     """
     n = A.rows
-    if any(x != 0 for x in A.matvec([1] * n)):
+    if any(map(sum, A.num)):  # the row sums are A 1
         raise KernelMismatch("constant vector is not in the kernel")
     j = RationalMatrix.constant(n, n, 1)
     return inverse(A + j, counter) - Fraction(1, n) * projection_e0(n)
@@ -148,7 +150,7 @@ def walk_regular(A: RationalMatrix) -> None:
 def _diag_sample(args):
     """(a, G(a)_jj) from the one-column solve (A + aI) x = e_j."""
     num, den, a, j = args
-    a = _positive(a)
+    a = positive(a)
     A = RationalMatrix.from_ints(num, den)
     e_j = RationalMatrix.from_ints([[int(i == j)] for i in range(A.rows)])
     return a, bareiss_solve(A.scaled_add(a), e_j)[j, 0]
@@ -260,7 +262,7 @@ def build_green_bundle(A: RationalMatrix, p: IntPolynomial,
     return GreenBundle(g_star=g_star, c0=c0_diag, c_of_a=ca)
 
 
-def constants_report(bundle: GreenBundle, checks: dict | None = None) -> dict:
+def constants_report(bundle: GreenBundle) -> dict:
     ca = bundle.c_of_a
     return {
         "schema_version": 1,
@@ -269,7 +271,7 @@ def constants_report(bundle: GreenBundle, checks: dict | None = None) -> dict:
         "N": ca.num.to_json(),
         "D": ca.den.to_json(),
         "D_factors": [str(f) for f in closedform.CA_DEN_FACTORS],
-        "checks": checks or {},
+        "checks": {},
     }
 
 

@@ -277,11 +277,12 @@ def fit_rational_function(samples, num_deg, den_deg) -> RationalFunction:
             + [-v * a ** j for j in range(den_deg)] for a, v in fit_pts]
     rhs = [[v * a ** den_deg] for a, v in fit_pts]
     try:
-        coeffs = bareiss_solve(RationalMatrix(rows), RationalMatrix(rhs)).column(0)
+        sol = bareiss_solve(RationalMatrix(rows), RationalMatrix(rhs))
     except SingularMatrixError:
         raise DegreeInsufficient(
             f"no unique rational function of degrees ({num_deg},{den_deg}) "
             "fits") from None
+    coeffs = [sol[i, 0] for i in range(sol.rows)]
     rf = RationalFunction(coeffs[:num_deg + 1], coeffs[num_deg + 1:] + [1])
     for a, v in held_out:
         if rf(a) != v:

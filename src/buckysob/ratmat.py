@@ -3,10 +3,12 @@
 A ``RationalMatrix`` stores its entries as integer rows ``num`` and one
 positive denominator ``den`` (the integer-matrix-plus-denominator form of
 FLINT's ``fmpq_mat``), reduced so that gcd(den, every entry) == 1. Equality
-is then a literal comparison, and sums, products, ``matvec``, transposes
-and permutations are integer arithmetic; products and ``matvec`` skip zero
-entries, so the 4-nonzeros-per-row Laplacian is cheap. Single entries are
-read as reduced ``Fraction``s through ``m[i, j]``.
+is then a literal comparison, and sums, products, transposes and
+permutations are integer arithmetic; products skip zero entries, so the
+4-nonzeros-per-row Laplacian is cheap. A vector is an n x 1 matrix, so a
+matrix-vector product is ``m * u`` and column j is
+``m.submatrix(range(m.rows), [j])``. Single entries are read as reduced
+``Fraction``s through ``m[i, j]``.
 
 All elimination work in the package is delegated to the multimodular
 kernels in ``_modular``, which work modulo word-size primes and rebuild
@@ -218,22 +220,9 @@ class RationalMatrix:
                                           for j, x in enumerate(row)]
                                          for i, row in enumerate(self.num)], den)
 
-    def matvec(self, v):
-        """The product with the rational vector v, as a list of Fractions."""
-        if len(v) != self.cols:
-            raise ValueError("shape mismatch")
-        v_den = math.lcm(*(x.denominator for x in v))
-        v_num = [x.numerator * (v_den // x.denominator) for x in v]
-        den = self.den * v_den
-        return [Fraction(sum(a * v_num[j] for j, a in row), den)
-                for row in self.nonzeros()]
-
     def submatrix(self, rows, cols):
         return RationalMatrix.from_ints([[self.num[i][j] for j in cols]
                                          for i in rows], self.den)
-
-    def column(self, j):
-        return [Fraction(row[j], self.den) for row in self.num]
 
     def diagonal(self):
         return [Fraction(self.num[i][i], self.den)

@@ -103,22 +103,20 @@ def test_criterion_8_sobolev_inequalities(lap, g_star, g_one):
         rng = random.Random(0)
         for _ in range(1000):
             u = sobolev.random_mean_zero(60, rng)
-            lhs, rhs, holds = sobolev.sobolev_trial(
-                u, closedform.C0, "meanzero", lap)
+            lhs, rhs, holds = sobolev.sobolev_trial(u, closedform.C0, lap)
             assert holds, f"{lhs} > {rhs}"
         c1 = green.constant_diagonal(g_one)
         for _ in range(100):
-            u = [Fraction(rng.randint(-100, 100), rng.randint(1, 10))
-                 for _ in range(60)]
-            assert sobolev.sobolev_trial(u, c1, "damped", lap, 1)[2]
+            u = sobolev.random_vector(60, rng)
+            assert sobolev.sobolev_trial(u, c1, lap, 1)[2]
         for j0 in range(60):
-            w = sobolev.equality_witness(g_star, j0, "meanzero", lap)
+            w = sobolev.equality_witness(g_star, j0, lap)
             assert w.lhs == w.rhs == closedform.C0 ** 2
-            w = sobolev.equality_witness(g_one, j0, "damped", lap, 1)
+            w = sobolev.equality_witness(g_one, j0, lap, 1)
             assert w.lhs == w.rhs == c1 ** 2
         below = closedform.C0 - Fraction(1, 10 ** 6)
         assert not sobolev.sobolev_trial(
-            g_star.column(0), below, "meanzero", lap)[2]
+            g_star.submatrix(range(60), [0]), below, lap)[2]
 
 
 def test_criterion_9_combinatorics_and_relabeling(bucky, census):

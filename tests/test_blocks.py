@@ -27,8 +27,8 @@ def test_split_block_structure(split):
 
 
 def test_split_row_sums(split):
-    ones = [Fraction(1)] * 30
-    assert all(x == 0 for x in split.a_plus.matvec(ones))
+    ones = RationalMatrix.constant(30, 1, 1)
+    assert split.a_plus * ones == RationalMatrix.zeros(30, 1)
 
 
 def test_j_conjugation(lap, split):
@@ -75,6 +75,12 @@ def test_green_via_blocks(lap, split, g_one):
     assert blocks.assemble_green_via_blocks(split, 1) == g_one
     a = Fraction(1, 3)
     assert blocks.assemble_green_via_blocks(split, a) == green.green_matrix(lap, a)
+
+
+def test_green_via_blocks_rejects_nonpositive(split):
+    for a in (0, -1):
+        with pytest.raises(green.NonPositiveParameter):
+            blocks.assemble_green_via_blocks(split, a)
 
 
 @settings(max_examples=4, deadline=None)

@@ -215,8 +215,10 @@ def test_verify_all_deterministic_checks(capsys, tmp_path, monkeypatch, lap):
     assert code == 0
     # G* of A is solved once; the other solve is of the relabeled Laplacian.
     assert len(solved) == 2 and sum(m == lap for m in solved) == 1
-    # Matrix products: 6 in moore_penrose, 2 in the block conjugation.
-    assert len(products) == 8
+    # Matrix products: 6 in moore_penrose, 2 in the block conjugation; and
+    # one matrix-vector product A u per equality witness, in its form check.
+    assert sum(cols > 1 for _, cols in products) == 8
+    assert products.count((60, 1)) == len(products) - 8 == 120
     lines = [l for l in out.strip().splitlines() if l.startswith(("PASS", "FAIL"))]
     assert len(lines) == 10
     assert all(l.startswith("PASS") for l in lines)

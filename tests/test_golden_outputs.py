@@ -34,7 +34,7 @@ GOLDEN = {
     ("sample-ca",):
         "0966d845fd99591f393bd9a1f3014af00e239a962f2e6e16938ec997313af30d",
     ("verify-all", "--seed", "1"):
-        "c28e9333cf9e438f2bc1ffef1b2e518f11e6bbabd51385cf2ca779bc54255f38",
+        "27fc611347b1678c3fc9d399b9f1c44ae8e0a301c637a5f04cdc684d6914e886",
 }
 
 

@@ -377,8 +377,9 @@ def test_operations_match_fraction_reference(data):
     assert entries(S.scaled_add(s)) == [[x + s if i == j else x
                                          for j, x in enumerate(r)]
                                         for i, r in enumerate(sq)]
-    assert A.matvec(v) == [sum((x * y for x, y in zip(r, v)), Fraction(0))
-                           for r in a]
+    V = RationalMatrix([[x] for x in v])
+    assert entries(A * V) == [[sum((x * y for x, y in zip(r, v)), Fraction(0))]
+                              for r in a]
     assert (A == B) == (a == b)
     assert A == RationalMatrix(a)
 
