@@ -127,7 +127,7 @@ def cmd_constants(args) -> int:
     g = graph.buckyball()
     A = graph.laplacian(g)
     p = charpoly(A)
-    bundle = green.build_green_bundle(A, p, parallel=args.parallel)
+    bundle = green.build_green_bundle(A, p)
     _write(_json_text(green.constants_report(bundle)), args.output)
     return 0
 
@@ -142,7 +142,7 @@ def cmd_sample_ca(args) -> int:
     return 0
 
 
-def _verify_checks(trials: int, seed: int, parallel: int):
+def _verify_checks(trials: int, seed: int):
     """Yield (name, result dict) for every verification item."""
     g = graph.buckyball()
     A = graph.laplacian(g)
@@ -183,7 +183,7 @@ def _verify_checks(trials: int, seed: int, parallel: int):
 
     def check_ca_three_routes():
         nonlocal ca
-        ca = green.c_of_a(A, charpoly_of_a(), parallel=parallel)
+        ca = green.c_of_a(A, charpoly_of_a())
         return {"num_degree": ca.num.degree, "den_degree": ca.den.degree}
 
     def check_limit_identity():
@@ -196,10 +196,13 @@ def _verify_checks(trials: int, seed: int, parallel: int):
         green.constant_diagonal(g_star)
         # The G(a) solves come before the products below, whose
         # intermediates would otherwise be alive during them; G(1/10) and
-        # G(10) serve this check only and are not kept.
-        green.constant_diagonal(green.green_matrix(A, Fraction(1, 10)))
-        green.constant_diagonal(green_at_one())
-        green.constant_diagonal(green.green_matrix(A, 10))
+        # G(10) serve this check only and are not kept. Their diagonals,
+        # by elimination, must be the closed form's C(a).
+        ca_known = closedform.ca_closed_form()
+        for a in (Fraction(1, 10), 1, 10):
+            c_a = green.constant_diagonal(
+                green_at_one() if a == 1 else green.green_matrix(A, a))
+            check(c_a == ca_known(a), f"G({a}) diagonal {c_a} is not C({a})")
         ident = RationalMatrix.identity(60)
         e0 = green.projection_e0(60)
         zero = RationalMatrix.zeros(60, 60)
@@ -298,7 +301,7 @@ def _verify_checks(trials: int, seed: int, parallel: int):
 def cmd_verify_all(args) -> int:
     results = {}
     ok_all = True
-    checks = sorted(_verify_checks(args.trials, args.seed, args.parallel),
+    checks = sorted(_verify_checks(args.trials, args.seed),
                     key=lambda kv: kv[0])
     for name, fn in checks:
         try:
@@ -322,8 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact buckyball spectral data and sharp Sobolev constants")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, formats=(), a_values=False, sampling=False,
-            parallel=False, **kwargs):
+    def add(name, fn, formats=(), a_values=False, sampling=False, **kwargs):
         """Subcommand ``name`` with only the options ``fn`` reads."""
         p = sub.add_parser(name, **kwargs)
         p.add_argument("--output", default=None, help="output file (default stdout)")
@@ -335,10 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
         if sampling:
             p.add_argument("--trials", type=_count_at_least(0), default=100)
             p.add_argument("--seed", type=int, default=0)
-        if parallel:
-            p.add_argument("--parallel", type=_count_at_least(1), default=1,
-                           metavar="N")
         p.set_defaults(fn=fn)
+        return p
 
     add("build-graph", cmd_build_graph, formats=("json", "dot"),
         help="construct and export the graph")
@@ -348,12 +348,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="eigenvalue table and numeric spectrum")
     add("green", cmd_green, a_values=True,
         help="exact Green / pseudo-Green matrices")
-    add("constants", cmd_constants, parallel=True,
-        help="sharp constants report")
+    add("constants", cmd_constants, help="sharp constants report")
     add("sample-ca", cmd_sample_ca, formats=("csv",), a_values=True,
         help="CSV samples of C(a) and C(a)-1/(60a)")
-    add("verify-all", cmd_verify_all, sampling=True, parallel=True,
-        help="run the full oracle suite")
+    verify = add("verify-all", cmd_verify_all, sampling=True,
+                 help="run the full oracle suite")
+    # Accepted, and never read, only because perfbench/workloads.py passes
+    # "--parallel 1"; any other value is an error.
+    verify.add_argument("--parallel", type=int, choices=(1,), default=1)
     return parser
 
 

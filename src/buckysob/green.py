@@ -7,8 +7,8 @@ as theorems. C0 and C(a) each come by independent routes that
 must agree exactly:
 
   C0:   any diagonal entry of G*        vs  -(1/60) q'(0)/q(0), P = x q(x)
-  C(a): rational-function fit through exact diagonal entries, one vertex
-        per sample, each from a one-column solve
+  C(a): Berlekamp-Massey on the closed-walk moments (A^k)_00, k < 120,
+        with no elimination
         vs  -(1/60) P'(-a)/P(-a)
         vs  the known closed-form coefficient lists.
 
@@ -22,20 +22,13 @@ from __future__ import annotations
 
 import csv
 import io
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from buckysob import closedform
 from buckysob.polynomials import (IntPolynomial, RationalFunction,
                                   VerificationFailed, fit_rational_function)
-from buckysob.ratmat import (PivotCounter, RationalMatrix, bareiss_solve,
-                             inverse, rat_str)
-
-CA_NUM_DEGREE = 14
-CA_DEN_DEGREE = 15
-CA_SAMPLE_COUNT = 33
+from buckysob.ratmat import PivotCounter, RationalMatrix, inverse, rat_str
 
 
 class NonPositiveParameter(ValueError):
@@ -107,10 +100,29 @@ def c0_via_trace(p: IntPolynomial) -> Fraction:
     """-(1/60) q'(0)/q(0) where p = x q(x): the sum of reciprocals of the
     nonzero eigenvalues, divided by 60."""
     if p.coeffs[0] != 0:
-        raise ValueError("polynomial has no root at 0")
+        raise KernelMismatch("polynomial has no root at 0")
     q = IntPolynomial(p.coeffs[1:])
     n = p.degree
     return Fraction(-q.derivative()(0), n * q(0))
+
+
+def closed_walk_moments(A: RationalMatrix, j: int, count: int) -> list[Fraction]:
+    """The closed-walk moments m_k(j) = (A^k)_jj for k < count.
+
+    For symmetric A, with v = A^t e_j, m_2t = v.v and m_2t+1 = v.(A v),
+    computed by sparse integer matvecs on the numerators; m_k is then
+    divided by den^k.
+    """
+    if not A.is_symmetric():
+        raise ValueError("closed-walk moments need a symmetric matrix")
+    rows = A.nonzeros()
+    v = [int(i == j) for i in range(A.rows)]
+    out = []
+    while len(out) < count:
+        w = [sum(a * v[c] for c, a in row) for row in rows]
+        out += [sum(x * x for x in v), sum(x * y for x, y in zip(v, w))]
+        v = w
+    return [Fraction(m, A.den ** k) for k, m in enumerate(out[:count])]
 
 
 def walk_regular(A: RationalMatrix) -> None:
@@ -120,68 +132,31 @@ def walk_regular(A: RationalMatrix) -> None:
     By Cayley-Hamilton, every power of A, (A + aI)^-1 for every a > 0 and
     the pseudo-inverse G* are polynomials in A of degree below n (Godsil &
     McKay, LAA 1980). Equal moments up to k = n - 1 therefore prove that
-    all their diagonal entries are equal. For symmetric A, with
-    v = A^t e_j, the moments are m_2t = v.v and m_2t+1 = v.(A v), computed
-    by sparse integer matvecs on the numerators (the common denominator
-    scales every vertex alike).
+    all their diagonal entries are equal.
     """
-    if not A.is_symmetric():
-        raise ValueError("closed-walk moments need a symmetric matrix")
-    n, rows = A.rows, A.nonzeros()
-
-    def moments(j):
-        v = [0] * n
-        v[j] = 1
-        out = []
-        while len(out) < n:
-            w = [sum(a * v[c] for c, a in row) for row in rows]
-            out += [sum(x * x for x in v), sum(x * y for x, y in zip(v, w))]
-            v = w
-        return out[:n]
-
-    first = moments(0)
+    n = A.rows
+    first = closed_walk_moments(A, 0, n)
     for j in range(1, n):
-        for k, (x, y) in enumerate(zip(first, moments(j))):
+        for k, (x, y) in enumerate(zip(first, closed_walk_moments(A, j, n))):
             if x != y:
                 raise DiagonalMismatch(
                     f"closed-walk moment m_{k} of vertex {j} differs from vertex 0's")
 
 
-def _diag_sample(args):
-    """(a, G(a)_jj) from the one-column solve (A + aI) x = e_j."""
-    num, den, a, j = args
-    a = positive(a)
-    A = RationalMatrix.from_ints(num, den)
-    e_j = RationalMatrix.from_ints([[int(i == j)] for i in range(A.rows)])
-    return a, bareiss_solve(A.scaled_add(a), e_j)[j, 0]
+def ca_via_fit(A: RationalMatrix) -> RationalFunction:
+    """C(a) = e_0^T (A + aI)^-1 e_0 from vertex 0's closed-walk moments.
 
-
-def ca_via_fit(A: RationalMatrix, sample_points=None, parallel: int = 1) -> RationalFunction:
-    """Fit N(a)/D(a) with degrees (14, 15) through exact diagonal samples:
-    the first 30 samples determine the fit and the last 3 are held out.
-
-    Sample k is the entry G(a_k)_jj at vertex j = k mod n, read off the
-    one-column solve (A + a_k I) x = e_j, so the fit can pass only if the
-    diagonals of those vertices agree. Before sampling, ``walk_regular``
-    proves that every diagonal entry of G(a) is the same for every a > 0.
-
-    Sample points default to a = 1..33: every pole of C(a) sits at a
-    nonpositive value, so positive integers are always safe. With
-    ``parallel`` > 1 the samples are spread over at most
-    min(parallel, sample count, CPU count) worker processes, each sent the
-    integer rows of A; when that is one worker they run in-process.
+    At infinity (A + aI)^-1 = sum_k (-1)^k A^k a^-(k+1), so C(a) is the
+    rational function whose expansion has the coefficients
+    s_k = (-1)^k m_k(0). By Cayley-Hamilton they satisfy a recurrence of
+    order at most n, so Berlekamp-Massey on 2n of them
+    (``fit_rational_function``) determines C(a) with no degree assumed
+    (Wiedemann, IEEE TIT 1986). ``walk_regular`` first proves that every
+    vertex's diagonal entry of G(a) is this one, for every a > 0.
     """
     walk_regular(A)
-    if sample_points is None:
-        sample_points = [Fraction(k) for k in range(1, CA_SAMPLE_COUNT + 1)]
-    args = [(A.num, A.den, a, k % A.rows) for k, a in enumerate(sample_points)]
-    workers = min(parallel, len(args), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            samples = list(pool.map(_diag_sample, args))
-    else:
-        samples = [_diag_sample(x) for x in args]
-    return fit_rational_function(samples, CA_NUM_DEGREE, CA_DEN_DEGREE)
+    moments = closed_walk_moments(A, 0, 2 * A.rows)
+    return fit_rational_function([(-1) ** k * m for k, m in enumerate(moments)])
 
 
 def ca_via_charpoly(p: IntPolynomial) -> RationalFunction:
@@ -192,10 +167,10 @@ def ca_via_charpoly(p: IntPolynomial) -> RationalFunction:
     return RationalFunction(num, den)
 
 
-def c_of_a(A: RationalMatrix, p: IntPolynomial, parallel: int = 1) -> RationalFunction:
+def c_of_a(A: RationalMatrix, p: IntPolynomial) -> RationalFunction:
     """The sharp constant function by three routes, which must coincide."""
     routes = {
-        "fit": ca_via_fit(A, parallel=parallel),
+        "fit": ca_via_fit(A),
         "charpoly": ca_via_charpoly(p),
         "closed_form": closedform.ca_closed_form(),
     }
@@ -236,8 +211,7 @@ class GreenBundle:
     c_of_a: RationalFunction
 
 
-def build_green_bundle(A: RationalMatrix, p: IntPolynomial,
-                       parallel: int = 1) -> GreenBundle:
+def build_green_bundle(A: RationalMatrix, p: IntPolynomial) -> GreenBundle:
     """Assemble and cross-verify everything the constants rest on."""
     n = A.rows
     e0 = projection_e0(n)
@@ -256,7 +230,7 @@ def build_green_bundle(A: RationalMatrix, p: IntPolynomial,
     c0_trace = c0_via_trace(p)
     if c0_diag != c0_trace:
         raise RouteMismatch(f"C0 diagonal {c0_diag} vs trace {c0_trace}")
-    ca = c_of_a(A, p, parallel=parallel)
+    ca = c_of_a(A, p)
     if not limit_identity_check(ca, c0_diag, n):
         raise RouteMismatch("limit of C(a) - 1/(na) at 0 is not C0")
     return GreenBundle(g_star=g_star, c0=c0_diag, c_of_a=ca)

@@ -1,14 +1,14 @@
 """Exact univariate polynomials with integer coefficients and their
-quotients, plus rational-function recovery from exact samples.
+quotients, plus rational-function recovery from an exact power series.
 
 Coefficients are stored ascending. RationalFunction keeps a canonical
 form: integer coefficients, numerator/denominator coprime as polynomials,
 jointly content-free, positive leading denominator coefficient. That makes
 equality with any published coefficient list a literal comparison.
 
-A rational function is recovered from exact samples by one square linear
-solve through the multimodular kernel (``ratmat.bareiss_solve``), with the
-remaining samples held out as a check.
+A rational function is recovered from the coefficients of its expansion at
+infinity by Berlekamp-Massey over Q, with no degree given and no
+elimination.
 """
 
 from __future__ import annotations
@@ -21,13 +21,12 @@ class VerificationFailed(Exception):
     """An exact check found two routes or a result and its oracle disagreeing.
 
     Not a ValueError: a failed verification is a wrong answer, not bad
-    input, and the CLI reports it with exit code 1 instead of 2. Raised
-    directly when a fitted rational function mismatches a held-out sample.
+    input, and the CLI reports it with exit code 1 instead of 2.
     """
 
 
 class DegreeInsufficient(VerificationFailed):
-    """The fit's linear system is singular at these degrees."""
+    """A series too short to fix its minimal recurrence."""
 
 
 def _trim(coeffs):
@@ -250,41 +249,41 @@ class RationalFunction:
                                 self.den * other.den)
 
 
-def fit_rational_function(samples, num_deg, den_deg) -> RationalFunction:
-    """Recover the rational function N/D with deg N <= num_deg and
-    deg D == den_deg through exact samples.
+def fit_rational_function(series) -> RationalFunction:
+    """The rational function N/D, deg N < deg D, whose expansion at
+    infinity is sum_k series[k] a^-(k+1), by Berlekamp-Massey over Q.
 
-    The leading coefficient of D is fixed at 1, so the equations
-    N(a) - v D(a) = 0 at the first num_deg + den_deg + 1 samples form a
-    square linear system in the other coefficients, solved by the exact
-    kernel; every later sample is held out and must match the fit. Raises
-    DegreeInsufficient when the system is singular (no fit of exactly
-    these degrees is unique), VerificationFailed when a held-out sample
-    mismatches.
+    D is the minimal polynomial of the sequence: the monic reversal of the
+    shortest connection polynomial, whose degree L is the linear complexity
+    (Massey, IEEE TIT 1969). N is the polynomial part of D times the series,
+    so N/D is in lowest terms. The result is unique, hence determined by the
+    series, only when 2 L <= len(series); otherwise DegreeInsufficient is
+    raised. No degree is assumed: a sequence known to satisfy a recurrence
+    of order at most L (for a matrix of size L, by Cayley-Hamilton) needs
+    2 L terms.
     """
-    # Imported here because ratmat imports this module.
-    from buckysob.ratmat import (RationalMatrix, SingularMatrixError,
-                                 bareiss_solve)
-
-    need = num_deg + den_deg + 2
-    if len(samples) < need:
-        raise ValueError(f"need at least {need} samples, got {len(samples)}")
-    pts = [(Fraction(a), Fraction(v)) for a, v in samples]
-    if len({a for a, _ in pts}) != len(pts):
-        raise ValueError("sample points must be distinct")
-    fit_pts, held_out = pts[:need - 1], pts[need - 1:]
-    rows = [[a ** k for k in range(num_deg + 1)]
-            + [-v * a ** j for j in range(den_deg)] for a, v in fit_pts]
-    rhs = [[v * a ** den_deg] for a, v in fit_pts]
-    try:
-        sol = bareiss_solve(RationalMatrix(rows), RationalMatrix(rhs))
-    except SingularMatrixError:
+    s = [Fraction(x) for x in series]
+    conn, prev = [Fraction(1)], [Fraction(1)]  # ascending connection polys
+    length, shift, last = 0, 1, Fraction(1)
+    for k, x in enumerate(s):
+        d = x + sum(c * s[k - i] for i, c in enumerate(conn[1:length + 1], 1))
+        if d == 0:
+            shift += 1
+            continue
+        f = d / last
+        new = conn + [Fraction(0)] * (len(prev) + shift - len(conn))
+        for i, c in enumerate(prev):
+            new[i + shift] -= f * c
+        if 2 * length <= k:
+            length, prev, last, shift = k + 1 - length, conn, d, 1
+        else:
+            shift += 1
+        conn = new
+    if 2 * length > len(s):
         raise DegreeInsufficient(
-            f"no unique rational function of degrees ({num_deg},{den_deg}) "
-            "fits") from None
-    coeffs = [sol[i, 0] for i in range(sol.rows)]
-    rf = RationalFunction(coeffs[:num_deg + 1], coeffs[num_deg + 1:] + [1])
-    for a, v in held_out:
-        if rf(a) != v:
-            raise VerificationFailed(f"held-out sample at a={a} mismatches")
-    return rf
+            f"{len(s)} terms cannot fix a recurrence of order {length}")
+    conn += [Fraction(0)] * (length + 1 - len(conn))
+    den = conn[length::-1]
+    num = [sum(den[i] * s[i - j - 1] for i in range(j + 1, length + 1))
+           for j in range(length)]
+    return RationalFunction(num, den)

@@ -12,9 +12,9 @@ matrix-vector product is ``m * u`` and column j is
 
 All elimination work in the package is delegated to the multimodular
 kernels in ``_modular``, which work modulo word-size primes and rebuild
-exact integers by Chinese remaindering under a Hadamard-type bound; this
-includes the linear system of ``polynomials.fit_rational_function``, which
-goes through ``bareiss_solve``. For ``det_int`` and ``jordan_int`` systems
+exact integers by Chinese remaindering under a Hadamard-type bound. (The
+moment route to C(a) in ``green`` eliminates nothing.) For ``det_int`` and
+``jordan_int`` systems
 are cleared to integers row by row (row scaling changes neither solutions
 nor singularity), and a solve's result is the kernel's integer rows
 adj(M) R over its determinant det(M).

@@ -42,7 +42,7 @@ def test_criterion_2_c0_three_routes(p_char, g_star):
 
 def test_criterion_3_ca_three_routes(lap, p_char):
     with criterion("3 C(a) identical along three routes"):
-        combined = green.c_of_a(lap, p_char, parallel=4)
+        combined = green.c_of_a(lap, p_char)
         assert combined == closedform.ca_closed_form()
         assert combined.num.degree == 14 and combined.den.degree == 15
 

@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from buckysob import cli, green, ratmat
+from buckysob import cli, closedform, green, ratmat
 from buckysob.cli import main
-from buckysob.polynomials import DegreeInsufficient
+from buckysob.polynomials import DegreeInsufficient, IntPolynomial
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -108,6 +108,8 @@ def test_unknown_command_exits_2():
     ["build-graph", "--trials", "5"],
     ["verify-all", "--trials", "-1"],
     ["constants", "--parallel", "0"],
+    ["constants", "--parallel", "1"],
+    ["verify-all", "--parallel", "2"],
 ])
 def test_option_not_read_or_out_of_range_exits_2(argv):
     with pytest.raises(SystemExit) as exc:
@@ -131,6 +133,33 @@ def test_failed_fit_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(green, "fit_rational_function", no_fit)
     assert main(["constants"]) == 1
     assert "verification failed" in capsys.readouterr().err
+
+
+def test_charpoly_without_zero_root_exits_1(monkeypatch, capsys):
+    """A charpoly with p(0) != 0 is a failed verification (no kernel), not
+    a configuration error."""
+    monkeypatch.setattr(cli, "charpoly",
+                        lambda A: closedform.charpoly_product() + IntPolynomial([1]))
+    assert main(["constants"]) == 1
+    assert "verification failed: polynomial has no root at 0" in capsys.readouterr().err
+
+
+def test_shifted_green_diagonal_fails_moore_penrose(monkeypatch, capsys):
+    """G(10) with every diagonal entry off by 1/10^6 is still constant on the
+    diagonal, but no longer C(10)."""
+    def shifted(A, a, *args, _solve=green.green_matrix):
+        g = _solve(A, a, *args)
+        if a == 10:
+            g = g + Fraction(1, 10 ** 6) * ratmat.RationalMatrix.identity(g.rows)
+        return g
+
+    monkeypatch.setattr(green, "green_matrix", shifted)
+    code, out = run(capsys, "verify-all", "--trials", "0")
+    assert code == 1
+    fails = [l for l in out.splitlines() if l.startswith("FAIL")]
+    assert fails == ["FAIL moore_penrose: G(10) diagonal "
+                     f"{closedform.ca_closed_form()(10) + Fraction(1, 10 ** 6)} "
+                     "is not C(10)"]
 
 
 def test_verify_checks_fail_under_optimize():
@@ -164,7 +193,7 @@ def test_verify_checks_compute_nothing_before_the_checks(monkeypatch):
             calls.append(_name)
             return _kernel(*args)
         monkeypatch.setattr(ratmat, name, counted)
-    checks = dict(cli._verify_checks(0, 0, 1))
+    checks = dict(cli._verify_checks(0, 0))
     assert len(checks) == 10
     assert calls == []
     checks["c0_three_routes"]()

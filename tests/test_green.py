@@ -1,6 +1,5 @@
 """Green / pseudo-Green matrices and the sharp constants."""
 
-import os
 import random
 from fractions import Fraction
 
@@ -8,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from buckysob import closedform, graph, green, ratmat
-from buckysob.polynomials import IntPolynomial, RationalFunction, VerificationFailed
+from buckysob import _modular, closedform, graph, green, ratmat
+from buckysob.polynomials import DegreeInsufficient, IntPolynomial, RationalFunction
 from buckysob.ratmat import RationalMatrix, charpoly, inverse
 
 
@@ -109,7 +108,7 @@ def test_c0_routes_agree(g_star, p_char):
 
 
 def test_c0_trace_requires_zero_root():
-    with pytest.raises(ValueError):
+    with pytest.raises(green.KernelMismatch):
         green.c0_via_trace(IntPolynomial([1, 1]))
 
 
@@ -136,31 +135,6 @@ def test_ca_fit_route(lap):
     assert fitted == closedform.ca_closed_form()
 
 
-def test_ca_fit_pool_is_capped(lap, monkeypatch):
-    requested, sent = [], []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, args):
-            args = list(args)
-            sent.extend(args)
-            return map(fn, args)
-
-    monkeypatch.setattr(green, "ProcessPoolExecutor", InProcessPool)
-    assert green.ca_via_fit(lap, parallel=5000) == closedform.ca_closed_form()
-    assert requested and requested[0] <= min(os.cpu_count() or 1,
-                                             green.CA_SAMPLE_COUNT)
-    assert all(type(x) is int for num, den, _, _ in sent for row in num for x in row)
-
-
 def _laplacian_of(n, edges):
     rows = [[0] * n for _ in range(n)]
     for i, j in edges:
@@ -181,14 +155,18 @@ def test_walk_regular_relabeled(bucky, perm):
     green.walk_regular(graph.laplacian(graph.relabel(bucky, perm)))
 
 
-def test_walk_regular_rejects_k4_plus_q3():
-    # Both components are 3-regular, so m_0..m_2 agree; m_3 = 54 - 2 t(j)
-    # counts the t(j) triangles at j: 3 in K4, 0 in Q3.
+def _k4_plus_q3():
     k4 = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     q3 = [(4 + b, 4 + (b ^ (1 << t))) for b in range(8) for t in range(3)
           if b < b ^ (1 << t)]
+    return _laplacian_of(12, k4 + q3)
+
+
+def test_walk_regular_rejects_k4_plus_q3():
+    # Both components are 3-regular, so m_0..m_2 agree; m_3 = 54 - 2 t(j)
+    # counts the t(j) triangles at j: 3 in K4, 0 in Q3.
     with pytest.raises(green.DiagonalMismatch, match="m_3 "):
-        green.walk_regular(_laplacian_of(12, k4 + q3))
+        green.walk_regular(_k4_plus_q3())
 
 
 def test_walk_regular_checks_up_to_n_minus_1():
@@ -204,51 +182,88 @@ def test_walk_regular_requires_symmetry():
         green.walk_regular(RationalMatrix([[0, 1], [0, 0]]))
 
 
-def test_ca_fit_solves_one_column_per_sample(lap, monkeypatch):
-    """33 one-column solves at vertices k mod 60, then the fit's one 30x30
-    solve; no full inverse."""
-    sizes, vertices = [], []
-    jordan_int, diag_sample = ratmat.jordan_int, green._diag_sample
+def test_ca_fit_makes_no_kernel_call(lap, monkeypatch):
+    """The moment route eliminates nothing: it runs with every multimodular
+    kernel and the G(a) solve replaced by a failure."""
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("kernel called")
 
-    def counted(aug, n, m):
-        sizes.append((n, m))
-        return jordan_int(aug, n, m)
-
-    def sample(args):
-        vertices.append(args[3])
-        return diag_sample(args)
-
-    def no_green_matrix(*args, **kwargs):
-        raise AssertionError("green_matrix called")
-
-    monkeypatch.setattr(ratmat, "jordan_int", counted)
-    monkeypatch.setattr(green, "_diag_sample", sample)
-    monkeypatch.setattr(green, "green_matrix", no_green_matrix)
+    for name in ("charpoly_int", "det_int", "jordan_int"):
+        monkeypatch.setattr(ratmat, name, no_kernel)
+        monkeypatch.setattr(_modular, name, no_kernel)
+    monkeypatch.setattr(green, "green_matrix", no_kernel)
     assert green.ca_via_fit(lap) == closedform.ca_closed_form()
-    assert sizes == [(60, 1)] * green.CA_SAMPLE_COUNT + [(30, 1)]
-    assert vertices == list(range(green.CA_SAMPLE_COUNT))
 
 
-@pytest.mark.parametrize("vertex", [0, 31], ids=["fitted", "held_out"])
-def test_ca_fit_rejects_one_shifted_diagonal_entry(lap, p_char, monkeypatch, vertex):
-    diag_sample = green._diag_sample
+def _cycle(n):
+    return _laplacian_of(n, [(i, (i + 1) % n) for i in range(n)])
 
-    def shifted(args):
-        a, value = diag_sample(args)
-        return a, value + Fraction(1, 10 ** 6) * (args[3] == vertex)
 
-    monkeypatch.setattr(green, "_diag_sample", shifted)
-    with pytest.raises(VerificationFailed):
+# K2 has two simple eigenvalues, so its series needs all 2n = 4 terms.
+@pytest.mark.parametrize("lap_small", [
+    _laplacian_of(2, [(0, 1)]),
+    *(_cycle(n) for n in range(3, 13)),
+    graph.laplacian(graph.truncate(graph.canonical_tetrahedron())),
+], ids=["K2", *(f"C{n}" for n in range(3, 13)), "truncated_tetrahedron"])
+def test_ca_fit_matches_charpoly_route(lap_small):
+    assert green.ca_via_fit(lap_small) == green.ca_via_charpoly(charpoly(lap_small))
+
+
+@settings(max_examples=3, deadline=None)
+@given(st.permutations(range(60)))
+def test_ca_fit_relabeled(bucky, perm):
+    A = graph.laplacian(graph.relabel(bucky, perm))
+    assert green.ca_via_fit(A) == green.ca_via_charpoly(charpoly(A))
+
+
+def test_ca_fit_requires_walk_regularity():
+    with pytest.raises(green.DiagonalMismatch):
+        green.ca_via_fit(_k4_plus_q3())
+
+
+def test_closed_walk_moments_scale_by_denominator():
+    # A = M/2 for the path 0-1-2: (A^k)_00 = (M^k)_00 / 2^k.
+    path = RationalMatrix([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    assert green.closed_walk_moments(Fraction(1, 2) * path, 0, 5) == [
+        1, 0, Fraction(1, 4), 0, Fraction(2, 16)]
+
+
+def test_ca_fit_solves_one_column_per_sample(lap, monkeypatch):
+    """Sample k of the fit is (A^k e_0)_0: the route reads one column of
+    moments, vertex 0's 2n = 120, after walk_regular's n at every vertex."""
+    calls = []
+    moments = green.closed_walk_moments
+
+    def counted(A, j, count):
+        calls.append((j, count))
+        return moments(A, j, count)
+
+    monkeypatch.setattr(green, "closed_walk_moments", counted)
+    assert green.ca_via_fit(lap) == closedform.ca_closed_form()
+    assert calls == [(j, 60) for j in range(60)] + [(0, 120)]
+
+
+# C(a) has L = 15, so m_0..m_29 fix its recurrence and m_30..m_119 must obey it.
+@pytest.mark.parametrize("k, error, match", [
+    (5, green.RouteMismatch, "^charpoly vs fit; closed_form vs fit$"),
+    (100, DegreeInsufficient, "^120 terms cannot fix a recurrence of order 86$"),
+], ids=["fitted", "held_out"])
+def test_ca_fit_rejects_one_shifted_diagonal_entry(lap, p_char, monkeypatch,
+                                                   k, error, match):
+    """A moment m_k(0) shifted by 10^-6 in the route's series: among the
+    fitted terms it gives another rational function, which the charpoly and
+    closed-form routes reject; past them it breaks the recurrence."""
+    moments = green.closed_walk_moments
+
+    def shifted(A, j, count):
+        out = moments(A, j, count)
+        if count == 2 * A.rows:
+            out[k] += Fraction(1, 10 ** 6)
+        return out
+
+    monkeypatch.setattr(green, "closed_walk_moments", shifted)
+    with pytest.raises(error, match=match):
         green.c_of_a(lap, p_char)
-
-
-def test_ca_fit_single_worker_runs_in_process(lap, monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was started for one worker")
-
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(green, "ProcessPoolExecutor", no_pool)
-    assert green.ca_via_fit(lap, parallel=2) == closedform.ca_closed_form()
 
 
 def test_ca_three_routes(lap, p_char):

@@ -1,4 +1,4 @@
-"""Polynomial arithmetic, rational functions, and exact fitting."""
+"""Polynomial arithmetic, rational functions, and Berlekamp-Massey fitting."""
 
 from fractions import Fraction
 
@@ -6,10 +6,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from buckysob import closedform, ratmat
+from buckysob import _modular, closedform, ratmat
 from buckysob.polynomials import (DegreeInsufficient, IntPolynomial,
-                                  RationalFunction, VerificationFailed,
-                                  exact_div, fit_rational_function, poly_gcd,
+                                  RationalFunction, exact_div,
+                                  fit_rational_function, poly_gcd,
                                   squarefree_part)
 
 
@@ -76,33 +76,50 @@ def test_rational_function_arithmetic():
     assert not (f - f).has_pole_at(0)
 
 
+def expansion(f, count):
+    """The first count coefficients s_k of f = N/D, deg N < deg D, at
+    infinity, f = sum_k s_k a^-(k+1), by long division: the coefficient of
+    a^(L-1-t) in N = D * f gives s_t."""
+    n, d = f.num.coeffs, f.den.coeffs
+    L = len(d) - 1
+    s = []
+    for t in range(count):
+        j = L - 1 - t
+        acc = Fraction(n[j] if 0 <= j < len(n) else 0)
+        acc -= sum(d[i] * s[t - L + i] for i in range(max(0, L - t), L))
+        s.append(acc / d[L])
+    return s
+
+
 def test_fit_reciprocal():
-    samples = [(Fraction(k), Fraction(1, k)) for k in range(1, 5)]
-    rf = fit_rational_function(samples, 0, 1)
-    assert rf == RationalFunction(IntPolynomial([1]), IntPolynomial([0, 1]))
+    one_over_x = RationalFunction(IntPolynomial([1]), IntPolynomial([0, 1]))
+    assert fit_rational_function([1, 0]) == one_over_x
+    assert fit_rational_function([1, 0, 0, 0, 0]) == one_over_x
 
 
 def test_fit_moebius():
-    f = RationalFunction(IntPolynomial([1, 1]), IntPolynomial([2, 1]))
-    samples = [(Fraction(k), f(Fraction(k))) for k in range(1, 7)]
-    assert fit_rational_function(samples, 1, 1) == f
+    # 3/(2x + 1) = (3/2) sum_k (-1/2)^k x^-(k+1)
+    f = RationalFunction(IntPolynomial([3]), IntPolynomial([1, 2]))
+    assert expansion(f, 3) == [Fraction(3, 2), Fraction(-3, 4), Fraction(3, 8)]
+    assert fit_rational_function(expansion(f, 2)) == f
 
 
 def test_fit_refit_is_stable():
-    f = RationalFunction(IntPolynomial([3, 0, 1]), IntPolynomial([1, 2, 5]))
-    samples = [(Fraction(k), f(Fraction(k))) for k in range(1, 9)]
-    fitted = fit_rational_function(samples, 2, 2)
+    f = RationalFunction(IntPolynomial([3, 1]), IntPolynomial([1, 2, 5]))
+    fitted = fit_rational_function(expansion(f, 8))
     assert fitted == f
-    refit = fit_rational_function([(a, fitted(a)) for a, _ in samples], 2, 2)
+    refit = fit_rational_function(expansion(fitted, 8))
     assert refit.num.coeffs == fitted.num.coeffs
     assert refit.den.coeffs == fitted.den.coeffs
 
 
 def test_fit_degree_insufficient():
-    # x^2 is not a ratio of constants
-    samples = [(Fraction(k), Fraction(k * k)) for k in range(1, 6)]
-    with pytest.raises((DegreeInsufficient, VerificationFailed)):
-        fit_rational_function(samples, 0, 0)
+    # C(a) has L = 15: 30 terms fix it, 29 do not.
+    ca = closedform.ca_closed_form()
+    terms = expansion(ca, 30)
+    assert fit_rational_function(terms) == ca
+    with pytest.raises(DegreeInsufficient):
+        fit_rational_function(terms[:29])
 
 
 small_ints = st.integers(-5, 5)
@@ -111,63 +128,45 @@ small_ints = st.integers(-5, 5)
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_fit_recovers_random_rational_function(data):
-    p, q = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
-    num = IntPolynomial(data.draw(st.lists(small_ints, min_size=p + 1,
-                                           max_size=p + 1)))
+    """N/D with deg N < deg D <= 6 from 2 deg D terms or more; 2 deg D - 1
+    terms raise."""
+    q = data.draw(st.integers(1, 6))
+    p = data.draw(st.integers(0, q - 1))
+    nonzero = small_ints.filter(bool)
+    num = IntPolynomial(data.draw(st.lists(small_ints, min_size=p, max_size=p))
+                        + [data.draw(nonzero)])
     den = IntPolynomial(data.draw(st.lists(small_ints, min_size=q, max_size=q))
-                        + [data.draw(small_ints.filter(bool))])
+                        + [data.draw(nonzero)])
     assume(poly_gcd(num, den).degree == 0)
-    count = p + q + 2 + data.draw(st.integers(0, 2))
-    points = [a for a in range(1, count + q + 1) if den(a)][:count]
     f = RationalFunction(num, den)
-    samples = [(Fraction(a), f(Fraction(a))) for a in points]
-    assert fit_rational_function(samples, p, q) == f
-
-
-@pytest.mark.parametrize("f, num_deg, den_deg", [
-    # 1/x with room for a second pole.
-    (RationalFunction(IntPolynomial([1]), IntPolynomial([0, 1])), 0, 2),
-    # (x+1)/(x+2) with room for a common factor.
-    (RationalFunction(IntPolynomial([1, 1]), IntPolynomial([2, 1])), 2, 2),
-])
-def test_fit_rejects_overspecified_denominator_degree(f, num_deg, den_deg):
-    samples = [(Fraction(k), f(Fraction(k))) for k in range(1, 9)]
+    terms = expansion(f, 2 * q + data.draw(st.integers(0, 2)))
+    assert fit_rational_function(terms) == f
     with pytest.raises(DegreeInsufficient):
-        fit_rational_function(samples, num_deg, den_deg)
-
-
-@pytest.mark.parametrize("held_out", [3, 4, 5])
-def test_fit_checks_every_held_out_sample(held_out):
-    # Degrees (1, 1) fit the first three samples and hold out the rest.
-    f = RationalFunction(IntPolynomial([1, 1]), IntPolynomial([2, 1]))
-    samples = [(Fraction(k), f(Fraction(k))) for k in range(1, 7)]
-    a, v = samples[held_out]
-    samples[held_out] = (a, v + Fraction(1, 10 ** 6))
-    with pytest.raises(VerificationFailed) as exc:
-        fit_rational_function(samples, 1, 1)
-    assert not isinstance(exc.value, DegreeInsufficient)
+        fit_rational_function(terms[:2 * q - 1])
 
 
 def test_fit_is_one_kernel_solve(monkeypatch):
-    """The C(a) fit is one 30 x 30 solve; the last 3 of 33 samples are
-    held out."""
-    sizes = []
-    jordan_int = ratmat.jordan_int
+    """The C(a) fit from the route's 120 terms is Berlekamp-Massey over
+    Fraction: it runs with every multimodular kernel replaced by a failure."""
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("kernel called")
 
-    def counted(aug, n, m):
-        sizes.append((n, m))
-        return jordan_int(aug, n, m)
-
-    monkeypatch.setattr(ratmat, "jordan_int", counted)
+    for name in ("charpoly_int", "det_int", "jordan_int"):
+        monkeypatch.setattr(ratmat, name, no_kernel)
+        monkeypatch.setattr(_modular, name, no_kernel)
     ca = closedform.ca_closed_form()
-    samples = [(Fraction(k), ca(Fraction(k))) for k in range(1, 34)]
-    assert fit_rational_function(samples, 14, 15) == ca
-    assert sizes == [(30, 1)]
+    assert fit_rational_function(expansion(ca, 120)) == ca
 
 
 def test_fit_rejects_too_few_samples():
-    with pytest.raises(ValueError):
-        fit_rational_function([(Fraction(1), Fraction(1))], 1, 1)
+    # One term of 1/x cannot tell it from 1/(x - c).
+    with pytest.raises(DegreeInsufficient):
+        fit_rational_function([1])
+
+
+def test_fit_of_zero_series_is_zero():
+    zero = RationalFunction(IntPolynomial([]), IntPolynomial([1]))
+    assert fit_rational_function([0, 0, 0]) == zero
 
 
 def test_known_ca_evaluates_at_one():
