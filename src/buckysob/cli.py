@@ -194,7 +194,7 @@ def _verify_checks(trials: int, seed: int):
     def check_moore_penrose():
         g_star = pseudo_green_of_a()
         green.constant_diagonal(g_star)
-        # The G(a) solves come before the products below, whose
+        # The G(a) solves come before verify_pseudo_green's products, whose
         # intermediates would otherwise be alive during them; G(1/10) and
         # G(10) serve this check only and are not kept. Their diagonals,
         # by elimination, must be the closed form's C(a).
@@ -203,14 +203,7 @@ def _verify_checks(trials: int, seed: int):
             c_a = green.constant_diagonal(
                 green_at_one() if a == 1 else green.green_matrix(A, a))
             check(c_a == ca_known(a), f"G({a}) diagonal {c_a} is not C({a})")
-        ident = RationalMatrix.identity(60)
-        e0 = green.projection_e0(60)
-        zero = RationalMatrix.zeros(60, 60)
-        ag, ga = A * g_star, g_star * A
-        check(ag * A == A and g_star * ag == g_star
-              and ag.transpose() == ag and ga.transpose() == ga, "axioms")
-        check(ag == ident - e0 and ga == ident - e0, "A G* = I - E0")
-        check(g_star * e0 == zero and e0 * g_star == zero, "G* E0 = 0")
+        green.verify_pseudo_green(A, g_star)
         return {}
 
     def check_eigenvalue_table():

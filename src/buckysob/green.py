@@ -2,9 +2,9 @@
 
 The pseudo-Green matrix is computed as (A + J)^-1 - E0/60, one exact solve
 of an integral system (J is the all-ones matrix, J = 60 E0); the
-Moore-Penrose axioms and A G* = G* A = I - E0, G* E0 = 0 are then verified
-as theorems. C0 and C(a) each come by independent routes that
-must agree exactly:
+Moore-Penrose axioms and A G* = G* A = I - E0, G* E0 = E0 G* = 0 are then
+verified as theorems by ``verify_pseudo_green``. C0 and C(a) each come by
+independent routes that must agree exactly:
 
   C0:   any diagonal entry of G*        vs  -(1/60) q'(0)/q(0), P = x q(x)
   C(a): Berlekamp-Massey on the closed-walk moments (A^k)_00, k < 120,
@@ -13,9 +13,9 @@ must agree exactly:
         vs  the known closed-form coefficient lists.
 
 That every diagonal entry of G(a) and of G* is the same is proved once by
-``walk_regular``: both are polynomials in A (Cayley-Hamilton), so equal
-closed-walk moments (A^k)_jj for k < n make their diagonals constant for
-every a > 0.
+``walk_regular`` from the fit's own denominator m(-a): with m(A) = 0,
+constant diagonals of A^k for k < deg m = 15 make the diagonal of every
+polynomial in A constant.
 """
 
 from __future__ import annotations
@@ -125,22 +125,28 @@ def closed_walk_moments(A: RationalMatrix, j: int, count: int) -> list[Fraction]
     return [Fraction(m, A.den ** k) for k, m in enumerate(out[:count])]
 
 
-def walk_regular(A: RationalMatrix) -> None:
-    """Raise DiagonalMismatch unless every vertex has the closed-walk
-    moments m_k(j) = (A^k)_jj of vertex 0 for every k <= n - 1.
+def walk_regular(A: RationalMatrix, m: IntPolynomial) -> None:
+    """Raise DiagonalMismatch unless diag(A^k) is constant for k < deg m
+    and m(A) = 0, which makes the diagonal of every polynomial in A, such
+    as (A + aI)^-1 and G*, constant (Godsil & McKay, LAA 1980).
 
-    By Cayley-Hamilton, every power of A, (A + aI)^-1 for every a > 0 and
-    the pseudo-inverse G* are polynomials in A of degree below n (Godsil &
-    McKay, LAA 1980). Equal moments up to k = n - 1 therefore prove that
-    all their diagonal entries are equal.
+    For symmetric A and m vertex 0's minimal polynomial, as ``ca_via_fit``
+    passes it, m(A) != 0 itself disproves walk-regularity: some
+    eigenprojection E_theta, a polynomial in A, then has (E_theta)_00 = 0
+    but trace mult(theta) > 0. A must be symmetric ([[0, 1], [0, 0]] has
+    m = x, m(A) != 0 and constant diagonals) and m nonzero.
     """
-    n = A.rows
-    first = closed_walk_moments(A, 0, n)
-    for j in range(1, n):
-        for k, (x, y) in enumerate(zip(first, closed_walk_moments(A, j, n))):
-            if x != y:
-                raise DiagonalMismatch(
-                    f"closed-walk moment m_{k} of vertex {j} differs from vertex 0's")
+    if not A.is_symmetric() or m.is_zero():
+        raise ValueError("walk-regularity needs a symmetric A and a nonzero m")
+    power = RationalMatrix.identity(A.rows)
+    total = m.coeffs[0] * power
+    for k, c in enumerate(m.coeffs[1:]):
+        if any(power.num[i][i] != power.num[0][0] for i in range(A.rows)):
+            raise DiagonalMismatch(f"closed-walk moment m_{k} differs between vertices")
+        power = A * power
+        total = total + c * power
+    if total != RationalMatrix.zeros(A.rows, A.rows):
+        raise DiagonalMismatch("m(A) != 0: vertex 0 does not see every eigenvalue")
 
 
 def ca_via_fit(A: RationalMatrix) -> RationalFunction:
@@ -150,13 +156,15 @@ def ca_via_fit(A: RationalMatrix) -> RationalFunction:
     rational function whose expansion has the coefficients
     s_k = (-1)^k m_k(0). By Cayley-Hamilton they satisfy a recurrence of
     order at most n, so Berlekamp-Massey on 2n of them
-    (``fit_rational_function``) determines C(a) with no degree assumed
-    (Wiedemann, IEEE TIT 1986). ``walk_regular`` first proves that every
-    vertex's diagonal entry of G(a) is this one, for every a > 0.
+    (``fit_rational_function``) determines C(a) with no degree assumed;
+    its denominator is m(-a) for the moments' minimal polynomial m
+    (Wiedemann, IEEE TIT 1986), with which ``walk_regular`` proves every
+    vertex's diagonal entry of G(a) to be this one, for every a > 0.
     """
-    walk_regular(A)
     moments = closed_walk_moments(A, 0, 2 * A.rows)
-    return fit_rational_function([(-1) ** k * m for k, m in enumerate(moments)])
+    ca = fit_rational_function([(-1) ** k * m for k, m in enumerate(moments)])
+    walk_regular(A, ca.den.compose_neg())
+    return ca
 
 
 def ca_via_charpoly(p: IntPolynomial) -> RationalFunction:
@@ -211,27 +219,37 @@ class GreenBundle:
     c_of_a: RationalFunction
 
 
-def build_green_bundle(A: RationalMatrix, p: IntPolynomial) -> GreenBundle:
-    """Assemble and cross-verify everything the constants rest on."""
+def verify_pseudo_green(A: RationalMatrix, g_star: RationalMatrix) -> None:
+    """Raise RouteMismatch unless g_star is the Moore-Penrose inverse G* of
+    the Laplacian A, with A G* = G* A = I - E0 and G* symmetric. For
+    E0 = J/n, G* E0 = 0 exactly when every row of G* sums to 0, and
+    E0 G* = 0 exactly when every column does."""
     n = A.rows
     e0 = projection_e0(n)
-    g_star = pseudo_green(A)
-    ident = RationalMatrix.identity(n)
-    zero = RationalMatrix.zeros(n, n)
-    if e0 * e0 != e0 or e0.transpose() != e0:
-        raise RouteMismatch("E0 is not an orthogonal projection")
-    if A * g_star != ident - e0 or g_star * A != ident - e0:
+    if {x for row in e0.num for x in row} != {1} or e0.den != n:
+        raise RouteMismatch("E0 is not the orthogonal projection J/n")
+    ag, ga = A * g_star, g_star * A
+    if (ag * A != A or g_star * ag != g_star
+            or ag.transpose() != ag or ga.transpose() != ga):
+        raise RouteMismatch("G* fails the Moore-Penrose axioms")
+    if ag != RationalMatrix.identity(n) - e0 or ga != ag:
         raise RouteMismatch("A G* != I - E0")
-    if g_star * e0 != zero or e0 * g_star != zero:
+    if any(map(sum, g_star.num)) or any(map(sum, zip(*g_star.num))):
         raise RouteMismatch("G* E0 != 0")
     if not g_star.is_symmetric():
         raise RouteMismatch("G* is not symmetric")
+
+
+def build_green_bundle(A: RationalMatrix, p: IntPolynomial) -> GreenBundle:
+    """Assemble and cross-verify everything the constants rest on."""
+    g_star = pseudo_green(A)
+    verify_pseudo_green(A, g_star)
     c0_diag = c0_via_diagonal(g_star)
     c0_trace = c0_via_trace(p)
     if c0_diag != c0_trace:
         raise RouteMismatch(f"C0 diagonal {c0_diag} vs trace {c0_trace}")
     ca = c_of_a(A, p)
-    if not limit_identity_check(ca, c0_diag, n):
+    if not limit_identity_check(ca, c0_diag, A.rows):
         raise RouteMismatch("limit of C(a) - 1/(na) at 0 is not C0")
     return GreenBundle(g_star=g_star, c0=c0_diag, c_of_a=ca)
 

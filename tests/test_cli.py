@@ -209,7 +209,7 @@ def test_verify_checks_compute_nothing_before_the_checks(monkeypatch):
 
 
 def test_failed_walk_regularity_fails_ca_three_routes(monkeypatch, capsys, tmp_path):
-    def not_walk_regular(A):
+    def not_walk_regular(A, m):
         raise green.DiagonalMismatch("closed-walk moment m_3 of vertex 1 differs")
 
     monkeypatch.setattr(green, "walk_regular", not_walk_regular)
@@ -244,10 +244,12 @@ def test_verify_all_deterministic_checks(capsys, tmp_path, monkeypatch, lap):
     assert code == 0
     # G* of A is solved once; the other solve is of the relabeled Laplacian.
     assert len(solved) == 2 and sum(m == lap for m in solved) == 1
-    # Matrix products: 6 in moore_penrose, 2 in the block conjugation; and
-    # one matrix-vector product A u per equality witness, in its form check.
-    assert sum(cols > 1 for _, cols in products) == 8
-    assert products.count((60, 1)) == len(products) - 8 == 120
+    # Matrix products: 4 in moore_penrose's Moore-Penrose axioms, 2 in the
+    # block conjugation and 15 in walk_regular's powers A^1..A^15 of the
+    # certificate (deg m = 15); and one matrix-vector product A u per
+    # equality witness, in its form check.
+    assert sum(cols > 1 for _, cols in products) == 4 + 2 + 15
+    assert products.count((60, 1)) == len(products) - 21 == 120
     lines = [l for l in out.strip().splitlines() if l.startswith(("PASS", "FAIL"))]
     assert len(lines) == 10
     assert all(l.startswith("PASS") for l in lines)

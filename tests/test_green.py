@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from buckysob import _modular, closedform, graph, green, ratmat
-from buckysob.polynomials import DegreeInsufficient, IntPolynomial, RationalFunction
+from buckysob.polynomials import (DegreeInsufficient, IntPolynomial, RationalFunction,
+                                  fit_rational_function)
 from buckysob.ratmat import RationalMatrix, charpoly, inverse
 
 
@@ -63,6 +64,17 @@ def test_pseudo_green_defining_relations(lap, g_star):
     assert g_star * e0 == zero
     assert e0 * g_star == zero
     assert g_star.is_symmetric()
+    green.verify_pseudo_green(lap, g_star)
+
+
+def test_verify_pseudo_green_rejects_shift_by_j(lap, g_star):
+    # A J = J A = 0, so G* + 10^-6 J passes A G = G A = I - E0; its rows and
+    # columns no longer sum to 0, and G A G = G* != G.
+    shifted = g_star + RationalMatrix.constant(60, 60, Fraction(1, 10 ** 6))
+    ident_minus_e0 = RationalMatrix.identity(60) - green.projection_e0(60)
+    assert lap * shifted == shifted * lap == ident_minus_e0
+    with pytest.raises(green.RouteMismatch):
+        green.verify_pseudo_green(lap, shifted)
 
 
 @pytest.mark.parametrize("seed", [None, 7])
@@ -144,15 +156,24 @@ def _laplacian_of(n, edges):
     return RationalMatrix(rows)
 
 
-def test_walk_regular_vertex_transitive(lap):
-    green.walk_regular(lap)
-    green.walk_regular(graph.laplacian(graph.truncate(graph.canonical_tetrahedron())))
+def _minimal_polynomial(A):
+    # Vertex 0's minimal polynomial, the one that ca_via_fit certifies.
+    moments = green.closed_walk_moments(A, 0, 2 * A.rows)
+    series = [(-1) ** k * m for k, m in enumerate(moments)]
+    return fit_rational_function(series).den.compose_neg()
+
+
+def test_walk_regular_vertex_transitive(lap, ca):
+    green.walk_regular(lap, ca.den.compose_neg())
+    tt = graph.laplacian(graph.truncate(graph.canonical_tetrahedron()))
+    green.walk_regular(tt, _minimal_polynomial(tt))
 
 
 @settings(max_examples=3, deadline=None)
 @given(st.permutations(range(60)))
-def test_walk_regular_relabeled(bucky, perm):
-    green.walk_regular(graph.laplacian(graph.relabel(bucky, perm)))
+def test_walk_regular_relabeled(bucky, ca, perm):
+    green.walk_regular(graph.laplacian(graph.relabel(bucky, perm)),
+                       ca.den.compose_neg())
 
 
 def _k4_plus_q3():
@@ -163,23 +184,43 @@ def _k4_plus_q3():
 
 
 def test_walk_regular_rejects_k4_plus_q3():
-    # Both components are 3-regular, so m_0..m_2 agree; m_3 = 54 - 2 t(j)
-    # counts the t(j) triangles at j: 3 in K4, 0 in Q3.
-    with pytest.raises(green.DiagonalMismatch, match="m_3 "):
-        green.walk_regular(_k4_plus_q3())
+    # Vertex 0 lies in K4 and sees only the eigenvalues 0 and 4, so
+    # m = x(x - 4) has degree 2. The diagonals of I and A (all 3) agree;
+    # A^2 - 4A is 0 on K4 but not on Q3 (eigenvalues 0, 2, 4, 6).
+    A = _k4_plus_q3()
+    assert _minimal_polynomial(A) == IntPolynomial([0, -4, 1])
+    with pytest.raises(green.DiagonalMismatch, match=r"^m\(A\) != 0"):
+        green.walk_regular(A, _minimal_polynomial(A))
 
 
 def test_walk_regular_checks_up_to_n_minus_1():
-    # On the path 0-1-2 the moments agree up to k = 1 and first differ at
+    # On the path 0-1-2 vertex 0 sees all three eigenvalues 0, +-sqrt(2),
+    # so deg m = n = 3; the moments agree up to k = 1 and first differ at
     # the last one compared, k = n - 1 = 2 (1 at the ends, 2 in the middle).
     path = RationalMatrix([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    assert _minimal_polynomial(path).degree == 3
     with pytest.raises(green.DiagonalMismatch, match="m_2 "):
-        green.walk_regular(path)
+        green.walk_regular(path, _minimal_polynomial(path))
 
 
 def test_walk_regular_requires_symmetry():
+    # m = x is vertex 0's minimal polynomial and every diagonal is
+    # constant, yet m(A) != 0: the certificate's argument needs symmetry.
     with pytest.raises(ValueError):
-        green.walk_regular(RationalMatrix([[0, 1], [0, 0]]))
+        green.walk_regular(RationalMatrix([[0, 1], [0, 0]]), IntPolynomial([0, 1]))
+
+
+@pytest.mark.parametrize("m", [IntPolynomial([0, 1]), IntPolynomial([1]),
+                               IntPolynomial([0, -4, 1])],
+                         ids=["x", "one", "x(x-4)"])
+def test_walk_regular_rejects_wrong_polynomial(lap, m):
+    with pytest.raises(green.DiagonalMismatch, match=r"^m\(A\) != 0"):
+        green.walk_regular(lap, m)
+
+
+def test_walk_regular_rejects_zero_polynomial(lap):
+    with pytest.raises(ValueError):
+        green.walk_regular(lap, IntPolynomial([]))
 
 
 def test_ca_fit_makes_no_kernel_call(lap, monkeypatch):
@@ -221,6 +262,14 @@ def test_ca_fit_requires_walk_regularity():
         green.ca_via_fit(_k4_plus_q3())
 
 
+@pytest.mark.parametrize("a", [Fraction(1, 3), 1, Fraction(5, 2)],
+                         ids=["1/3", "1", "5/2"])
+def test_ca_fit_with_denominator(a):
+    # (A/2 + aI)^-1 = 2 (A + 2aI)^-1: the moments of A/2 carry den = 2.
+    A = _cycle(6)
+    assert green.ca_via_fit(Fraction(1, 2) * A)(a) == 2 * green.ca_via_fit(A)(2 * a)
+
+
 def test_closed_walk_moments_scale_by_denominator():
     # A = M/2 for the path 0-1-2: (A^k)_00 = (M^k)_00 / 2^k.
     path = RationalMatrix([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
@@ -230,7 +279,7 @@ def test_closed_walk_moments_scale_by_denominator():
 
 def test_ca_fit_solves_one_column_per_sample(lap, monkeypatch):
     """Sample k of the fit is (A^k e_0)_0: the route reads one column of
-    moments, vertex 0's 2n = 120, after walk_regular's n at every vertex."""
+    moments, vertex 0's 2n = 120; walk_regular reads none."""
     calls = []
     moments = green.closed_walk_moments
 
@@ -240,7 +289,7 @@ def test_ca_fit_solves_one_column_per_sample(lap, monkeypatch):
 
     monkeypatch.setattr(green, "closed_walk_moments", counted)
     assert green.ca_via_fit(lap) == closedform.ca_closed_form()
-    assert calls == [(j, 60) for j in range(60)] + [(0, 120)]
+    assert calls == [(0, 120)]
 
 
 # C(a) has L = 15, so m_0..m_29 fix its recurrence and m_30..m_119 must obey it.
