@@ -13,8 +13,16 @@ over the rows of [M | R], every Cramer numerator of M X = R.
 Hessenberg charpoly recurrence, under the bound
 B = prod_i (isqrt(|row_i|^2) + 2) on its coefficients. Once the primes'
 product passes twice the bound the symmetric residues are the integers
-themselves, so the results are exact by construction, not by a
-probabilistic stopping rule (Abbott, Bronstein & Mulders, ISSAC 1999).
+themselves (Abbott, Bronstein & Mulders, ISSAC 1999).
+
+A solve may stop before the bound, since the reduced solution is often far
+smaller than det(M): after each chunk, entry (0, 0) of M^-1 R is rebuilt by
+rational reconstruction, and once it is found a candidate (d, N) follows
+from one pass over the entries. It is returned only if the exact integer
+residual M N == d R holds (Chen & Storjohann, ISSAC 2005), and only after
+some prime had a pivot in every column, which proves det(M) != 0. A solve
+is therefore exact either by the bound or by the residual; the bound alone
+decides singularity.
 """
 
 import math
@@ -36,6 +44,11 @@ _CHUNK = 8
 # Bits per limb when an entry is split to be reduced modulo a prime.
 _LIMB_BITS = 30
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
+# A rational reconstruction n/d modulo P is accepted only if
+# 2**_MARGIN |n| d < P. A false one needs a quotient of about 2**_MARGIN in
+# the Euclidean remainder sequence; a random quotient is that large with
+# probability about 2**-_MARGIN, so false candidates are rare.
+_MARGIN = 31
 
 # The table only ever grows by the same deterministic sequence, so sharing
 # it between callers changes no result.
@@ -176,6 +189,12 @@ class _Crt:
         if self._pending >= _CHUNK:
             self._fold()
 
+    def residues(self):
+        """The values modulo ``modulus``, in [0, modulus)."""
+        if self._terms:
+            self._fold()
+        return self.values
+
     def _fold(self):
         q = math.prod(self._moduli)
         basis = [(q // qi) * pow(q // qi, -1, qi) for qi in self._moduli]
@@ -191,19 +210,22 @@ class _Crt:
 
     def symmetric(self):
         """The values in the symmetric range (-modulus/2, modulus/2]."""
-        if self._terms:
-            self._fold()
         m, half = self.modulus, self.modulus >> 1
-        return [[x - m if x > half else x for x in row] for row in self.values]
+        return [[x - m if x > half else x for x in row] for row in self.residues()]
 
 
-def _multimodular(rows, bound, shape, step):
+def _multimodular(rows, bound, shape, step, settle=None):
     """The r x m integer matrix, (r, m) = shape, with entries at most
     ``bound`` in absolute value, from the residues ``step`` computes; and
     the ops of ``step``, summed. ``step(a, primes)`` may overwrite a, the
     rows modulo a chunk of primes, and returns (c x r x m residues, whether
     each prime was usable, ops). ZeroDivisionError is raised once the
     unusable primes' product passes 2 * bound.
+
+    ``settle(crt, primes, residues)``, if given, is called after every
+    chunk that leaves the modulus at or below 2 * bound, with the chunk's
+    usable primes and their residues; a result it returns ends the loop in
+    place of the bound's.
     """
     bound *= 2
     residues = _Residues(rows)
@@ -217,7 +239,12 @@ def _multimodular(rows, bound, shape, step):
         out, live, chunk_ops = step(residues.modulo(primes), primes)
         ops += chunk_ops
         skipped *= math.prod(q for q, ok in zip(primes, live) if not ok)
-        crt.add([q for q, ok in zip(primes, live) if ok], out[live])
+        usable, out = [q for q, ok in zip(primes, live) if ok], out[live]
+        crt.add(usable, out)
+        if settle is not None and crt.modulus <= bound:
+            values = settle(crt, usable, out)
+            if values is not None:
+                return values, ops
         # The chunk's arrays go before the next chunk's are made.
         del out
     return crt.symmetric(), ops
@@ -308,18 +335,136 @@ def _solve_step(a, primes):
     return np.concatenate((sol, column), axis=2), live, ops
 
 
+def _reconstruct(u, modulus):
+    """(n, d) with d > 0, n = d u modulo ``modulus`` and
+    2**_MARGIN |n| d < modulus, or None.
+
+    A fraction n/d = u with 2 |n| d < modulus is, up to sign, a remainder
+    and cofactor pair (r_i, t_i) of the extended Euclidean sequence of
+    (modulus, u), since then k/d is a convergent of u/modulus (Legendre).
+    This takes the first pair within the margin. A pair is within it only
+    if the quotient that follows it is at least about 2**(_MARGIN - 1)
+    (Monagan's maximal quotient rule, ISSAC 2004, with a fixed threshold).
+    u = n itself is the first pair, so a small u, 0 included, returns at
+    once.
+    """
+    limit = modulus >> _MARGIN
+    size = limit.bit_length() + 1
+    r0, r1, t0, t1 = modulus, u % modulus, 0, 1
+    if not r1:
+        return 0, 1
+    while r1:
+        if (r1.bit_length() + t1.bit_length() <= size
+                and r1 * abs(t1) <= limit):
+            return (r1, t1) if t1 > 0 else (-r1, -t1)
+        q, r = divmod(r0, r1)
+        r0, r1, t0, t1 = r1, r, t1, t0 - q * t1
+    return None
+
+
+def _residual_holds(aug, n, num, den):
+    """Whether M num == den R exactly, for aug = [M | R], over M's nonzero
+    entries."""
+    for row in aug:
+        acc = [-den * x for x in row[n:]]
+        for j, x in enumerate(row[:n]):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, num[j])]
+        if any(acc):
+            return False
+    return True
+
+
+class _SolveCertificate:
+    """The early stop of ``jordan_int``: called after each chunk, returns
+    [N | d 1] with M N == d R proved, or None.
+
+    It keeps x00 = (adj(M) R)_00 / det(M), entry (0, 0) of M^-1 R, modulo
+    the usable primes' product P, a scalar Chinese remaindering at a few
+    ``pow`` calls per prime. Only once x00 is reconstructed is the matrix
+    rebuilt: one pass multiplies each entry of adj(M) R by d / det(M), with
+    d the denominator so far. An entry that is not then small is
+    reconstructed modulo P and its denominator joins d, and the entries
+    before it are scaled to match. The candidate stands only if the exact
+    residual holds.
+    """
+
+    def __init__(self, aug, n, m):
+        self.aug, self.n, self.m = aug, n, m
+        self.x00, self.modulus, self.primes = 0, 1, []
+
+    def __call__(self, crt, primes, residues):
+        for q, (a, det) in zip(primes, residues[:, 0, [0, self.m]].tolist()):
+            r = a * pow(det, -1, q) - self.x00
+            self.x00 += self.modulus * (r * pow(self.modulus, -1, q) % q)
+            self.modulus *= q
+        self.primes += primes
+        # A usable prime, one with a pivot in every column, proves
+        # det(M) != 0, so the residual's solution is the only one.
+        probe = self.modulus > 1 and _reconstruct(self.x00, self.modulus)
+        return self._candidate(crt, probe[1]) if probe else None
+
+    def _candidate(self, crt, den):
+        values, p, m = crt.residues(), crt.modulus, self.m
+        # A numerator within the margin has fewer bits than P / den, so an
+        # entry is first read modulo q, a product of leading primes past
+        # 2^64 P / den, at about a third of the cost of a product modulo P.
+        q = 1
+        for prime in self.primes:
+            if q * den > p << 64:
+                break
+            q *= prime
+        small = q >> _MARGIN
+        scale = den * pow(values[0][m], -1, p) % p
+        low = scale % q
+        flat, grew = [], []
+        for row in values:
+            for v in row[:m]:
+                y = v % q * low % q
+                if y > small:
+                    y -= q
+                if y < -small:
+                    entry = _reconstruct(v * scale % p, p)
+                    if entry is None:
+                        return None
+                    y, f = entry
+                    if f > 1:
+                        den *= f
+                        scale = scale * f % p
+                        low = scale % q
+                        grew.append((len(flat), f))
+                flat.append(y)
+        # Entry k was read over the denominator as it stood at k.
+        end, factor = len(flat), 1
+        for start, f in reversed(grew):
+            if factor > 1:
+                flat[start:end] = [y * factor for y in flat[start:end]]
+            end, factor = start, factor * f
+        if factor > 1:
+            flat[:end] = [y * factor for y in flat[:end]]
+        num = [flat[i:i + m] for i in range(0, len(flat), m)]
+        if not _residual_holds(self.aug, self.n, num, den):
+            return None
+        return [row + [den] for row in num]
+
+
 def jordan_int(aug, n, m):
     """Gauss-Jordan on an n x (n+m) integer matrix [M | R].
 
-    Returns (det, num, ops) where det = det(M) and num = adj(M) R, the
-    n x m integer matrix with M @ (num / det) == R exactly; ops counts the
-    multiply-mod updates, summed over the primes. Primes dividing det(M) are
-    skipped; M is singular exactly when their product passes the bound,
-    and then ZeroDivisionError is raised. The input is not mutated.
+    Returns (den, num, ops) where den is a nonzero integer, positive or
+    negative, and num the n x m integer matrix with M @ (num / den) == R
+    exactly; ops counts the multiply-mod updates, summed over the primes.
+    At the Hadamard bound den = det(M) and num = adj(M) R; a solve that
+    stops earlier, its residual proved, returns a positive den, a multiple
+    of the reduced solution's denominator. Primes dividing det(M)
+    are skipped; M is singular exactly when their product passes the
+    bound, and then ZeroDivisionError is raised. The input is not mutated.
     """
     if n == 0:
         return 1, [], 0
-    values, ops = _multimodular(aug, hadamard_bound(aug), (n, m + 1), _solve_step)
+    settle = _SolveCertificate(aug, n, m) if m else None
+    values, ops = _multimodular(aug, hadamard_bound(aug), (n, m + 1),
+                                _solve_step, settle)
     return values[0][m], [row[:m] for row in values], ops
 
 

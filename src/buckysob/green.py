@@ -1,9 +1,10 @@
 """Green matrix, pseudo-Green matrix, and the sharp constants.
 
 The pseudo-Green matrix is computed as (A + J)^-1 - E0/60, one exact solve
-of an integral system (J is the all-ones matrix, J = 60 E0); the
-Moore-Penrose axioms and A G* = G* A = I - E0, G* E0 = E0 G* = 0 are then
-verified as theorems by ``verify_pseudo_green``. C0 and C(a) each come by
+of an integral system (J is the all-ones matrix, J = 60 E0);
+``verify_pseudo_green`` then proves A G* = G* A = I - E0 and G* 1 = 0
+exactly, from which the Moore-Penrose axioms and G* E0 = E0 G* = 0
+follow. C0 and C(a) each come by
 independent routes that must agree exactly:
 
   C0:   any diagonal entry of G*        vs  -(1/60) q'(0)/q(0), P = x q(x)
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -138,14 +140,22 @@ def walk_regular(A: RationalMatrix, m: IntPolynomial) -> None:
     """
     if not A.is_symmetric() or m.is_zero():
         raise ValueError("walk-regularity needs a symmetric A and a nonzero m")
-    power = RationalMatrix.identity(A.rows)
-    total = m.coeffs[0] * power
+    n = A.rows
+    power = RationalMatrix.identity(n)
+    # m(A) as integer rows over den, the lcm of the powers' denominators.
+    den, total = 1, [[m.coeffs[0] * x for x in row] for row in power.num]
     for k, c in enumerate(m.coeffs[1:]):
-        if any(power.num[i][i] != power.num[0][0] for i in range(A.rows)):
+        if any(power.num[i][i] != power.num[0][0] for i in range(n)):
             raise DiagonalMismatch(f"closed-walk moment m_{k} differs between vertices")
         power = A * power
-        total = total + c * power
-    if total != RationalMatrix.zeros(A.rows, A.rows):
+        if den % power.den:
+            grow = power.den // math.gcd(den, power.den)
+            den *= grow
+            total = [[grow * x for x in row] for row in total]
+        c *= den // power.den
+        total = [[x + c * y for x, y in zip(row, prow)]
+                 for row, prow in zip(total, power.num)]
+    if any(map(any, total)):
         raise DiagonalMismatch("m(A) != 0: vertex 0 does not see every eigenvalue")
 
 
@@ -221,23 +231,31 @@ class GreenBundle:
 
 def verify_pseudo_green(A: RationalMatrix, g_star: RationalMatrix) -> None:
     """Raise RouteMismatch unless g_star is the Moore-Penrose inverse G* of
-    the Laplacian A, with A G* = G* A = I - E0 and G* symmetric. For
-    E0 = J/n, G* E0 = 0 exactly when every row of G* sums to 0, and
-    E0 G* = 0 exactly when every column does."""
+    the Laplacian A, with A G* = G* A = I - E0.
+
+    Three facts are checked: A is symmetric with A 1 = 0; A G* = G* A =
+    I - E0 for E0 = J/n; and every row of G* sums to 0, G* 1 = 0. The four
+    Moore-Penrose axioms follow:
+    A G* A = A (I - E0) = A - (A 1) 1^T / n = A;
+    G* A G* = G* (I - E0) = G* - (G* 1) 1^T / n = G*;
+    and A G* and G* A both equal I - E0, which is symmetric. So does
+    everything the axioms imply: E0 G* = (I - G* A) G* = 0, i.e. zero
+    column sums, and G* symmetric, as the Moore-Penrose inverse of a
+    symmetric matrix is.
+    """
     n = A.rows
     e0 = projection_e0(n)
     if {x for row in e0.num for x in row} != {1} or e0.den != n:
         raise RouteMismatch("E0 is not the orthogonal projection J/n")
-    ag, ga = A * g_star, g_star * A
-    if (ag * A != A or g_star * ag != g_star
-            or ag.transpose() != ag or ga.transpose() != ga):
-        raise RouteMismatch("G* fails the Moore-Penrose axioms")
-    if ag != RationalMatrix.identity(n) - e0 or ga != ag:
+    if not A.is_symmetric() or any(map(sum, A.num)):
+        raise RouteMismatch("A is not symmetric with A 1 = 0")
+    ident_minus_e0 = RationalMatrix.identity(n) - e0
+    if A * g_star != ident_minus_e0:
         raise RouteMismatch("A G* != I - E0")
-    if any(map(sum, g_star.num)) or any(map(sum, zip(*g_star.num))):
-        raise RouteMismatch("G* E0 != 0")
-    if not g_star.is_symmetric():
-        raise RouteMismatch("G* is not symmetric")
+    if g_star * A != ident_minus_e0:
+        raise RouteMismatch("G* A != I - E0")
+    if any(map(sum, g_star.num)):
+        raise RouteMismatch("G* 1 != 0, so G* E0 != 0")
 
 
 def build_green_bundle(A: RationalMatrix, p: IntPolynomial) -> GreenBundle:

@@ -13,11 +13,13 @@ matrix-vector product is ``m * u`` and column j is
 All elimination work in the package is delegated to the multimodular
 kernels in ``_modular``, which work modulo word-size primes and rebuild
 exact integers by Chinese remaindering under a Hadamard-type bound. (The
-moment route to C(a) in ``green`` eliminates nothing.) For ``det_int`` and
-``jordan_int`` systems
-are cleared to integers row by row (row scaling changes neither solutions
-nor singularity), and a solve's result is the kernel's integer rows
-adj(M) R over its determinant det(M).
+moment route to C(a) in ``green`` eliminates nothing.) Before ``det_int``
+and ``jordan_int`` run, a matrix and a right-hand side are cleared to
+integers row by row, which changes neither solutions nor singularity. A
+solve's result is the kernel's integer rows N over its denominator d,
+with M N == d R exactly: adj(M) R over det(M) when the primes reach the
+bound, and a smaller d once the exact residual has proved an earlier
+candidate.
 ``charpoly_int`` takes the rows ``num`` as they are, since the
 characteristic polynomial is a similarity invariant and row scaling is not
 a similarity; the denominator is divided out of the coefficients.
@@ -42,8 +44,11 @@ class PivotCounter:
     A kernel's count is the number of multiply-mod updates of its loops
     (elimination for determinants and solves; Hessenberg reduction and the
     charpoly recurrence for characteristic polynomials), taken from the
-    loop bounds and summed over the primes it used, so it scales with both
-    the matrix shape and the bit size of the entries.
+    loop bounds and summed over the primes it used, so it scales with the
+    matrix shape and the bit size of the entries. A solve's count is
+    output-sensitive: it stops at the chunk that proves its result, so it
+    follows the size of the reduced solution when that is well below the
+    Hadamard bound.
     """
 
     def __init__(self):
@@ -288,19 +293,20 @@ def determinant(m: RationalMatrix, counter: PivotCounter | None = None) -> Fract
 def bareiss_solve(m: RationalMatrix, rhs: RationalMatrix,
                   counter: PivotCounter | None = None) -> RationalMatrix:
     """Exact X with m @ X == rhs by the multimodular Gauss-Jordan kernel;
-    its (det, num) becomes the result num / det directly."""
+    its (den, num), with M num == den R for the cleared rows [M | R],
+    becomes the result num / den directly."""
     if not m.is_square():
         raise ValueError("square matrix required")
     if rhs.rows != m.rows:
         raise ValueError("rhs row count mismatch")
     rows, _ = _cleared_rows(m, rhs)
     try:
-        det, num, ops = jordan_int(rows, m.rows, rhs.cols)
+        den, num, ops = jordan_int(rows, m.rows, rhs.cols)
     except ZeroDivisionError as exc:
         raise SingularMatrixError(str(exc)) from None
     if counter is not None:
         counter.add(ops)
-    return RationalMatrix.from_ints(num, det)
+    return RationalMatrix.from_ints(num, den)
 
 
 def inverse(m: RationalMatrix, counter: PivotCounter | None = None) -> RationalMatrix:

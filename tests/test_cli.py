@@ -244,12 +244,12 @@ def test_verify_all_deterministic_checks(capsys, tmp_path, monkeypatch, lap):
     assert code == 0
     # G* of A is solved once; the other solve is of the relabeled Laplacian.
     assert len(solved) == 2 and sum(m == lap for m in solved) == 1
-    # Matrix products: 4 in moore_penrose's Moore-Penrose axioms, 2 in the
-    # block conjugation and 15 in walk_regular's powers A^1..A^15 of the
+    # Matrix products: A G* and G* A in moore_penrose's G* verifier, 2 in
+    # the block conjugation and 15 in walk_regular's powers A^1..A^15 of the
     # certificate (deg m = 15); and one matrix-vector product A u per
     # equality witness, in its form check.
-    assert sum(cols > 1 for _, cols in products) == 4 + 2 + 15
-    assert products.count((60, 1)) == len(products) - 21 == 120
+    assert sum(cols > 1 for _, cols in products) == 2 + 2 + 15
+    assert products.count((60, 1)) == len(products) - 19 == 120
     lines = [l for l in out.strip().splitlines() if l.startswith(("PASS", "FAIL"))]
     assert len(lines) == 10
     assert all(l.startswith("PASS") for l in lines)

@@ -67,14 +67,52 @@ def test_pseudo_green_defining_relations(lap, g_star):
     green.verify_pseudo_green(lap, g_star)
 
 
-def test_verify_pseudo_green_rejects_shift_by_j(lap, g_star):
-    # A J = J A = 0, so G* + 10^-6 J passes A G = G A = I - E0; its rows and
-    # columns no longer sum to 0, and G A G = G* != G.
-    shifted = g_star + RationalMatrix.constant(60, 60, Fraction(1, 10 ** 6))
+def _assert_shift_by_j_rejected(lap, g_star, c):
+    # A J = J A = 0, so G* + c J passes A G = G A = I - E0; its rows no
+    # longer sum to 0, and G A G = G* != G.
+    shifted = g_star + RationalMatrix.constant(60, 60, c)
     ident_minus_e0 = RationalMatrix.identity(60) - green.projection_e0(60)
     assert lap * shifted == shifted * lap == ident_minus_e0
-    with pytest.raises(green.RouteMismatch):
+    with pytest.raises(green.RouteMismatch, match=r"^G\* 1 != 0"):
         green.verify_pseudo_green(lap, shifted)
+
+
+def test_verify_pseudo_green_rejects_shift_by_j(lap, g_star):
+    _assert_shift_by_j_rejected(lap, g_star, Fraction(1, 10 ** 6))
+
+
+def test_verify_pseudo_green_rejects_shift_by_e0(lap, g_star):
+    # G* + J/60 = G* + E0: the pseudo-inverse plus the projection it omits.
+    _assert_shift_by_j_rejected(lap, g_star, Fraction(1, 60))
+
+
+def test_verify_pseudo_green_rejects_non_symmetric(lap, g_star):
+    # G* + 1 v^T with v orthogonal to 1 keeps A G = I - E0 (A 1 = 0) and
+    # zero row sums (v^T 1 = 0), but is not symmetric: G A = I - E0 + 1 v^T A
+    # is what fails.
+    v = [1, -1] + [0] * 58
+    skewed = g_star + RationalMatrix([v] * 60)
+    assert not skewed.is_symmetric()
+    assert lap * skewed == RationalMatrix.identity(60) - green.projection_e0(60)
+    assert not any(map(sum, skewed.num))
+    with pytest.raises(green.RouteMismatch, match=r"^G\* A != I - E0"):
+        green.verify_pseudo_green(lap, skewed)
+    # Its transpose fails the other product.
+    with pytest.raises(green.RouteMismatch, match=r"^A G\* != I - E0"):
+        green.verify_pseudo_green(lap, skewed.transpose())
+
+
+@pytest.mark.parametrize("bad", ["asymmetric", "row_sum"])
+def test_verify_pseudo_green_checks_the_laplacian(lap, g_star, bad):
+    # The axioms are derived from A = A^T and A 1 = 0, so both are checked.
+    num = [row[:] for row in lap.num]
+    if bad == "asymmetric":
+        num[0][1] -= 1
+        num[0][2] += 1
+    else:
+        num[0][0] += 1
+    with pytest.raises(green.RouteMismatch, match="^A is not symmetric"):
+        green.verify_pseudo_green(RationalMatrix.from_ints(num), g_star)
 
 
 @pytest.mark.parametrize("seed", [None, 7])
@@ -167,6 +205,16 @@ def test_walk_regular_vertex_transitive(lap, ca):
     green.walk_regular(lap, ca.den.compose_neg())
     tt = graph.laplacian(graph.truncate(graph.canonical_tetrahedron()))
     green.walk_regular(tt, _minimal_polynomial(tt))
+
+
+def test_walk_regular_rational_matrix(lap, ca):
+    # A/2 has powers over 2^k, so m(A/2) is summed over their lcm: m(2x)
+    # vanishes at A/2, and m itself, whose constant term is 0, does not.
+    half = lap * Fraction(1, 2)
+    m = ca.den.compose_neg()
+    green.walk_regular(half, IntPolynomial([c * 2 ** k for k, c in enumerate(m.coeffs)]))
+    with pytest.raises(green.DiagonalMismatch, match=r"^m\(A\) != 0"):
+        green.walk_regular(half, m)
 
 
 @settings(max_examples=3, deadline=None)

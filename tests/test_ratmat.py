@@ -138,6 +138,8 @@ def test_kernel_swaps_rows_for_some_primes_only():
     [[0, 0], [0, 0]],
     [[2 ** 70, 3, 1], [2 ** 71, 6, 2], [5, -1, 2 ** 90]],
     _lu([1, 3, 0, -2, 1], seed=51),
+    # Several chunks, so the solve's early stop is consulted between them.
+    [[2 ** 200, 3, 1], [2 ** 201, 6, 2], [5, -1, 2 ** 300]],
 ])
 def test_kernel_singular(mat):
     n = len(mat)
@@ -145,6 +147,9 @@ def test_kernel_singular(mat):
     with pytest.raises(ZeroDivisionError):
         jordan_int([row + [int(i == j) for j in range(n)]
                     for i, row in enumerate(mat)], n, n)
+    # X = 0 solves M X = 0, but not uniquely: still singular.
+    with pytest.raises(ZeroDivisionError):
+        jordan_int([row + [0] for row in mat], n, 1)
     with pytest.raises(SingularMatrixError):
         bareiss_solve(RationalMatrix(mat), RationalMatrix.identity(n))
 
@@ -159,9 +164,9 @@ def test_kernel_entries_beyond_int64():
         d = _cofactor_det(mat)
         assert d != 0
         assert det_int(mat)[0] == d
-        det, num, _ = jordan_int([r + s for r, s in zip(mat, rhs)], n, 2)
-        assert det == d
-        assert [[Fraction(x, det) for x in row] for row in num] == _fraction_solve(mat, rhs)
+        den, num, _ = jordan_int([r + s for r, s in zip(mat, rhs)], n, 2)
+        assert den != 0
+        assert [[Fraction(x, den) for x in row] for row in num] == _fraction_solve(mat, rhs)
 
 
 def test_kernel_small_shapes_and_signs():
@@ -440,9 +445,127 @@ def test_kernel_matches_cofactor_and_fractions(data):
         with pytest.raises(ZeroDivisionError):
             jordan_int(aug, n, m)
         return
-    det, num, _ = jordan_int(aug, n, m)
-    assert det == d
-    assert [[Fraction(x, det) for x in row] for row in num] == _fraction_solve(mat, rhs)
+    den, num, _ = jordan_int(aug, n, m)
+    assert den != 0
+    expected = _fraction_solve(mat, rhs)
+    assert [[Fraction(x, den) for x in row] for row in num] == expected
+    if m:
+        assert bareiss_solve(RationalMatrix(mat), RationalMatrix(rhs)) == RationalMatrix(expected)
+
+
+def _nilpotent_shift(n, h, k, rhs_cols, seed):
+    """[M | R] for M = k I + S, S nonzero only in rows < h and columns >= h
+    (S^2 = 0, S[0][h] = 3): det(M) = k^n, yet M^-1 = (I - S/k)/k has
+    denominators dividing k^2."""
+    rng = random.Random(seed)
+    mat = [[k * (i == j) + (rng.randint(-9, 9) if i < h <= j else 0)
+            for j in range(n)] for i in range(n)]
+    mat[0][h] = 3
+    rhs = [[rng.randint(-9, 9) for _ in range(rhs_cols)] for _ in range(n)]
+    return mat, rhs
+
+
+@st.composite
+def nilpotent_shifts(draw):
+    n = draw(st.integers(2, 8))
+    bits = draw(st.integers(64, 256))
+    k = draw(st.integers(2 ** bits, 2 ** (bits + 1))) * draw(st.sampled_from([1, -1]))
+    return _nilpotent_shift(n, draw(st.integers(1, n - 1)), k,
+                            draw(st.integers(1, 3)), draw(st.integers(0, 2 ** 32)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(nilpotent_shifts())
+def test_early_solve_matches_fraction_oracle(system):
+    """A large det with a small reduced solution, where the solve often
+    stops before the bound: jordan_int and bareiss_solve still return the
+    one solution."""
+    mat, rhs = system
+    n, m = len(mat), len(rhs[0])
+    expected = _fraction_solve(mat, rhs)
+    den, num, _ = jordan_int([r + s for r, s in zip(mat, rhs)], n, m)
+    assert den != 0
+    assert [[Fraction(x, den) for x in row] for row in num] == expected
+    assert bareiss_solve(RationalMatrix(mat), RationalMatrix(rhs)) == RationalMatrix(expected)
+
+
+def _primes_for(bound):
+    """How many kernel primes it takes for their product to pass bound."""
+    count, modulus = 0, 1
+    while modulus <= bound:
+        count += 1
+        modulus *= prime_table(count)[-1]
+    return count
+
+
+@pytest.mark.parametrize("zero_column", [False, True])
+def test_solve_stops_at_the_reduced_size(chunks, zero_column):
+    # det(M) = k^8 has about 1,600 bits, the solution's denominators at
+    # most 400: the solve stops well before the bound, with den | k^2. A
+    # zero first column of R makes the probed entry x00 = 0 = 0/1.
+    k = 2 ** 200 + 235
+    mat, rhs = _nilpotent_shift(8, 3, k, 3, seed=53)
+    if zero_column:
+        rhs = [[0] + row[1:] for row in rhs]
+    aug = [r + s for r, s in zip(mat, rhs)]
+    den, num, _ = jordan_int(aug, 8, 3)
+    assert [[Fraction(x, den) for x in row] for row in num] == _fraction_solve(mat, rhs)
+    assert den > 0 and k * k % den == 0
+    used = sum(len(primes) for primes, _ in chunks)
+    assert used < _primes_for(2 * hadamard_bound(aug)) // 2
+
+
+def test_false_candidate_is_rejected_by_the_residual(monkeypatch, chunks):
+    # The first reconstruction inside a candidate (the second with a
+    # denominator above 1; the first is the probe's 1/k) returns twice
+    # its denominator: the candidate's numerators no longer match it, the
+    # exact residual rejects it, and a later chunk proves the right one.
+    k = 2 ** 200 + 235
+    mat, _ = _nilpotent_shift(8, 3, k, 1, seed=54)
+    rhs = [[int(i == j) for j in range(8)] for i in range(8)]
+    reconstruct, residual = _modular._reconstruct, _modular._residual_holds
+    found, verdicts = [], []
+
+    def wrong_once(u, modulus):
+        out = reconstruct(u, modulus)
+        if out is not None and out[1] > 1:
+            found.append(out)
+            if len(found) == 2:
+                return out[0], 2 * out[1]
+        return out
+
+    def recording(*args):
+        verdicts.append(residual(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(_modular, "_reconstruct", wrong_once)
+    monkeypatch.setattr(_modular, "_residual_holds", recording)
+    aug = [r + s for r, s in zip(mat, rhs)]
+    den, num, _ = jordan_int(aug, 8, 8)
+    assert verdicts == [False, True]
+    assert [[Fraction(x, den) for x in row] for row in num] == _fraction_solve(mat, rhs)
+    assert sum(len(primes) for primes, _ in chunks) < _primes_for(2 * hadamard_bound(aug))
+
+
+# The two 48-bit shifts of the green_sweep benchmark workload at seed 1.
+GREEN_48_BITS = [Fraction(99917665461003, 139028292933446),
+                 Fraction(125722343564244, 125230156241369)]
+
+
+@pytest.mark.parametrize("a", GREEN_48_BITS)
+def test_green_48_bits_uses_about_half_the_primes(lap, chunks, a):
+    """G(a) = (A + aI)^-1 has a reduced denominator of about 730 bits,
+    against about 2,980 for det(A + aI) and the Hadamard bound: the solve
+    stops at the first chunk whose modulus passes 2^32 den max|num| of the
+    reduced G(a), the size the reconstruction's margin asks for."""
+    shifted = lap.scaled_add(a)
+    g = inverse(shifted)
+    assert shifted * g == RationalMatrix.identity(60)
+    rows, _ = ratmat._cleared_rows(shifted, RationalMatrix.identity(60))
+    used = [primes for primes, _ in chunks]
+    assert sum(map(len, used)) <= 0.55 * _primes_for(2 * hadamard_bound(rows))
+    size = 2 ** 32 * g.den * max(abs(x) for row in g.num for x in row)
+    assert math.prod(map(math.prod, used[:-1])) <= size
 
 
 @pytest.fixture
