@@ -4,7 +4,8 @@ The three kernels take integer matrices (lists of lists of Python ints of
 any size) and return exact integers. Each is a bound and a step on one
 loop, ``_multimodular``: the rows are reduced modulo a chunk of word-size
 primes at a time on int64 numpy arrays, the step turns each slice into
-residues of the result, and one Chinese remaindering per call rebuilds it.
+residues of the result, and one ``_Crt`` per call keeps them until the
+result is read, which rebuilds it in one Chinese remaindering pass.
 ``det_int`` and ``jordan_int`` run the one Gauss-Jordan elimination of the
 package, on M and on [M | R], under the Hadamard bound
 H = prod_i (isqrt(|row_i|^2) + 1), which bounds the determinant and, taken
@@ -16,15 +17,17 @@ product passes twice the bound the symmetric residues are the integers
 themselves (Abbott, Bronstein & Mulders, ISSAC 1999).
 
 A solve may stop before the bound, since the reduced solution is often far
-smaller than det(M): after each chunk, entry (0, 0) of M^-1 R is rebuilt by
-rational reconstruction, and once it is found a candidate (d, N) follows
-from one pass over the entries. It is returned only if the exact integer
+smaller than det(M): after each chunk, a probe reads two entries of the
+``_Crt`` and rebuilds entry (0, 0) of M^-1 R from them by rational
+reconstruction; once it is found, one read of the whole matrix gives a
+candidate (d, N). It is returned only if the exact integer
 residual M N == d R holds (Chen & Storjohann, ISSAC 2005), and only after
 some prime had a pivot in every column, which proves det(M) != 0. A solve
 is therefore exact either by the bound or by the residual; the bound alone
 decides singularity.
 """
 
+import itertools
 import math
 import operator
 
@@ -156,19 +159,19 @@ def _mod(x, primes, p, scratch):
 
 
 class _Crt:
-    """Chinese remaindering of an r x m integer matrix from its residues,
-    added a chunk of primes at a time; each kernel call builds one.
+    """Chinese remaindering of an integer matrix from its residues, added a
+    chunk of primes at a time; each kernel call builds one.
 
     Each pair of primes is combined at once in int64 (Garner's step, the
-    product of two primes being below 2**62); the Python integer values are
-    updated row by row once _CHUNK primes are pending, and at the end, so
-    that there is about one pass over the wide values per _CHUNK primes.
+    product of two primes being below 2**62), and the terms t_i are kept
+    with their ``moduli`` q_i. Nothing is rebuilt until a read, which takes
+    one pass over all of them: x = sum_i t_i b_i modulo P = prod_i q_i,
+    with the basis b_i = (P/q_i) ((P/q_i)^-1 mod q_i) computed once per
+    read, for the whole matrix or for the two entries of a ``quotient``.
     """
 
-    def __init__(self, r, m):
-        self.modulus = 1
-        self.values = [[0] * m for _ in range(r)]
-        self._moduli, self._terms, self._pending = [], [], 0
+    def __init__(self):
+        self.modulus, self.moduli, self._terms = 1, [], []
 
     def add(self, primes, residues):
         """Add residues[t] (an r x m int64 array) modulo primes[t]."""
@@ -179,34 +182,31 @@ class _Crt:
             lift %= q
             lift *= p
             lift += residues[t]
-            self._moduli.append(p * q)
+            self.moduli.append(p * q)
             self._terms.append(lift)
         if len(primes) % 2:
-            self._moduli.append(primes[-1])
+            self.moduli.append(primes[-1])
             self._terms.append(residues[-1].copy())
         self.modulus *= math.prod(primes)
-        self._pending += len(primes)
-        if self._pending >= _CHUNK:
-            self._fold()
+
+    def quotient(self, num, den):
+        """Entry ``num`` over entry ``den``, a unit, modulo ``modulus``, in
+        [0, modulus): the two entries are read in one pass, the basis
+        inverse and the division sharing one ``pow`` per modulus."""
+        p, x = self.modulus, 0
+        for t, q in zip(self._terms, self.moduli):
+            c = p // q
+            x += int(t[num]) * pow(int(t[den]) * c, -1, q) % q * c
+        return x % p
 
     def residues(self):
         """The values modulo ``modulus``, in [0, modulus)."""
-        if self._terms:
-            self._fold()
-        return self.values
-
-    def _fold(self):
-        q = math.prod(self._moduli)
-        basis = [(q // qi) * pow(q // qi, -1, qi) for qi in self._moduli]
-        terms = np.stack(self._terms)
-        self._moduli, self._terms, self._pending = [], [], 0
-        m = self.modulus // q
-        m_inv = pow(m, -1, q)
+        p = self.modulus
+        basis = [(p // q) * pow(p // q, -1, q) for q in self.moduli]
         # Row by row, so that only one row of temporaries is alive.
-        for i, row in enumerate(self.values):
-            self.values[i] = [
-                x + m * ((sum(map(operator.mul, ts, basis)) - x % q) * m_inv % q)
-                for x, ts in zip(row, zip(*terms[:, i].tolist()))]
+        return [[sum(map(operator.mul, ts, basis)) % p
+                 for ts in zip(*(t[i].tolist() for t in self._terms))]
+                for i in range(len(self._terms[0]))]
 
     def symmetric(self):
         """The values in the symmetric range (-modulus/2, modulus/2]."""
@@ -214,22 +214,21 @@ class _Crt:
         return [[x - m if x > half else x for x in row] for row in self.residues()]
 
 
-def _multimodular(rows, bound, shape, step, settle=None):
-    """The r x m integer matrix, (r, m) = shape, with entries at most
-    ``bound`` in absolute value, from the residues ``step`` computes; and
-    the ops of ``step``, summed. ``step(a, primes)`` may overwrite a, the
-    rows modulo a chunk of primes, and returns (c x r x m residues, whether
-    each prime was usable, ops). ZeroDivisionError is raised once the
-    unusable primes' product passes 2 * bound.
+def _multimodular(rows, bound, step, settle=None):
+    """The integer matrix with entries at most ``bound`` in absolute value,
+    from the residues ``step`` computes; and the ops of ``step``, summed.
+    ``step(a, primes)`` may overwrite a, the rows modulo a chunk of primes,
+    and returns (c x r x m residues, whether each prime was usable, ops).
+    ZeroDivisionError is raised once the unusable primes' product passes
+    2 * bound.
 
-    ``settle(crt, primes, residues)``, if given, is called after every
-    chunk that leaves the modulus at or below 2 * bound, with the chunk's
-    usable primes and their residues; a result it returns ends the loop in
-    place of the bound's.
+    ``settle(crt)``, if given, is called after every chunk that leaves the
+    ``_Crt``'s modulus at or below 2 * bound; a result it returns ends the
+    loop in place of the bound's.
     """
     bound *= 2
     residues = _Residues(rows)
-    crt = _Crt(*shape)
+    crt = _Crt()
     used, ops, skipped = 0, 0, 1
     while crt.modulus <= bound:
         if skipped > bound:
@@ -239,14 +238,13 @@ def _multimodular(rows, bound, shape, step, settle=None):
         out, live, chunk_ops = step(residues.modulo(primes), primes)
         ops += chunk_ops
         skipped *= math.prod(q for q, ok in zip(primes, live) if not ok)
-        usable, out = [q for q, ok in zip(primes, live) if ok], out[live]
-        crt.add(usable, out)
-        if settle is not None and crt.modulus <= bound:
-            values = settle(crt, usable, out)
-            if values is not None:
-                return values, ops
+        crt.add([q for q, ok in zip(primes, live) if ok], out[live])
         # The chunk's arrays go before the next chunk's are made.
         del out
+        if settle is not None and crt.modulus <= bound:
+            values = settle(crt)
+            if values is not None:
+                return values, ops
     return crt.symmetric(), ops
 
 
@@ -320,7 +318,7 @@ def det_int(rows):
     """
     if not rows:
         return 1, 0
-    values, ops = _multimodular(rows, hadamard_bound(rows), (1, 1), _det_step)
+    values, ops = _multimodular(rows, hadamard_bound(rows), _det_step)
     return values[0][0], ops
 
 
@@ -342,24 +340,26 @@ def _reconstruct(u, modulus):
     A fraction n/d = u with 2 |n| d < modulus is, up to sign, a remainder
     and cofactor pair (r_i, t_i) of the extended Euclidean sequence of
     (modulus, u), since then k/d is a convergent of u/modulus (Legendre).
-    This takes the first pair within the margin. A pair is within it only
-    if the quotient that follows it is at least about 2**(_MARGIN - 1)
-    (Monagan's maximal quotient rule, ISSAC 2004, with a fixed threshold).
-    u = n itself is the first pair, so a small u, 0 included, returns at
-    once.
+    This takes the first pair within the margin. As r_(i-1) |t_i| >=
+    modulus / 2, a pair is within it only if the next quotient,
+    r_(i-1) // r_i, is at least 2**(_MARGIN - 1) (Monagan's maximal
+    quotient rule, ISSAC 2004, with a fixed threshold), and only there are
+    the cofactors formed. u = n itself is the first pair, so a small u, 0
+    included, returns at once.
     """
     limit = modulus >> _MARGIN
-    size = limit.bit_length() + 1
-    r0, r1, t0, t1 = modulus, u % modulus, 0, 1
-    if not r1:
-        return 0, 1
+    r0, r1, t0, t1, quotients = modulus, u % modulus, 0, 1, []
     while r1:
-        if (r1.bit_length() + t1.bit_length() <= size
-                and r1 * abs(t1) <= limit):
-            return (r1, t1) if t1 > 0 else (-r1, -t1)
         q, r = divmod(r0, r1)
-        r0, r1, t0, t1 = r1, r, t1, t0 - q * t1
-    return None
+        if q >> (_MARGIN - 1):
+            for k in quotients:
+                t0, t1 = t1, t0 - k * t1
+            quotients = []
+            if r1 * abs(t1) <= limit:
+                return (r1, t1) if t1 > 0 else (-r1, -t1)
+        quotients.append(q)
+        r0, r1 = r1, r
+    return None if u % modulus else (0, 1)
 
 
 def _residual_holds(aug, n, num, den):
@@ -375,77 +375,53 @@ def _residual_holds(aug, n, num, den):
     return True
 
 
-class _SolveCertificate:
-    """The early stop of ``jordan_int``: called after each chunk, returns
-    [N | d 1] with M N == d R proved, or None.
+def _certify(aug, n, m, crt):
+    """The early stop of ``jordan_int``, called after each chunk with the
+    ``_Crt`` of [adj(M) R | det(M) 1]: returns [N | d 1] with M N == d R
+    proved, or None. It needs a usable prime, one with a pivot in every
+    column, which proves det(M) != 0: the residual's solution is then the
+    only one.
 
-    It keeps x00 = (adj(M) R)_00 / det(M), entry (0, 0) of M^-1 R, modulo
-    the usable primes' product P, a scalar Chinese remaindering at a few
-    ``pow`` calls per prime. Only once x00 is reconstructed is the matrix
-    rebuilt: one pass multiplies each entry of adj(M) R by d / det(M), with
-    d the denominator so far. An entry that is not then small is
-    reconstructed modulo P and its denominator joins d, and the entries
-    before it are scaled to match. The candidate stands only if the exact
-    residual holds.
+    The probe reads two entries of the ``_Crt``, (adj(M) R)_00 and det(M),
+    as their quotient x00, entry (0, 0) of M^-1 R, modulo the usable
+    primes' product P, and reconstructs it. Only once x00 is found is the
+    matrix read: each entry of adj(M) R is multiplied by d / det(M), with d
+    the denominator so far. An entry that is not then small is
+    reconstructed modulo P and its denominator joins d. The candidate
+    stands only if the exact residual holds.
     """
-
-    def __init__(self, aug, n, m):
-        self.aug, self.n, self.m = aug, n, m
-        self.x00, self.modulus, self.primes = 0, 1, []
-
-    def __call__(self, crt, primes, residues):
-        for q, (a, det) in zip(primes, residues[:, 0, [0, self.m]].tolist()):
-            r = a * pow(det, -1, q) - self.x00
-            self.x00 += self.modulus * (r * pow(self.modulus, -1, q) % q)
-            self.modulus *= q
-        self.primes += primes
-        # A usable prime, one with a pivot in every column, proves
-        # det(M) != 0, so the residual's solution is the only one.
-        probe = self.modulus > 1 and _reconstruct(self.x00, self.modulus)
-        return self._candidate(crt, probe[1]) if probe else None
-
-    def _candidate(self, crt, den):
-        values, p, m = crt.residues(), crt.modulus, self.m
-        # A numerator within the margin has fewer bits than P / den, so an
-        # entry is first read modulo q, a product of leading primes past
-        # 2^64 P / den, at about a third of the cost of a product modulo P.
-        q = 1
-        for prime in self.primes:
-            if q * den > p << 64:
-                break
-            q *= prime
-        small = q >> _MARGIN
-        scale = den * pow(values[0][m], -1, p) % p
-        low = scale % q
-        flat, grew = [], []
-        for row in values:
-            for v in row[:m]:
-                y = v % q * low % q
-                if y > small:
-                    y -= q
-                if y < -small:
-                    entry = _reconstruct(v * scale % p, p)
-                    if entry is None:
-                        return None
-                    y, f = entry
-                    if f > 1:
-                        den *= f
-                        scale = scale * f % p
-                        low = scale % q
-                        grew.append((len(flat), f))
-                flat.append(y)
-        # Entry k was read over the denominator as it stood at k.
-        end, factor = len(flat), 1
-        for start, f in reversed(grew):
-            if factor > 1:
-                flat[start:end] = [y * factor for y in flat[start:end]]
-            end, factor = start, factor * f
-        if factor > 1:
-            flat[:end] = [y * factor for y in flat[:end]]
-        num = [flat[i:i + m] for i in range(0, len(flat), m)]
-        if not _residual_holds(self.aug, self.n, num, den):
-            return None
-        return [row + [den] for row in num]
+    p = crt.modulus
+    probe = p > 1 and _reconstruct(crt.quotient((0, 0), (0, m)), p)
+    if not probe:
+        return None
+    den = probe[1]
+    # A numerator within the margin has fewer bits than P / den, so an
+    # entry is first read modulo q, a product of leading moduli past
+    # 2^64 P / den, at about a third of the cost of a product modulo P.
+    q = next((q for q in itertools.accumulate(crt.moduli, operator.mul, initial=1)
+              if q * den > p << 64), p)
+    values = crt.residues()
+    small, scale = q >> _MARGIN, den * pow(values[0][m], -1, p) % p
+    low, read = scale % q, []
+    for row in values:
+        for v in row[:m]:
+            y = v % q * low % q
+            if y > small:
+                y -= q
+            if y < -small:
+                entry = _reconstruct(v * scale % p, p)
+                if entry is None:
+                    return None
+                y, f = entry
+                den, scale = den * f, scale * f % p
+                low = scale % q
+            read.append((y, den))
+    # Each entry was read over the denominator as it stood then.
+    num = [[y if d == den else y * (den // d) for y, d in read[i:i + m]]
+           for i in range(0, len(read), m)]
+    if not _residual_holds(aug, n, num, den):
+        return None
+    return [row + [den] for row in num]
 
 
 def jordan_int(aug, n, m):
@@ -462,9 +438,8 @@ def jordan_int(aug, n, m):
     """
     if n == 0:
         return 1, [], 0
-    settle = _SolveCertificate(aug, n, m) if m else None
-    values, ops = _multimodular(aug, hadamard_bound(aug), (n, m + 1),
-                                _solve_step, settle)
+    settle = (lambda crt: _certify(aug, n, m, crt)) if m else None
+    values, ops = _multimodular(aug, hadamard_bound(aug), _solve_step, settle)
     return values[0][m], [row[:m] for row in values], ops
 
 
@@ -579,6 +554,5 @@ def charpoly_int(rows):
     """
     if not rows:
         return [1], 0
-    values, ops = _multimodular(rows, charpoly_bound(rows), (1, len(rows) + 1),
-                                _charpoly_step)
+    values, ops = _multimodular(rows, charpoly_bound(rows), _charpoly_step)
     return values[0], ops

@@ -18,8 +18,7 @@ from fractions import Fraction
 from buckysob.graph import Involution
 from buckysob.green import positive
 from buckysob.polynomials import IntPolynomial, VerificationFailed
-from buckysob.ratmat import (PivotCounter, RationalMatrix, charpoly,
-                             determinant, inverse)
+from buckysob.ratmat import PivotCounter, RationalMatrix, charpoly, inverse
 
 
 class BlockMismatch(VerificationFailed):
@@ -75,14 +74,14 @@ def block_split(A: RationalMatrix, sigma: Involution) -> BlockSplit:
 def half_spectra_check(split: BlockSplit, p: IntPolynomial,
                        counter: PivotCounter | None = None) -> bool:
     """charpoly(A+) * charpoly(A-) == p; A+ annihilates constants;
-    A- is nonsingular."""
+    A- is nonsingular, as charpoly(A-)(0) = det(-A-) != 0."""
     p_plus = charpoly(split.a_plus, counter)
     p_minus = charpoly(split.a_minus, counter)
     if p_plus * p_minus != p:
         raise SpectrumSplitMismatch("half charpolys do not multiply to the full one")
     if any(map(sum, split.a_plus.num)):  # the row sums are A+ 1
         raise SpectrumSplitMismatch("A+ does not annihilate the constant vector")
-    if determinant(split.a_minus, counter) == 0:
+    if p_minus.coeffs[0] == 0:
         raise SpectrumSplitMismatch("A- is singular")
     return True
 

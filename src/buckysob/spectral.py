@@ -1,8 +1,9 @@
 """Numeric spectrum of the Laplacian cross-checked against exact factors.
 
 Two independent routes meet here: LAPACK's symmetric eigensolver
-(``numpy.linalg.eigh``) on a float copy of the matrix, and root bisection
-on the exact integer factors of the characteristic polynomial. The exact
+(``numpy.linalg.eigh``) on a float copy of the matrix, and the roots of
+the exact integer factors of the characteristic polynomial, each from the
+eigenvalues of its own companion matrix (``numpy.roots``). The exact
 factor-product identity is the authoritative check; the numerics confirm
 the table to 1e-8.
 """
@@ -69,45 +70,11 @@ def numeric_eigenvalues(m: RationalMatrix) -> NumericSpectrum:
     return NumericSpectrum(values=tuple(float(x) for x in lam), residual=residual)
 
 
-def bisect_roots(p: IntPolynomial, lo: float = -1.0, hi: float = 7.0,
-                 tol: float = 1e-12) -> list[float]:
-    """All real roots of p in [lo, hi], ascending, by grid scan + bisection.
-
-    Assumes simple roots separated by more than the grid step (true for
-    every factor handled here; the closest pair is ~0.02 apart).
-    """
-    step = 1.0 / 64.0
-    xs = [lo + k * step for k in range(int((hi - lo) / step) + 1)]
-    roots = []
-    for x0, x1 in zip(xs, xs[1:]):
-        f0, f1 = _horner(p, x0), _horner(p, x1)
-        if f0 == 0.0:
-            roots.append(x0)
-            continue
-        if f0 * f1 < 0.0:
-            a, b = x0, x1
-            fa = f0
-            while b - a > tol:
-                mid = 0.5 * (a + b)
-                fm = _horner(p, mid)
-                if fm == 0.0:
-                    a = b = mid
-                    break
-                if fa * fm < 0.0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            roots.append(0.5 * (a + b))
-    if _horner(p, xs[-1]) == 0.0:
-        roots.append(xs[-1])
-    return roots
-
-
-def _horner(p: IntPolynomial, x: float) -> float:
-    acc = 0.0
-    for c in reversed(p.coeffs):
-        acc = acc * x + c
-    return acc
+def real_roots(p: IntPolynomial) -> list[float]:
+    """The real roots of p, ascending: LAPACK's eigenvalues of its companion
+    matrix (``numpy.roots``) with a zero imaginary part."""
+    roots = np.roots([float(c) for c in reversed(p.coeffs)])
+    return sorted(float(r.real) for r in roots if r.imag == 0)
 
 
 def build_spectral_table(p: IntPolynomial) -> SpectralTable:
@@ -116,7 +83,7 @@ def build_spectral_table(p: IntPolynomial) -> SpectralTable:
         raise FactorMismatch("polynomial does not match the known factorization")
     entries = []
     for factor, exp in closedform.CHARPOLY_FACTORS:
-        roots = bisect_roots(factor)
+        roots = real_roots(factor)
         if len(roots) != factor.degree:
             raise FactorMismatch(f"factor {factor} missing real roots")
         for idx, r in enumerate(roots):

@@ -1,13 +1,14 @@
 """Half-size block reduction via a fixed-point-free involutive automorphism
 (a half-turn of the buckyball, not the antipodal map)."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from buckysob import blocks, closedform, green
+from buckysob import _modular, blocks, closedform, green, ratmat
 from buckysob.graph import Involution
 from buckysob.polynomials import IntPolynomial
 from buckysob.ratmat import PivotCounter, RationalMatrix, charpoly
@@ -60,6 +61,21 @@ def test_half_charpolys_have_degree_30(split):
 def test_half_spectra_rejects_wrong_polynomial(split):
     with pytest.raises(blocks.SpectrumSplitMismatch):
         blocks.half_spectra_check(split, IntPolynomial([0, 1]))
+
+
+def test_half_spectra_rejects_singular_a_minus(split, monkeypatch):
+    # A- replaced by the singular A+, with p = charpoly(A+)^2 so that the
+    # product and the row sums still pass: the verdict comes from the
+    # charpoly's constant term, with no determinant solve.
+    def no_det(rows):
+        raise AssertionError("det_int called")
+
+    monkeypatch.setattr(ratmat, "det_int", no_det)
+    monkeypatch.setattr(_modular, "det_int", no_det)
+    p_plus = charpoly(split.a_plus)
+    singular = dataclasses.replace(split, a_minus=split.a_plus)
+    with pytest.raises(blocks.SpectrumSplitMismatch, match="A- is singular"):
+        blocks.half_spectra_check(singular, p_plus * p_plus)
 
 
 def test_a_minus_positive_determinant(split):

@@ -5,8 +5,9 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from buckysob import _modular, ratmat
@@ -187,6 +188,48 @@ def test_prime_table():
     for p in primes[:3] + primes[-2:]:
         assert p % 2 and all(p % d for d in range(3, math.isqrt(p) + 1, 2))
     assert prime_table(3) == primes[:3]
+
+
+@st.composite
+def crt_inputs(draw):
+    """An integer matrix of up to 4 x 5 with entries up to 2^300 in absolute
+    value, and chunk sizes for the prime table: odd, even, single primes
+    and an empty chunk, one that had no usable prime."""
+    r, m = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    entry = st.integers(-2 ** 300, 2 ** 300)
+    rows = draw(st.lists(st.lists(entry, min_size=m, max_size=m),
+                         min_size=r, max_size=r))
+    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=6))
+    sizes.insert(draw(st.integers(0, len(sizes))), 0)
+    return rows, sizes
+
+
+@settings(max_examples=40, deadline=None)
+@given(crt_inputs())
+@example(([[2 ** 300, -(2 ** 300)], [1, 0]], [0, 1, 2, 1, 8, 3]))
+def test_crt_reads_agree_after_every_chunk(case):
+    # The matrix gets a column of ones, so that a quotient over it is a
+    # read of one entry. Chunks run on past 2 max|x| by single primes.
+    rows, sizes = case
+    x = [row + [1] for row in rows]
+    r, m = len(x), len(x[0])
+    bound = 2 * max(abs(v) for row in x for v in row)
+    crt, table, modulus = _modular._Crt(), prime_table(60), 1
+    while sizes or crt.modulus <= bound:
+        size = sizes.pop(0) if sizes else 1
+        primes, table = table[:size], table[size:]
+        crt.add(primes, np.array([[[v % q for v in row] for row in x] for q in primes],
+                                 dtype=np.int64).reshape(size, r, m))
+        modulus *= math.prod(primes)
+        assert crt.modulus == modulus
+        if modulus == 1:
+            continue
+        values = crt.residues()
+        assert values == [[v % crt.modulus for v in row] for row in x]
+        assert [[crt.quotient((i, j), (0, m - 1)) for j in range(m)]
+                for i in range(r)] == values
+        if crt.modulus > bound:
+            assert crt.symmetric() == x
 
 
 def test_primes_used_pass_twice_hadamard(chunks):

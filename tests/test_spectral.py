@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from buckysob import closedform, spectral
@@ -95,12 +96,12 @@ def test_cross_validate_detects_perturbation(num_spec, table):
         spectral.cross_validate(bad, table)
 
 
-def test_bisect_roots_on_quartic():
+def test_real_roots_on_quartic():
     quartic = closedform.CHARPOLY_FACTORS[7][0]
-    roots = bisected = spectral.bisect_roots(quartic)
+    roots = spectral.real_roots(quartic)
     assert len(roots) == 4
-    for r in bisected:
-        assert abs(spectral._horner(quartic, r)) < 1e-9
+    for r in roots:
+        assert abs(np.polyval(quartic.coeffs[::-1], r)) < 1e-9
     s5 = math.sqrt(5)
     expected = sorted([(9 - s5 - math.sqrt(38 - 2 * s5)) / 4,
                        (9 + s5 - math.sqrt(38 + 2 * s5)) / 4,
