@@ -18,7 +18,7 @@ from fractions import Fraction
 from buckysob import blocks, closedform, graph, green, sobolev, spectral
 from buckysob.polynomials import VerificationFailed
 from buckysob.ratmat import (PivotCounter, RationalMatrix, charpoly,
-                             parse_rat, rat_str)
+                             inverse, parse_rat, rat_str)
 
 DEFAULT_CA_GRID = ("1/100", "1/50", "1/20", "1/10", "1/5", "1/2",
                    "1", "2", "5", "10", "20", "50", "100")
@@ -149,12 +149,14 @@ def _verify_checks(trials: int, seed: int):
     # The charpoly, G* and G(1), which several checks share, are computed on
     # first use, inside the first check that needs them, so that their time
     # shows in that check's report. G*'s counter holds the ops of its one
-    # solve, which block_reduction reports.
+    # solve, which block_reduction reports. G(a) is solved here by direct
+    # elimination, not by green.green_matrix: the polynomial route's
+    # one-time annihilator costs more than these three small solves.
     charpoly_of_a = functools.cache(lambda: charpoly(A))
     full_counter = PivotCounter()
     pseudo_green_of_a = functools.cache(
         lambda: green.pseudo_green(A, full_counter))
-    green_at_one = functools.cache(lambda: green.green_matrix(A, 1))
+    green_at_one = functools.cache(lambda: inverse(A.scaled_add(1)))
 
     def check_graph_combinatorics():
         census = graph.face_census(g)
@@ -201,7 +203,7 @@ def _verify_checks(trials: int, seed: int):
         ca_known = closedform.ca_closed_form()
         for a in (Fraction(1, 10), 1, 10):
             c_a = green.constant_diagonal(
-                green_at_one() if a == 1 else green.green_matrix(A, a))
+                green_at_one() if a == 1 else inverse(A.scaled_add(a)))
             check(c_a == ca_known(a), f"G({a}) diagonal {c_a} is not C({a})")
         green.verify_pseudo_green(A, g_star)
         return {}

@@ -1,6 +1,11 @@
 """Green matrix, pseudo-Green matrix, and the sharp constants.
 
-The pseudo-Green matrix is computed as (A + J)^-1 - E0/60, one exact solve
+The Green matrix G(a) = (A + aI)^-1 is a polynomial in A with no
+elimination: G(a) = -q_a(A)/m(-a), where m(A) = 0 and q_a is the quotient
+of m by x + a, evaluated by Horner on A's integer rows and returned only
+after the exact residual (A + aI) G(a) = I. Direct and block elimination,
+which ``verify-all`` uses for its G(a), are the routes that check it. The
+pseudo-Green matrix is computed as (A + J)^-1 - E0/60, one exact solve
 of an integral system (J is the all-ones matrix, J = 60 E0);
 ``verify_pseudo_green`` then proves A G* = G* A = I - E0 and G* 1 = 0
 exactly, from which the Moore-Penrose axioms and G* E0 = E0 G* = 0
@@ -22,6 +27,7 @@ polynomial in A constant.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -29,8 +35,10 @@ from fractions import Fraction
 
 from buckysob import closedform
 from buckysob.polynomials import (IntPolynomial, RationalFunction,
-                                  VerificationFailed, fit_rational_function)
-from buckysob.ratmat import PivotCounter, RationalMatrix, inverse, rat_str
+                                  VerificationFailed, fit_rational_function,
+                                  squarefree_part)
+from buckysob.ratmat import (PivotCounter, RationalMatrix, SingularMatrixError,
+                             charpoly, inverse, rat_str)
 
 
 class NonPositiveParameter(ValueError):
@@ -67,9 +75,77 @@ def positive(a) -> Fraction:
     return a
 
 
-def green_matrix(A: RationalMatrix, a, counter: PivotCounter | None = None) -> RationalMatrix:
-    """(A + aI)^-1, exact."""
-    return inverse(A.scaled_add(positive(a)), counter)
+@functools.lru_cache(maxsize=16)
+def _annihilator(rows: tuple[tuple[int, ...], ...]) -> IntPolynomial:
+    """A polynomial m with m(N) = 0 for the square integer matrix N with
+    these rows: the squarefree part of det(xI - N) when N is symmetric, so
+    diagonalizable, which makes m its minimal polynomial; otherwise the
+    characteristic polynomial itself (Cayley-Hamilton). Either way the
+    roots of m are exactly the eigenvalues of N. Cached by value, so equal
+    matrices built separately share one m.
+    """
+    N = RationalMatrix.from_ints(rows)
+    p = charpoly(N)
+    return squarefree_part(p) if N.is_symmetric() else p
+
+
+def _sparse_times(rows, x):
+    """The integer product S X, S given per row by its (column, value)
+    nonzeros and X by its integer rows."""
+    zero = [0] * len(x[0])
+    out = []
+    for row in rows:
+        acc = zero
+        for j, c in row:
+            acc = ([u - v for u, v in zip(acc, x[j])] if c == -1
+                   else [u + c * v for u, v in zip(acc, x[j])])
+        out.append(acc if row else zero[:])
+    return out
+
+
+def green_matrix(A: RationalMatrix, a) -> RationalMatrix:
+    """(A + aI)^-1, exact, as a polynomial in A with no elimination.
+
+    For A = N/den and b = a den = P/Q, (A + aI)^-1 = den (N + bI)^-1. For
+    m = sum c_k x^k of degree d with m(N) = 0 (``_annihilator``),
+    m(x) = (x + b) q(x) + m(-b) gives (N + bI) q(N) = -m(-b) I, so
+    G = -den q(N)/m(-b): every function of A is a polynomial in A of
+    degree below deg m (Higham, *Functions of Matrices*, SIAM 2008,
+    sec. 1.2). Synthetic division on integers gives B_j = Q^j q_(d-1-j):
+    B_0 = c_d, B_j = c_(d-j) Q^j - P B_(j-1), and r = m(-b) Q^d =
+    c_0 Q^d - P B_(d-1). Horner over N's nonzeros, X <- N X +
+    Q^(d-1-j) B_j I, builds X = Q^(d-1) q(N), and G = -Q den X / r.
+
+    A zero r makes -b a root of m, so an eigenvalue of N, and raises
+    SingularMatrixError. G is returned only after the exact residual
+    (QN + PI) X = -r I has passed, which holds exactly when m(N) = 0,
+    whatever m was; otherwise RouteMismatch is raised.
+    """
+    b = positive(a) * A.den
+    if not A.is_square():
+        raise ValueError("square matrix required")
+    p, q = b.numerator, b.denominator
+    coef = []
+    for j, c in enumerate(reversed(_annihilator(tuple(map(tuple, A.num))).coeffs)):
+        coef.append(c * q ** j - p * (coef[-1] if coef else 0))
+    r = coef.pop()
+    if r == 0:
+        raise SingularMatrixError(f"A + {a}I is singular: -{a} is an eigenvalue of A")
+    n, d = A.rows, len(coef)
+    rows = A.nonzeros()
+    x = [[0] * n for _ in range(n)]
+    for j, bj in enumerate(coef):
+        if j:
+            x = _sparse_times(rows, x)
+        bj *= q ** (d - 1 - j)
+        for i in range(n):
+            x[i][i] += bj
+    residual = [[q * u + p * v for u, v in zip(nrow, xrow)]
+                for nrow, xrow in zip(_sparse_times(rows, x), x)]
+    if residual != [[-r * (i == k) for k in range(n)] for i in range(n)]:
+        raise RouteMismatch(f"(A + {a}I) G(a) != I: the annihilator does not vanish at A")
+    s = -q * A.den
+    return RationalMatrix.from_ints([[s * v for v in row] for row in x], r)
 
 
 def pseudo_green(A: RationalMatrix, counter: PivotCounter | None = None) -> RationalMatrix:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from buckysob import cli, closedform, green, ratmat
+from buckysob import cli, closedform, graph, green, ratmat
 from buckysob.cli import main
 from buckysob.polynomials import DegreeInsufficient, IntPolynomial
 
@@ -146,14 +146,17 @@ def test_charpoly_without_zero_root_exits_1(monkeypatch, capsys):
 
 def test_shifted_green_diagonal_fails_moore_penrose(monkeypatch, capsys):
     """G(10) with every diagonal entry off by 1/10^6 is still constant on the
-    diagonal, but no longer C(10)."""
-    def shifted(A, a, *args, _solve=green.green_matrix):
-        g = _solve(A, a, *args)
-        if a == 10:
+    diagonal, but no longer C(10). moore_penrose solves G(10) by elimination
+    as ``inverse(A + 10 I)``, which is shifted here."""
+    shifted_matrix = graph.laplacian(graph.buckyball()).scaled_add(10)
+
+    def shifted(m, *args, _solve=cli.inverse):
+        g = _solve(m, *args)
+        if m == shifted_matrix:
             g = g + Fraction(1, 10 ** 6) * ratmat.RationalMatrix.identity(g.rows)
         return g
 
-    monkeypatch.setattr(green, "green_matrix", shifted)
+    monkeypatch.setattr(cli, "inverse", shifted)
     code, out = run(capsys, "verify-all", "--trials", "0")
     assert code == 1
     fails = [l for l in out.splitlines() if l.startswith("FAIL")]

@@ -29,6 +29,8 @@ GOLDEN = {
         "5d1a70e23109cf8709c7dcb0bb74b4701fa9c20d5427cf4a58d9932c1febe9e8",
     ("green", "--a-values", "1/10,1,10"):
         "47bd8c86f5c5ec0bb61c7b8b26dfdd21cfb4c1960851c21985a17690e7bba991",
+    ("green", "--a-values", "281474976710597/281474976710655"):
+        "f439dd68851d6c37245f831cf8bd8acd442a12dc1ad0cb87b4c167398c2fcc08",
     ("constants",):
         "0c645a7f54011635dc212d7d5e038d0e1c3d14740463dc3a557fa0c8eae48f94",
     ("sample-ca",):

@@ -1,7 +1,11 @@
 """Green / pseudo-Green matrices and the sharp constants."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +15,8 @@ from buckysob import _modular, closedform, graph, green, ratmat
 from buckysob.polynomials import (DegreeInsufficient, IntPolynomial, RationalFunction,
                                   fit_rational_function)
 from buckysob.ratmat import RationalMatrix, charpoly, inverse
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_projection_entries():
@@ -39,6 +45,111 @@ def test_green_matrix_rejects_nonpositive(lap):
         green.green_matrix(lap, 0)
     with pytest.raises(green.NonPositiveParameter):
         green.green_matrix(lap, Fraction(-1, 2))
+
+
+@pytest.mark.parametrize("bits", [1, 8, 48, 70])
+def test_green_matrix_matches_elimination(lap, bits):
+    """The polynomial route against the direct multimodular solve, at a
+    = p/q with p and q of the given bit width."""
+    rng = random.Random(bits)
+    a = Fraction(rng.getrandbits(bits) | 1 << (bits - 1),
+                 rng.getrandbits(bits) | 1 << (bits - 1))
+    assert green.green_matrix(lap, a) == inverse(lap.scaled_add(a))
+
+
+def test_green_matrix_makes_no_elimination(lap, monkeypatch):
+    """The route shares no code with the solve that checks it: it runs with
+    the elimination kernels replaced by a failure."""
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("elimination kernel called")
+
+    expected = inverse(lap.scaled_add(Fraction(2, 3)))
+    for name in ("det_int", "jordan_int"):
+        monkeypatch.setattr(ratmat, name, no_kernel)
+        monkeypatch.setattr(_modular, name, no_kernel)
+    assert green.green_matrix(lap, Fraction(2, 3)) == expected
+
+
+def test_green_matrix_defective_non_symmetric():
+    # [[1, 1], [0, 1]] is a Jordan block: its squarefree part x - 1 does not
+    # annihilate it, so the route takes the charpoly (x - 1)^2.
+    A = RationalMatrix([[1, 1], [0, 1]])
+    rows = tuple(map(tuple, A.num))
+    assert green._annihilator(rows) == IntPolynomial([1, -2, 1])
+    for a in (Fraction(1, 3), 1, 5):
+        assert green.green_matrix(A, a) == inverse(A.scaled_add(a))
+
+
+def test_green_matrix_over_a_denominator(lap):
+    # A/2 has the integer rows of A over den = 2, so b = a den = 2a.
+    half = Fraction(1, 2) * lap
+    a = Fraction(5, 3)
+    assert green.green_matrix(half, a) == inverse(half.scaled_add(a))
+    assert green.green_matrix(half, a) == 2 * green.green_matrix(lap, 2 * a)
+
+
+def test_green_matrix_singular():
+    with pytest.raises(ratmat.SingularMatrixError, match="-2 is an eigenvalue"):
+        green.green_matrix(RationalMatrix([[-2, 0], [0, 1]]), 2)
+
+
+@pytest.mark.parametrize("case", ["bucky_plus_one", "jordan_block_squarefree"])
+def test_green_matrix_rejects_wrong_annihilator(lap, monkeypatch, case):
+    """With m(A) != 0 the residual fails and no matrix is returned."""
+    if case == "bucky_plus_one":
+        A = lap
+        m = green._annihilator(tuple(map(tuple, A.num))) + IntPolynomial([1])
+    else:
+        A = RationalMatrix([[1, 1], [0, 1]])
+        m = IntPolynomial([-1, 1])
+    monkeypatch.setattr(green, "_annihilator", lambda rows: m)
+    with pytest.raises(green.RouteMismatch, match="annihilator does not vanish"):
+        green.green_matrix(A, Fraction(1, 3))
+
+
+def test_green_matrix_residual_under_optimize():
+    """The residual raises explicitly, so a wrong annihilator is caught with
+    asserts stripped by ``python -O``."""
+    script = """
+import sys
+from buckysob import green
+from buckysob.polynomials import IntPolynomial
+from buckysob.ratmat import RationalMatrix
+green._annihilator = lambda rows: IntPolynomial([-1, 1])
+try:
+    green.green_matrix(RationalMatrix([[1, 1], [0, 1]]), 1)
+except green.RouteMismatch:
+    sys.exit(3)
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+
+
+def test_annihilator_cached_by_value(monkeypatch):
+    """Equal matrices built separately compute m once; another matrix of the
+    same size gets its own m."""
+    calls = []
+
+    def counted(m, *args, _charpoly=green.charpoly):
+        calls.append(m)
+        return _charpoly(m, *args)
+
+    monkeypatch.setattr(green, "charpoly", counted)
+    green._annihilator.cache_clear()
+    first, second = _cycle(7), _cycle(7)
+    assert first is not second
+    for A in (first, second):
+        assert green.green_matrix(A, 1) == inverse(A.scaled_add(1))
+    assert len(calls) == 1
+    # K7: eigenvalues 0 and 7 only, so m = x (x - 7), unlike C7's degree 4.
+    k7 = _laplacian_of(7, [(i, j) for i in range(7) for j in range(i + 1, 7)])
+    assert green.green_matrix(k7, 1) == inverse(k7.scaled_add(1))
+    assert len(calls) == 2
+    assert green._annihilator(tuple(map(tuple, k7.num))) == IntPolynomial([0, -7, 1])
+    assert green._annihilator(tuple(map(tuple, first.num))).degree == 4
 
 
 def test_green_diagonal_constant(g_one):
@@ -288,14 +399,23 @@ def _cycle(n):
     return _laplacian_of(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-# K2 has two simple eigenvalues, so its series needs all 2n = 4 terms.
-@pytest.mark.parametrize("lap_small", [
+small_laplacians = pytest.mark.parametrize("lap_small", [
     _laplacian_of(2, [(0, 1)]),
     *(_cycle(n) for n in range(3, 13)),
     graph.laplacian(graph.truncate(graph.canonical_tetrahedron())),
 ], ids=["K2", *(f"C{n}" for n in range(3, 13)), "truncated_tetrahedron"])
+
+
+# K2 has two simple eigenvalues, so its series needs all 2n = 4 terms.
+@small_laplacians
 def test_ca_fit_matches_charpoly_route(lap_small):
     assert green.ca_via_fit(lap_small) == green.ca_via_charpoly(charpoly(lap_small))
+
+
+@small_laplacians
+@pytest.mark.parametrize("a", [Fraction(1, 3), 1, Fraction(7, 2)], ids=["1/3", "1", "7/2"])
+def test_green_matrix_matches_elimination_small(lap_small, a):
+    assert green.green_matrix(lap_small, a) == inverse(lap_small.scaled_add(a))
 
 
 @settings(max_examples=3, deadline=None)
