@@ -14,20 +14,10 @@ over the rows of [M | R], every Cramer numerator of M X = R.
 Hessenberg charpoly recurrence, under the bound
 B = prod_i (isqrt(|row_i|^2) + 2) on its coefficients. Once the primes'
 product passes twice the bound the symmetric residues are the integers
-themselves (Abbott, Bronstein & Mulders, ISSAC 1999).
-
-A solve may stop before the bound, since the reduced solution is often far
-smaller than det(M): after each chunk, a probe reads two entries of the
-``_Crt`` and rebuilds entry (0, 0) of M^-1 R from them by rational
-reconstruction; once it is found, one read of the whole matrix gives a
-candidate (d, N). It is returned only if the exact integer
-residual M N == d R holds (Chen & Storjohann, ISSAC 2005), and only after
-some prime had a pivot in every column, which proves det(M) != 0. A solve
-is therefore exact either by the bound or by the residual; the bound alone
-decides singularity.
+themselves (Abbott, Bronstein & Mulders, ISSAC 1999). Every result is
+exact by the bound alone, and the bound alone decides singularity.
 """
 
-import itertools
 import math
 import operator
 
@@ -47,11 +37,6 @@ _CHUNK = 8
 # Bits per limb when an entry is split to be reduced modulo a prime.
 _LIMB_BITS = 30
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
-# A rational reconstruction n/d modulo P is accepted only if
-# 2**_MARGIN |n| d < P. A false one needs a quotient of about 2**_MARGIN in
-# the Euclidean remainder sequence; a random quotient is that large with
-# probability about 2**-_MARGIN, so false candidates are rare.
-_MARGIN = 31
 
 # The table only ever grows by the same deterministic sequence, so sharing
 # it between callers changes no result.
@@ -167,7 +152,7 @@ class _Crt:
     with their ``moduli`` q_i. Nothing is rebuilt until a read, which takes
     one pass over all of them: x = sum_i t_i b_i modulo P = prod_i q_i,
     with the basis b_i = (P/q_i) ((P/q_i)^-1 mod q_i) computed once per
-    read, for the whole matrix or for the two entries of a ``quotient``.
+    read.
     """
 
     def __init__(self):
@@ -189,42 +174,26 @@ class _Crt:
             self._terms.append(residues[-1].copy())
         self.modulus *= math.prod(primes)
 
-    def quotient(self, num, den):
-        """Entry ``num`` over entry ``den``, a unit, modulo ``modulus``, in
-        [0, modulus): the two entries are read in one pass, the basis
-        inverse and the division sharing one ``pow`` per modulus."""
-        p, x = self.modulus, 0
-        for t, q in zip(self._terms, self.moduli):
-            c = p // q
-            x += int(t[num]) * pow(int(t[den]) * c, -1, q) % q * c
-        return x % p
-
-    def residues(self):
-        """The values modulo ``modulus``, in [0, modulus)."""
-        p = self.modulus
-        basis = [(p // q) * pow(p // q, -1, q) for q in self.moduli]
-        # Row by row, so that only one row of temporaries is alive.
-        return [[sum(map(operator.mul, ts, basis)) % p
-                 for ts in zip(*(t[i].tolist() for t in self._terms))]
-                for i in range(len(self._terms[0]))]
-
     def symmetric(self):
         """The values in the symmetric range (-modulus/2, modulus/2]."""
-        m, half = self.modulus, self.modulus >> 1
-        return [[x - m if x > half else x for x in row] for row in self.residues()]
+        p, half = self.modulus, self.modulus >> 1
+        basis = [(p // q) * pow(p // q, -1, q) for q in self.moduli]
+        # Row by row, so that only one row of temporaries is alive.
+        rows = []
+        for i in range(len(self._terms[0])):
+            row = [sum(map(operator.mul, ts, basis)) % p
+                   for ts in zip(*(t[i].tolist() for t in self._terms))]
+            rows.append([x - p if x > half else x for x in row])
+        return rows
 
 
-def _multimodular(rows, bound, step, settle=None):
+def _multimodular(rows, bound, step):
     """The integer matrix with entries at most ``bound`` in absolute value,
     from the residues ``step`` computes; and the ops of ``step``, summed.
     ``step(a, primes)`` may overwrite a, the rows modulo a chunk of primes,
     and returns (c x r x m residues, whether each prime was usable, ops).
     ZeroDivisionError is raised once the unusable primes' product passes
     2 * bound.
-
-    ``settle(crt)``, if given, is called after every chunk that leaves the
-    ``_Crt``'s modulus at or below 2 * bound; a result it returns ends the
-    loop in place of the bound's.
     """
     bound *= 2
     residues = _Residues(rows)
@@ -241,10 +210,6 @@ def _multimodular(rows, bound, step, settle=None):
         crt.add([q for q, ok in zip(primes, live) if ok], out[live])
         # The chunk's arrays go before the next chunk's are made.
         del out
-        if settle is not None and crt.modulus <= bound:
-            values = settle(crt)
-            if values is not None:
-                return values, ops
     return crt.symmetric(), ops
 
 
@@ -333,113 +298,19 @@ def _solve_step(a, primes):
     return np.concatenate((sol, column), axis=2), live, ops
 
 
-def _reconstruct(u, modulus):
-    """(n, d) with d > 0, n = d u modulo ``modulus`` and
-    2**_MARGIN |n| d < modulus, or None.
-
-    A fraction n/d = u with 2 |n| d < modulus is, up to sign, a remainder
-    and cofactor pair (r_i, t_i) of the extended Euclidean sequence of
-    (modulus, u), since then k/d is a convergent of u/modulus (Legendre).
-    This takes the first pair within the margin. As r_(i-1) |t_i| >=
-    modulus / 2, a pair is within it only if the next quotient,
-    r_(i-1) // r_i, is at least 2**(_MARGIN - 1) (Monagan's maximal
-    quotient rule, ISSAC 2004, with a fixed threshold), and only there are
-    the cofactors formed. u = n itself is the first pair, so a small u, 0
-    included, returns at once.
-    """
-    limit = modulus >> _MARGIN
-    r0, r1, t0, t1, quotients = modulus, u % modulus, 0, 1, []
-    while r1:
-        q, r = divmod(r0, r1)
-        if q >> (_MARGIN - 1):
-            for k in quotients:
-                t0, t1 = t1, t0 - k * t1
-            quotients = []
-            if r1 * abs(t1) <= limit:
-                return (r1, t1) if t1 > 0 else (-r1, -t1)
-        quotients.append(q)
-        r0, r1 = r1, r
-    return None if u % modulus else (0, 1)
-
-
-def _residual_holds(aug, n, num, den):
-    """Whether M num == den R exactly, for aug = [M | R], over M's nonzero
-    entries."""
-    for row in aug:
-        acc = [-den * x for x in row[n:]]
-        for j, x in enumerate(row[:n]):
-            if x:
-                acc = [s + x * y for s, y in zip(acc, num[j])]
-        if any(acc):
-            return False
-    return True
-
-
-def _certify(aug, n, m, crt):
-    """The early stop of ``jordan_int``, called after each chunk with the
-    ``_Crt`` of [adj(M) R | det(M) 1]: returns [N | d 1] with M N == d R
-    proved, or None. It needs a usable prime, one with a pivot in every
-    column, which proves det(M) != 0: the residual's solution is then the
-    only one.
-
-    The probe reads two entries of the ``_Crt``, (adj(M) R)_00 and det(M),
-    as their quotient x00, entry (0, 0) of M^-1 R, modulo the usable
-    primes' product P, and reconstructs it. Only once x00 is found is the
-    matrix read: each entry of adj(M) R is multiplied by d / det(M), with d
-    the denominator so far. An entry that is not then small is
-    reconstructed modulo P and its denominator joins d. The candidate
-    stands only if the exact residual holds.
-    """
-    p = crt.modulus
-    probe = p > 1 and _reconstruct(crt.quotient((0, 0), (0, m)), p)
-    if not probe:
-        return None
-    den = probe[1]
-    # A numerator within the margin has fewer bits than P / den, so an
-    # entry is first read modulo q, a product of leading moduli past
-    # 2^64 P / den, at about a third of the cost of a product modulo P.
-    q = next((q for q in itertools.accumulate(crt.moduli, operator.mul, initial=1)
-              if q * den > p << 64), p)
-    values = crt.residues()
-    small, scale = q >> _MARGIN, den * pow(values[0][m], -1, p) % p
-    low, read = scale % q, []
-    for row in values:
-        for v in row[:m]:
-            y = v % q * low % q
-            if y > small:
-                y -= q
-            if y < -small:
-                entry = _reconstruct(v * scale % p, p)
-                if entry is None:
-                    return None
-                y, f = entry
-                den, scale = den * f, scale * f % p
-                low = scale % q
-            read.append((y, den))
-    # Each entry was read over the denominator as it stood then.
-    num = [[y if d == den else y * (den // d) for y, d in read[i:i + m]]
-           for i in range(0, len(read), m)]
-    if not _residual_holds(aug, n, num, den):
-        return None
-    return [row + [den] for row in num]
-
-
 def jordan_int(aug, n, m):
     """Gauss-Jordan on an n x (n+m) integer matrix [M | R].
 
-    Returns (den, num, ops) where den is a nonzero integer, positive or
-    negative, and num the n x m integer matrix with M @ (num / den) == R
-    exactly; ops counts the multiply-mod updates, summed over the primes.
-    At the Hadamard bound den = det(M) and num = adj(M) R; a solve that
-    stops earlier, its residual proved, returns a positive den, a multiple
-    of the reduced solution's denominator. Primes dividing det(M)
+    Returns (den, num, ops) where den = det(M), nonzero and possibly
+    negative, and num = adj(M) R, so that M @ (num / den) == R exactly;
+    ops counts the multiply-mod updates, summed over the primes. The
+    primes run to the Hadamard bound of [M | R]. Primes dividing det(M)
     are skipped; M is singular exactly when their product passes the
     bound, and then ZeroDivisionError is raised. The input is not mutated.
     """
     if n == 0:
         return 1, [], 0
-    settle = (lambda crt: _certify(aug, n, m, crt)) if m else None
-    values, ops = _multimodular(aug, hadamard_bound(aug), _solve_step, settle)
+    values, ops = _multimodular(aug, hadamard_bound(aug), _solve_step)
     return values[0][m], [row[:m] for row in values], ops
 
 

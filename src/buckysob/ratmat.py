@@ -17,9 +17,7 @@ moment route to C(a) in ``green`` eliminates nothing.) Before ``det_int``
 and ``jordan_int`` run, a matrix and a right-hand side are cleared to
 integers row by row, which changes neither solutions nor singularity. A
 solve's result is the kernel's integer rows N over its denominator d,
-with M N == d R exactly: adj(M) R over det(M) when the primes reach the
-bound, and a smaller d once the exact residual has proved an earlier
-candidate.
+with M N == d R exactly: adj(M) R over det(M), exact by the bound alone.
 ``charpoly_int`` takes the rows ``num`` as they are, since the
 characteristic polynomial is a similarity invariant and row scaling is not
 a similarity; the denominator is divided out of the coefficients.
@@ -45,10 +43,9 @@ class PivotCounter:
     (elimination for determinants and solves; Hessenberg reduction and the
     charpoly recurrence for characteristic polynomials), taken from the
     loop bounds and summed over the primes it used, so it scales with the
-    matrix shape and the bit size of the entries. A solve's count is
-    output-sensitive: it stops at the chunk that proves its result, so it
-    follows the size of the reduced solution when that is well below the
-    Hadamard bound.
+    matrix shape and the bit size of the entries. Every kernel runs its
+    primes to its bound, so a count depends on the input alone, not on the
+    size of the reduced result.
     """
 
     def __init__(self):

@@ -139,7 +139,7 @@ def test_kernel_swaps_rows_for_some_primes_only():
     [[0, 0], [0, 0]],
     [[2 ** 70, 3, 1], [2 ** 71, 6, 2], [5, -1, 2 ** 90]],
     _lu([1, 3, 0, -2, 1], seed=51),
-    # Several chunks, so the solve's early stop is consulted between them.
+    # Several chunks, so the singular verdict comes only after the first.
     [[2 ** 200, 3, 1], [2 ** 201, 6, 2], [5, -1, 2 ** 300]],
 ])
 def test_kernel_singular(mat):
@@ -208,10 +208,8 @@ def crt_inputs(draw):
 @given(crt_inputs())
 @example(([[2 ** 300, -(2 ** 300)], [1, 0]], [0, 1, 2, 1, 8, 3]))
 def test_crt_reads_agree_after_every_chunk(case):
-    # The matrix gets a column of ones, so that a quotient over it is a
-    # read of one entry. Chunks run on past 2 max|x| by single primes.
-    rows, sizes = case
-    x = [row + [1] for row in rows]
+    # Chunks run on past 2 max|x| by single primes.
+    x, sizes = case
     r, m = len(x), len(x[0])
     bound = 2 * max(abs(v) for row in x for v in row)
     crt, table, modulus = _modular._Crt(), prime_table(60), 1
@@ -224,29 +222,34 @@ def test_crt_reads_agree_after_every_chunk(case):
         assert crt.modulus == modulus
         if modulus == 1:
             continue
-        values = crt.residues()
-        assert values == [[v % crt.modulus for v in row] for row in x]
-        assert [[crt.quotient((i, j), (0, m - 1)) for j in range(m)]
-                for i in range(r)] == values
+        half = crt.modulus >> 1
+        assert crt.symmetric() == [[(v + half) % crt.modulus - half for v in row]
+                                   for row in x]
         if crt.modulus > bound:
             assert crt.symmetric() == x
 
 
 def test_primes_used_pass_twice_hadamard(chunks):
+    # The bound is the only stopping rule: the second system, det(M) = k^8
+    # with reduced denominators dividing k^2, also runs to the bound and
+    # returns den = det(M).
     rng = random.Random(49)
-    mat = [[rng.randint(-2 ** 40, 2 ** 40) for _ in range(8)] for _ in range(8)]
-    aug = [row + [rng.randint(-9, 9) for _ in range(3)] for row in mat]
-    d = _cofactor_det(mat)
-    assert abs(d) <= hadamard_bound(mat) <= hadamard_bound(aug)
-    for run, bound in ((lambda: det_int(mat), hadamard_bound(mat)),
-                       (lambda: jordan_int(aug, 8, 3), hadamard_bound(aug))):
-        chunks.clear()
-        run()
-        assert all(len(primes) <= 8 for primes, _ in chunks)
-        assert all(all(live) for _, live in chunks)
-        used = [primes for primes, _ in chunks]
-        assert math.prod(map(math.prod, used)) > 2 * bound
-        assert math.prod(map(math.prod, used[:-1])) <= 2 * bound
+    systems = [([[rng.randint(-2 ** 40, 2 ** 40) for _ in range(8)] for _ in range(8)],
+                [[rng.randint(-9, 9) for _ in range(3)] for _ in range(8)]),
+               _nilpotent_shift(8, 3, 2 ** 200 + 235, 3, seed=53)]
+    for mat, rhs in systems:
+        aug = [r + s for r, s in zip(mat, rhs)]
+        d = _cofactor_det(mat)
+        assert abs(d) <= hadamard_bound(mat) <= hadamard_bound(aug)
+        for run, bound in ((lambda: det_int(mat), hadamard_bound(mat)),
+                           (lambda: jordan_int(aug, 8, 3), hadamard_bound(aug))):
+            chunks.clear()
+            assert run()[0] == d
+            assert all(len(primes) <= 8 for primes, _ in chunks)
+            assert all(all(live) for _, live in chunks)
+            used = [primes for primes, _ in chunks]
+            assert math.prod(map(math.prod, used)) > 2 * bound
+            assert math.prod(map(math.prod, used[:-1])) <= 2 * bound
 
 
 def test_solve_primes_run_in_even_chunks(lap, chunks):
@@ -519,10 +522,9 @@ def nilpotent_shifts(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(nilpotent_shifts())
-def test_early_solve_matches_fraction_oracle(system):
-    """A large det with a small reduced solution, where the solve often
-    stops before the bound: jordan_int and bareiss_solve still return the
-    one solution."""
+def test_large_det_small_solution_matches_fraction_oracle(system):
+    """A large det with a small reduced solution: jordan_int returns it
+    over det(M), and bareiss_solve reduces it to the one solution."""
     mat, rhs = system
     n, m = len(mat), len(rhs[0])
     expected = _fraction_solve(mat, rhs)
@@ -530,85 +532,6 @@ def test_early_solve_matches_fraction_oracle(system):
     assert den != 0
     assert [[Fraction(x, den) for x in row] for row in num] == expected
     assert bareiss_solve(RationalMatrix(mat), RationalMatrix(rhs)) == RationalMatrix(expected)
-
-
-def _primes_for(bound):
-    """How many kernel primes it takes for their product to pass bound."""
-    count, modulus = 0, 1
-    while modulus <= bound:
-        count += 1
-        modulus *= prime_table(count)[-1]
-    return count
-
-
-@pytest.mark.parametrize("zero_column", [False, True])
-def test_solve_stops_at_the_reduced_size(chunks, zero_column):
-    # det(M) = k^8 has about 1,600 bits, the solution's denominators at
-    # most 400: the solve stops well before the bound, with den | k^2. A
-    # zero first column of R makes the probed entry x00 = 0 = 0/1.
-    k = 2 ** 200 + 235
-    mat, rhs = _nilpotent_shift(8, 3, k, 3, seed=53)
-    if zero_column:
-        rhs = [[0] + row[1:] for row in rhs]
-    aug = [r + s for r, s in zip(mat, rhs)]
-    den, num, _ = jordan_int(aug, 8, 3)
-    assert [[Fraction(x, den) for x in row] for row in num] == _fraction_solve(mat, rhs)
-    assert den > 0 and k * k % den == 0
-    used = sum(len(primes) for primes, _ in chunks)
-    assert used < _primes_for(2 * hadamard_bound(aug)) // 2
-
-
-def test_false_candidate_is_rejected_by_the_residual(monkeypatch, chunks):
-    # The first reconstruction inside a candidate (the second with a
-    # denominator above 1; the first is the probe's 1/k) returns twice
-    # its denominator: the candidate's numerators no longer match it, the
-    # exact residual rejects it, and a later chunk proves the right one.
-    k = 2 ** 200 + 235
-    mat, _ = _nilpotent_shift(8, 3, k, 1, seed=54)
-    rhs = [[int(i == j) for j in range(8)] for i in range(8)]
-    reconstruct, residual = _modular._reconstruct, _modular._residual_holds
-    found, verdicts = [], []
-
-    def wrong_once(u, modulus):
-        out = reconstruct(u, modulus)
-        if out is not None and out[1] > 1:
-            found.append(out)
-            if len(found) == 2:
-                return out[0], 2 * out[1]
-        return out
-
-    def recording(*args):
-        verdicts.append(residual(*args))
-        return verdicts[-1]
-
-    monkeypatch.setattr(_modular, "_reconstruct", wrong_once)
-    monkeypatch.setattr(_modular, "_residual_holds", recording)
-    aug = [r + s for r, s in zip(mat, rhs)]
-    den, num, _ = jordan_int(aug, 8, 8)
-    assert verdicts == [False, True]
-    assert [[Fraction(x, den) for x in row] for row in num] == _fraction_solve(mat, rhs)
-    assert sum(len(primes) for primes, _ in chunks) < _primes_for(2 * hadamard_bound(aug))
-
-
-# The two 48-bit shifts of the green_sweep benchmark workload at seed 1.
-GREEN_48_BITS = [Fraction(99917665461003, 139028292933446),
-                 Fraction(125722343564244, 125230156241369)]
-
-
-@pytest.mark.parametrize("a", GREEN_48_BITS)
-def test_green_48_bits_uses_about_half_the_primes(lap, chunks, a):
-    """G(a) = (A + aI)^-1 has a reduced denominator of about 730 bits,
-    against about 2,980 for det(A + aI) and the Hadamard bound: the solve
-    stops at the first chunk whose modulus passes 2^32 den max|num| of the
-    reduced G(a), the size the reconstruction's margin asks for."""
-    shifted = lap.scaled_add(a)
-    g = inverse(shifted)
-    assert shifted * g == RationalMatrix.identity(60)
-    rows, _ = ratmat._cleared_rows(shifted, RationalMatrix.identity(60))
-    used = [primes for primes, _ in chunks]
-    assert sum(map(len, used)) <= 0.55 * _primes_for(2 * hadamard_bound(rows))
-    size = 2 ** 32 * g.den * max(abs(x) for row in g.num for x in row)
-    assert math.prod(map(math.prod, used[:-1])) <= size
 
 
 @pytest.fixture
