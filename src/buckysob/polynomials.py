@@ -6,6 +6,14 @@ form: integer coefficients, numerator/denominator coprime as polynomials,
 jointly content-free, positive leading denominator coefficient. That makes
 equality with any published coefficient list a literal comparison.
 
+The gcd and the division run on integers only. ``poly_gcd`` is the
+heuristic gcd (Char, Geddes & Gonnet, J. Symbolic Comput. 7, 1989;
+Geddes, Czapor & Labahn, *Algorithms for Computer Algebra*, 1992, ch. 7),
+whose candidate is returned only once it divides both inputs exactly,
+with a primitive pseudo-remainder sequence as the fallback when a few
+evaluation points all fail. ``exact_div`` is integer long division that
+raises ValueError on a remainder or a quotient that is not integral.
+
 A rational function is recovered from the coefficients of its expansion at
 infinity by Berlekamp-Massey over Q, with no degree given and no
 elimination.
@@ -146,42 +154,94 @@ class IntPolynomial:
         return [str(c) for c in self.coeffs]
 
 
-def _frac_divmod(p, q):
-    """Division with remainder over Fractions; p, q ascending lists."""
-    p = [Fraction(c) for c in p]
-    q = _trim([Fraction(c) for c in q])
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    quo = [Fraction(0)] * max(len(p) - len(q) + 1, 1)
+def _quotient(p, q):
+    """The quotient of p by q, ascending coefficient lists, as a list, if
+    q divides p in Z[x]; None otherwise. Integer long division, which stops
+    at the first quotient coefficient that is not an integer."""
+    dq = len(q) - 1
+    lead = q[-1]
     rem = list(p)
-    while len(_trim(rem)) >= len(q):
-        rem = _trim(rem)
-        k = len(rem) - len(q)
-        f = rem[-1] / q[-1]
-        quo[k] = f
-        for i, c in enumerate(q):
-            rem[k + i] -= f * c
-        rem = rem[:-1]
-    return quo, _trim(rem)
+    quo = [0] * max(len(p) - dq, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        c, r = divmod(rem[k + dq], lead)
+        if r:
+            return None
+        if c:
+            quo[k] = c
+            for i in range(dq):
+                rem[k + i] -= c * q[i]
+    return None if any(rem[:dq]) else quo
+
+
+def _pseudo_remainder(p, q):
+    """lc(q)^(deg p - deg q + 1) p mod q, fraction-free; deg p >= deg q."""
+    dq = len(q) - 1
+    lead = q[-1]
+    rem = list(p)
+    for k in range(len(p) - 1 - dq, -1, -1):
+        c = rem[k + dq]
+        rem = [lead * x for x in rem[:k + dq]]
+        if c:
+            for i in range(dq):
+                rem[k + i] -= c * q[i]
+    return rem
+
+
+def _heuristic_gcd(a: IntPolynomial, b: IntPolynomial, xi: int):
+    """GCDHEU at one evaluation point (Char, Geddes & Gonnet, J. Symbolic
+    Comput. 7, 1989): the primitive polynomial read from the symmetric
+    xi-adic digits of gcd(a(xi), b(xi)), if it divides both a and b;
+    None otherwise.
+
+    For primitive a, b and xi >= 2 min(|a|, |b|) + 2 (max-norms), a
+    primitive h from these digits that divides both is their gcd: the
+    gcd is h k with k(xi) dividing the digits' content, which is at most
+    xi/2, while a k of positive degree has |k(xi)| > xi/2 there.
+    """
+    gamma = math.gcd(a(xi), b(xi))
+    digits = []
+    while gamma:
+        d = gamma % xi
+        if d > xi // 2:
+            d -= xi
+        digits.append(d)
+        gamma = (gamma - d) // xi
+    h = IntPolynomial(digits).primitive()
+    if _quotient(a.coeffs, h.coeffs) is None or _quotient(b.coeffs, h.coeffs) is None:
+        return None
+    return h
 
 
 def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    """Primitive gcd with positive leading coefficient (Euclid over Q)."""
-    a = [Fraction(c) for c in p.coeffs]
-    b = [Fraction(c) for c in q.coeffs]
-    while _trim(b):
-        _, r = _frac_divmod(a, b)
-        a, b = b, r
-    a = _trim(a)
-    if not a:
-        return IntPolynomial([])
-    scale = math.lcm(*(c.denominator for c in a))
-    return IntPolynomial([c * scale for c in a]).primitive()
+    """Primitive gcd with positive leading coefficient, on integers.
+
+    gcd(p, 0) is the primitive part of p, gcd(0, 0) the zero polynomial.
+    The heuristic gcd is tried at up to six growing points xi; the first
+    candidate that divides both primitive parts exactly is returned. If
+    none does, a primitive pseudo-remainder sequence decides.
+    """
+    a, b = p.primitive(), q.primitive()
+    if a.is_zero() or b.is_zero():
+        return b if a.is_zero() else a
+    xi = 2 * min(max(map(abs, a.coeffs)), max(map(abs, b.coeffs))) + 29
+    for _ in range(6):
+        g = _heuristic_gcd(a, b, xi)
+        if g is not None:
+            return g
+        xi = xi * 73794 // 27011
+    if a.degree < b.degree:
+        a, b = b, a
+    while not b.is_zero():
+        a, b = b, IntPolynomial(_pseudo_remainder(a.coeffs, b.coeffs)).primitive()
+    return a
 
 
 def exact_div(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    quo, rem = _frac_divmod(list(p.coeffs), list(q.coeffs))
-    if rem:
+    """p / q; ValueError unless q divides p with an integer quotient."""
+    if q.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    quo = _quotient(p.coeffs, q.coeffs)
+    if quo is None:
         raise ValueError("inexact polynomial division")
     return IntPolynomial(quo)
 
@@ -196,21 +256,20 @@ class RationalFunction:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den):
-        num_f = [Fraction(c) for c in (num.coeffs if isinstance(num, IntPolynomial) else num)]
-        den_f = [Fraction(c) for c in (den.coeffs if isinstance(den, IntPolynomial) else den)]
-        if not _trim(den_f):
+        if not (isinstance(num, IntPolynomial) and isinstance(den, IntPolynomial)):
+            # integerize with one common scale (scaling num and den
+            # separately would change the value)
+            num = [Fraction(c) for c in getattr(num, "coeffs", num)]
+            den = [Fraction(c) for c in getattr(den, "coeffs", den)]
+            scale = math.lcm(*(c.denominator for c in num + den))
+            num = IntPolynomial([c * scale for c in num])
+            den = IntPolynomial([c * scale for c in den])
+        if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        n, d = self._normalize(num_f, den_f)
-        self.num = n
-        self.den = d
+        self.num, self.den = self._normalize(num, den)
 
     @staticmethod
-    def _normalize(num_f, den_f):
-        # integerize with one common scale (scaling num and den separately
-        # would change the value)
-        scale = math.lcm(*(c.denominator for c in num_f + den_f))
-        n = IntPolynomial([c * scale for c in num_f])
-        d = IntPolynomial([c * scale for c in den_f])
+    def _normalize(n, d):
         if n.is_zero():
             return n, IntPolynomial([1])
         g = poly_gcd(n, d)

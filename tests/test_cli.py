@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from buckysob import cli, closedform, graph, green, ratmat
+from buckysob import cli, closedform, graph, green, polynomials, ratmat
 from buckysob.cli import main
 from buckysob.polynomials import DegreeInsufficient, IntPolynomial
 
@@ -185,6 +185,52 @@ sys.exit(cli.main(["verify-all", "--trials", "0"]))
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "FAIL c0_three_routes" in proc.stdout
     assert "FAIL limit_identity" in proc.stdout
+
+
+def _no_reduction(monkeypatch):
+    monkeypatch.setattr(polynomials, "poly_gcd", lambda p, q: IntPolynomial([1]))
+
+
+def _wrong_ca_numerator(monkeypatch):
+    coeffs = closedform.CA_NUM_COEFFS
+    monkeypatch.setattr(closedform, "CA_NUM_COEFFS", (coeffs[0] + 1,) + coeffs[1:])
+
+
+def _failed_checks(out):
+    return {l.split()[1].rstrip(":") for l in out.splitlines() if l.startswith("FAIL")}
+
+
+@pytest.mark.parametrize("plant, failing", [
+    # Rational functions are left unreduced: the C(a) routes no longer
+    # compare equal, and C(a) - 1/(60a) keeps its pole at 0.
+    (_no_reduction, {"ca_three_routes", "limit_identity", "relabel_invariance"}),
+    # The closed form's N(a) is off by 1 in its constant term.
+    (_wrong_ca_numerator, {"ca_three_routes", "moore_penrose", "relabel_invariance"}),
+], ids=["poly_gcd_returns_1", "ca_numerator_plus_1"])
+def test_planted_ca_fault_fails_exactly(plant, failing, monkeypatch, capsys):
+    plant(monkeypatch)
+    code, out = run(capsys, "verify-all", "--trials", "10")
+    assert code == 1
+    assert _failed_checks(out) == failing
+
+
+def test_planted_ca_fault_fails_under_optimize():
+    """The wrong closed-form numerator FAILs the same checks with asserts
+    stripped by ``python -O``."""
+    script = """
+import sys
+from buckysob import cli, closedform
+c = closedform.CA_NUM_COEFFS
+closedform.CA_NUM_COEFFS = (c[0] + 1,) + c[1:]
+sys.exit(cli.main(["verify-all", "--trials", "10"]))
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert _failed_checks(proc.stdout) == {
+        "ca_three_routes", "moore_penrose", "relabel_invariance"}
 
 
 def test_verify_checks_compute_nothing_before_the_checks(monkeypatch):

@@ -1,12 +1,13 @@
 """Polynomial arithmetic, rational functions, and Berlekamp-Massey fitting."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from buckysob import _modular, closedform, ratmat
+from buckysob import _modular, closedform, green, polynomials, ratmat
 from buckysob.polynomials import (DegreeInsufficient, IntPolynomial,
                                   RationalFunction, exact_div,
                                   fit_rational_function, poly_gcd,
@@ -47,6 +48,106 @@ def test_poly_gcd_and_squarefree():
 def test_exact_div_rejects_inexact():
     with pytest.raises(ValueError):
         exact_div(IntPolynomial([1, 1]), IntPolynomial([0, 1]))
+    # exact over Q, but the quotient is not integral
+    with pytest.raises(ValueError):
+        exact_div(IntPolynomial([1, 1]), IntPolynomial([2]))
+    with pytest.raises(ValueError):
+        exact_div(IntPolynomial([1, 3]), IntPolynomial([1, 2]))
+    with pytest.raises(ZeroDivisionError):
+        exact_div(IntPolynomial([1]), IntPolynomial([]))
+
+
+def _euclid_rem(p, q):
+    """The remainder of p by q over Fractions; ascending lists, q trimmed."""
+    rem = [Fraction(c) for c in p]
+    while True:
+        while rem and not rem[-1]:
+            rem.pop()
+        if len(rem) < len(q):
+            return rem
+        k = len(rem) - len(q)
+        f = rem[-1] / q[-1]
+        for i, c in enumerate(q):
+            rem[k + i] -= f * c
+
+
+def euclid_gcd(p, q):
+    """The oracle: Euclid over Q, scaled to a primitive integer polynomial
+    with positive leading coefficient."""
+    a, b = list(p.coeffs), list(q.coeffs)
+    while b:
+        a, b = b, _euclid_rem(a, b)
+    if not a:
+        return IntPolynomial([])
+    scale = math.lcm(*(Fraction(c).denominator for c in a))
+    return IntPolynomial([c * scale for c in a]).primitive()
+
+
+# Small factors with contents, negative leading coefficients, constants
+# and zero among them.
+polys = st.builds(
+    lambda cs, content: IntPolynomial([content * c for c in cs]),
+    st.lists(st.integers(-9, 9), max_size=6), st.integers(-6, 6).filter(bool))
+nonzero_polys = polys.filter(lambda f: not f.is_zero())
+
+
+@settings(max_examples=300, deadline=None)
+@given(polys, polys, polys)
+def test_poly_gcd_matches_fraction_euclid(f, g, h):
+    p, q = f * h, g * h
+    expected = euclid_gcd(p, q)
+    assert poly_gcd(p, q) == expected
+    assert poly_gcd(q, p) == expected
+
+
+@pytest.mark.parametrize("p, q, g", [
+    ([], [], []),
+    ([0, -6, -4], [], [0, 3, 2]),
+    ([], [5], [1]),
+    ([-4], [6], [1]),
+    ([2, -2], [-4, 4], [-1, 1]),
+    ([6, 0, -6], [-3, -3], [1, 1]),
+])
+def test_poly_gcd_edge_cases(p, q, g):
+    assert poly_gcd(IntPolynomial(p), IntPolynomial(q)) == IntPolynomial(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys, nonzero_polys, polys)
+def test_exact_div_inverts_multiplication(f, h, r):
+    assert exact_div(f * h, h) == f
+    with pytest.raises(ValueError):  # the quotient f + 1/2 is not integral
+        exact_div(2 * f * h + h, 2 * h)
+    if r.degree < h.degree and not r.is_zero():
+        with pytest.raises(ValueError):
+            exact_div(f * h + r, h)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys, nonzero_polys, nonzero_polys)
+def test_rational_function_cancels_any_common_factor(f, g, h):
+    assert RationalFunction(f * h, g * h) == RationalFunction(f, g)
+
+
+def test_prs_fallback_agrees_with_heuristic(monkeypatch, p_char):
+    """With the heuristic step always giving up, the primitive PRS alone
+    returns the same gcd, squarefree part and C(a)."""
+    p = closedform.charpoly_product()
+    x = IntPolynomial([0, 1])
+    cases = [(p, p.derivative()), (p_char, p_char.compose_neg()),
+             (-6 * (x - IntPolynomial([1])) ** 3, 4 * (x * x - IntPolynomial([1])))]
+    expected = ([poly_gcd(a, b) for a, b in cases], squarefree_part(p),
+                green.ca_via_charpoly(p))
+    attempts = []
+
+    def give_up(a, b, xi):
+        attempts.append(xi)
+        return None
+
+    monkeypatch.setattr(polynomials, "_heuristic_gcd", give_up)
+    assert ([poly_gcd(a, b) for a, b in cases], squarefree_part(p),
+            green.ca_via_charpoly(p)) == expected
+    assert attempts
 
 
 def test_rational_function_normalization():
