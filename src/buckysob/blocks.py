@@ -12,6 +12,8 @@ counters record that the two half solves really are cheaper.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -89,7 +91,14 @@ def half_spectra_check(split: BlockSplit, p: IntPolynomial,
 def assemble_green_via_blocks(split: BlockSplit, a=None,
                               counter: PivotCounter | None = None) -> RationalMatrix:
     """G* (a is None) or G(a) from two half-size solves, in the original
-    labeling."""
+    labeling.
+
+    With g+ = X/d+ and g- = Y/d-, the blocks g0, g1 = (g+ +- g-)/2 are
+    (s X +- t Y)/(2L) for L = lcm(d+, d-), s = L/d+ and t = L/d-. The
+    integer rows of [[g0, g1], [g1, g0]] are written straight into the
+    original labeling, entry (i, j) from block entry (perm[i], perm[j]),
+    and canonicalized once.
+    """
     half = split.a_plus.rows
     if a is None:
         e_half = RationalMatrix.constant(half, half, Fraction(1, half))
@@ -99,10 +108,15 @@ def assemble_green_via_blocks(split: BlockSplit, a=None,
         a = positive(a)
         g_plus = inverse(split.a_plus.scaled_add(a), counter)
         g_minus = inverse(split.a_minus.scaled_add(a), counter)
-    g0 = Fraction(1, 2) * (g_plus + g_minus)
-    g1 = Fraction(1, 2) * (g_plus - g_minus)
-    assembled = RationalMatrix.block([[g0, g1], [g1, g0]])
-    inv_perm = [0] * len(split.perm)
-    for i, p in enumerate(split.perm):
-        inv_perm[p] = i
-    return assembled.permuted(inv_perm)
+    lcm = math.lcm(g_plus.den, g_minus.den)
+    s, t = lcm // g_plus.den, lcm // g_minus.den
+    g0, g1 = [], []
+    for x, y in zip(g_plus.num, g_minus.num):
+        sx, ty = [s * u for u in x], [t * v for v in y]
+        g0.append(list(map(operator.add, sx, ty)))
+        g1.append(list(map(operator.sub, sx, ty)))
+    assembled = ([r0 + r1 for r0, r1 in zip(g0, g1)]
+                 + [r1 + r0 for r0, r1 in zip(g0, g1)])
+    perm = split.perm
+    return RationalMatrix.from_ints([[assembled[i][j] for j in perm] for i in perm],
+                                    2 * lcm)

@@ -150,10 +150,11 @@ def _verify_checks(trials: int, seed: int):
     # first use, inside the first check that needs them, so that their time
     # shows in that check's report. G*'s counter holds the ops of its one
     # solve, which block_reduction reports. G(a) is solved here by direct
-    # elimination, not by green.green_matrix: with its one-time annihilator
-    # (15-17 ms, mostly the annihilator's own charpoly), the polynomial
-    # route took 83-85 ms for these three G(a) against 78-81 ms for the
-    # three solves (in-process medians, 2-core x86-64, Python 3.11).
+    # elimination, not by green.green_matrix, which the solves check. With
+    # its one-time annihilator (18-21 ms) and walk-class table (30-32 ms),
+    # the polynomial route took 61-68 ms for these three G(a) (12-13 ms of
+    # it the three evaluations) against 85-92 ms for the three solves
+    # (in-process medians of 9, 2-core x86-64, Python 3.11).
     charpoly_of_a = functools.cache(lambda: charpoly(A))
     full_counter = PivotCounter()
     pseudo_green_of_a = functools.cache(

@@ -2,15 +2,17 @@
 
 The Green matrix G(a) = (A + aI)^-1 is a polynomial in A with no
 elimination: G(a) = -q_a(A)/m(-a), where m(A) = 0 and q_a is the quotient
-of m by x + a, evaluated by Horner on A's integer rows and returned only
-after the exact residual (A + aI) G(a) = I. Direct and block elimination,
-which ``verify-all`` uses for its G(a), are the routes that check it. The
-pseudo-Green matrix is computed as (A + J)^-1 - E0/60, one exact solve
-of an integral system (J is the all-ones matrix, J = 60 E0);
-``verify_pseudo_green`` then proves A G* = G* A = I - E0 and G* 1 = 0
-exactly, from which the Moore-Penrose axioms and G* E0 = E0 G* = 0
-follow. C0 and C(a) each come by
-independent routes that must agree exactly:
+of m by x + a. Entry (i, j) of a polynomial in A depends only on the walk
+counts (A^k)_ij, k < deg m, which on the buckyball take 24 distinct
+profiles: q_a(A) is one dot product per such walk class, filled in from a
+cached class table, and G(a) is returned only after the exact residual
+(A + aI) G(a) = I. Direct and block elimination, which ``verify-all``
+uses for its G(a), are the routes that check it. The pseudo-Green matrix
+is computed as (A + J)^-1 - E0/60, one exact solve of an integral system
+(J is the all-ones matrix, J = 60 E0); ``verify_pseudo_green`` then
+proves A G* = G* A = I - E0 and G* 1 = 0 exactly, from which the
+Moore-Penrose axioms and G* E0 = E0 G* = 0 follow. C0 and C(a) each come
+by independent routes that must agree exactly:
 
   C0:   any diagonal entry of G*        vs  -(1/60) q'(0)/q(0), P = x q(x)
   C(a): Berlekamp-Massey on the closed-walk moments (A^k)_00, k < 120,
@@ -21,7 +23,7 @@ independent routes that must agree exactly:
 That every diagonal entry of G(a) and of G* is the same is proved once by
 ``walk_regular`` from the fit's own denominator m(-a): with m(A) = 0,
 constant diagonals of A^k for k < deg m = 15 make the diagonal of every
-polynomial in A constant.
+polynomial in A constant. It reads both facts from the same class table.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -103,6 +105,44 @@ def _sparse_times(rows, x):
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def _walk_classes(rows: tuple[tuple[int, ...], ...], count: int):
+    """The walk classes of the square integer matrix N with these rows:
+    entries (i, j) and (k, l) share a class exactly when (N^t)_ij =
+    (N^t)_kl for every t < count. Returns (index, profiles): index[i][j]
+    is the class of (i, j), and profiles[c][t] is (N^t)_ij for every entry
+    of class c. Every polynomial in N of degree below count is constant on
+    a class (Godsil & McKay, LAA 1980); on the buckyball the 3,600 entries
+    fall into 24 classes for count = 15 or 16.
+
+    Built by partition refinement: each power N^t, formed from the last by
+    one sparse product, splits the classes by its entries and is then
+    dropped, so one power is alive at a time and none is kept. Cached by
+    value, so equal matrices built separately share one table.
+    """
+    nonzeros = [[(j, x) for j, x in enumerate(row) if x] for row in rows]
+    n = len(rows)
+    index = [[0] * n for _ in range(n)]
+    profiles = [()]
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    for t in range(count):
+        if t:
+            power = _sparse_times(nonzeros, power)
+        ids = {}
+        index = [[ids.setdefault(key, len(ids)) for key in zip(irow, prow)]
+                 for irow, prow in zip(index, power)]
+        profiles = [profiles[c] + (v,) for c, v in ids]
+    return tuple(map(tuple, index)), tuple(profiles)
+
+
+def _polynomial_rows(rows, weights):
+    """The integer rows of sum_t weights[t] N^t for the square integer
+    matrix N with these rows: one dot product per walk class."""
+    index, profiles = _walk_classes(rows, len(weights))
+    values = [sum(map(operator.mul, weights, profile)) for profile in profiles]
+    return [[values[c] for c in row] for row in index]
+
+
 def green_matrix(A: RationalMatrix, a) -> RationalMatrix:
     """(A + aI)^-1, exact, as a polynomial in A with no elimination.
 
@@ -113,37 +153,34 @@ def green_matrix(A: RationalMatrix, a) -> RationalMatrix:
     degree below deg m (Higham, *Functions of Matrices*, SIAM 2008,
     sec. 1.2). Synthetic division on integers gives B_j = Q^j q_(d-1-j):
     B_0 = c_d, B_j = c_(d-j) Q^j - P B_(j-1), and r = m(-b) Q^d =
-    c_0 Q^d - P B_(d-1). Horner over N's nonzeros, X <- N X +
-    Q^(d-1-j) B_j I, builds X = Q^(d-1) q(N), and G = -Q den X / r.
+    c_0 Q^d - P B_(d-1). X = Q^(d-1) q(N) = sum_t Q^t B_(d-1-t) N^t is
+    then one dot product per walk class of N (``_walk_classes``, 24 on
+    the buckyball), and G = -Q den X / r.
 
     A zero r makes -b a root of m, so an eigenvalue of N, and raises
     SingularMatrixError. G is returned only after the exact residual
-    (QN + PI) X = -r I has passed, which holds exactly when m(N) = 0,
-    whatever m was; otherwise RouteMismatch is raised.
+    (QN + PI) X = -r I has passed, which proves X whatever m and the class
+    table were; with the right table it holds exactly when m(N) = 0.
+    Otherwise RouteMismatch is raised.
     """
     b = positive(a) * A.den
     if not A.is_square():
         raise ValueError("square matrix required")
     p, q = b.numerator, b.denominator
+    rows = tuple(map(tuple, A.num))
     coef = []
-    for j, c in enumerate(reversed(_annihilator(tuple(map(tuple, A.num))).coeffs)):
+    for j, c in enumerate(reversed(_annihilator(rows).coeffs)):
         coef.append(c * q ** j - p * (coef[-1] if coef else 0))
     r = coef.pop()
     if r == 0:
         raise SingularMatrixError(f"A + {a}I is singular: -{a} is an eigenvalue of A")
-    n, d = A.rows, len(coef)
-    rows = A.nonzeros()
-    x = [[0] * n for _ in range(n)]
-    for j, bj in enumerate(coef):
-        if j:
-            x = _sparse_times(rows, x)
-        bj *= q ** (d - 1 - j)
-        for i in range(n):
-            x[i][i] += bj
+    x = _polynomial_rows(rows, [q ** t * bj for t, bj in enumerate(reversed(coef))])
+    n = A.rows
     residual = [[q * u + p * v for u, v in zip(nrow, xrow)]
-                for nrow, xrow in zip(_sparse_times(rows, x), x)]
+                for nrow, xrow in zip(_sparse_times(A.nonzeros(), x), x)]
     if residual != [[-r * (i == k) for k in range(n)] for i in range(n)]:
-        raise RouteMismatch(f"(A + {a}I) G(a) != I: the annihilator does not vanish at A")
+        raise RouteMismatch(f"(A + {a}I) G(a) != I: the annihilator does not vanish "
+                            "at A, or the walk classes are wrong")
     s = -q * A.den
     return RationalMatrix.from_ints([[s * v for v in row] for row in x], r)
 
@@ -213,25 +250,23 @@ def walk_regular(A: RationalMatrix, m: IntPolynomial) -> None:
     eigenprojection E_theta, a polynomial in A, then has (E_theta)_00 = 0
     but trace mult(theta) > 0. A must be symmetric ([[0, 1], [0, 0]] has
     m = x, m(A) != 0 and constant diagonals) and m nonzero.
+
+    Both facts are read from the walk classes of A's integer rows N
+    through N^d, d = deg m (``_walk_classes``), with no matrix product:
+    diag(A^k) is constant when every diagonal entry has the same (N^k)_ii,
+    and m(A) = 0 exactly when sum_k c_k den^(d-k) (N^k)_ij is 0 on every
+    class.
     """
     if not A.is_symmetric() or m.is_zero():
         raise ValueError("walk-regularity needs a symmetric A and a nonzero m")
-    n = A.rows
-    power = RationalMatrix.identity(n)
-    # m(A) as integer rows over den, the lcm of the powers' denominators.
-    den, total = 1, [[m.coeffs[0] * x for x in row] for row in power.num]
-    for k, c in enumerate(m.coeffs[1:]):
-        if any(power.num[i][i] != power.num[0][0] for i in range(n)):
+    d = m.degree
+    index, profiles = _walk_classes(tuple(map(tuple, A.num)), d + 1)
+    diagonal = [profiles[index[i][i]] for i in range(A.rows)]
+    for k in range(d):
+        if any(profile[k] != diagonal[0][k] for profile in diagonal):
             raise DiagonalMismatch(f"closed-walk moment m_{k} differs between vertices")
-        power = A * power
-        if den % power.den:
-            grow = power.den // math.gcd(den, power.den)
-            den *= grow
-            total = [[grow * x for x in row] for row in total]
-        c *= den // power.den
-        total = [[x + c * y for x, y in zip(row, prow)]
-                 for row, prow in zip(total, power.num)]
-    if any(map(any, total)):
+    weights = [c * A.den ** (d - k) for k, c in enumerate(m.coeffs)]
+    if any(sum(map(operator.mul, weights, profile)) for profile in profiles):
         raise DiagonalMismatch("m(A) != 0: vertex 0 does not see every eigenvalue")
 
 

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, determinism, exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from buckysob import cli, closedform, graph, green, polynomials, ratmat
+from buckysob import blocks, cli, closedform, graph, green, polynomials, ratmat
 from buckysob.cli import main
 from buckysob.polynomials import DegreeInsufficient, IntPolynomial
 
@@ -233,6 +234,47 @@ sys.exit(cli.main(["verify-all", "--trials", "10"]))
         "ca_three_routes", "moore_penrose", "relabel_invariance"}
 
 
+def test_planted_block_fault_fails_block_reduction(monkeypatch, capsys):
+    """A split whose A-[0][0] is off by 1 no longer conjugates the relabeled
+    Laplacian: only block_reduction FAILs, at the J conjugation."""
+    one = ratmat.RationalMatrix.from_ints(
+        [[int(i == j == 0) for j in range(30)] for i in range(30)])
+
+    def shifted(*args, _split=blocks.block_split):
+        split = _split(*args)
+        return dataclasses.replace(split, a_minus=split.a_minus + one)
+
+    monkeypatch.setattr(blocks, "block_split", shifted)
+    code, out = run(capsys, "verify-all", "--trials", "10")
+    assert code == 1
+    assert [l for l in out.splitlines() if l.startswith("FAIL")] == [
+        "FAIL block_reduction: J conjugation"]
+
+
+def test_planted_block_fault_fails_under_optimize():
+    """The shifted A- FAILs block_reduction with asserts stripped by
+    ``python -O``."""
+    script = """
+import dataclasses, sys
+from buckysob import blocks, cli, ratmat
+split = blocks.block_split
+def shifted(*args):
+    s = split(*args)
+    one = ratmat.RationalMatrix.from_ints(
+        [[int(i == j == 0) for j in range(30)] for i in range(30)])
+    return dataclasses.replace(s, a_minus=s.a_minus + one)
+blocks.block_split = shifted
+sys.exit(cli.main(["verify-all", "--trials", "10"]))
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert [l for l in proc.stdout.splitlines() if l.startswith("FAIL")] == [
+        "FAIL block_reduction: J conjugation"]
+
+
 def test_verify_checks_compute_nothing_before_the_checks(monkeypatch):
     """The charpoly, G* and G(1) are made once, inside the first check that
     uses them, so listing the checks runs no elimination."""
@@ -293,12 +335,12 @@ def test_verify_all_deterministic_checks(capsys, tmp_path, monkeypatch, lap):
     assert code == 0
     # G* of A is solved once; the other solve is of the relabeled Laplacian.
     assert len(solved) == 2 and sum(m == lap for m in solved) == 1
-    # Matrix products: A G* and G* A in moore_penrose's G* verifier, 2 in
-    # the block conjugation and 15 in walk_regular's powers A^1..A^15 of the
-    # certificate (deg m = 15); and one matrix-vector product A u per
+    # Matrix products: A G* and G* A in moore_penrose's G* verifier and 2 in
+    # the block conjugation; walk_regular reads A's walk classes, built on
+    # integer rows, and makes none. And one matrix-vector product A u per
     # equality witness, in its form check.
-    assert sum(cols > 1 for _, cols in products) == 2 + 2 + 15
-    assert products.count((60, 1)) == len(products) - 19 == 120
+    assert sum(cols > 1 for _, cols in products) == 2 + 2
+    assert products.count((60, 1)) == len(products) - 4 == 120
     lines = [l for l in out.strip().splitlines() if l.startswith(("PASS", "FAIL"))]
     assert len(lines) == 10
     assert all(l.startswith("PASS") for l in lines)

@@ -418,6 +418,82 @@ def test_green_matrix_matches_elimination_small(lap_small, a):
     assert green.green_matrix(lap_small, a) == inverse(lap_small.scaled_add(a))
 
 
+def _rows(A):
+    return tuple(map(tuple, A.num))
+
+
+@pytest.mark.parametrize("count", [15, 16])
+def test_walk_classes_buckyball(lap, count):
+    """24 classes through N^14 and through N^15, with every diagonal entry
+    in one class; a seeded relabeling has 24 as well."""
+    index, profiles = green._walk_classes(_rows(lap), count)
+    assert len(profiles) == 24
+    assert len({index[i][i] for i in range(60)}) == 1
+    assert all(len(profile) == count for profile in profiles)
+    perm = list(range(60))
+    random.Random(count).shuffle(perm)
+    relabeled = graph.laplacian(graph.relabel(graph.buckyball(), perm))
+    assert len(green._walk_classes(_rows(relabeled), count)[1]) == 24
+
+
+@pytest.mark.parametrize("A", [
+    _laplacian_of(2, [(0, 1)]),
+    *(_cycle(n) for n in range(3, 13)),
+    graph.laplacian(graph.truncate(graph.canonical_tetrahedron())),
+    Fraction(1, 2) * graph.laplacian(graph.buckyball()),
+    RationalMatrix([[1, 1], [0, 1]]),
+], ids=["K2", *(f"C{n}" for n in range(3, 13)), "truncated_tetrahedron",
+        "bucky_half", "jordan_block"])
+def test_class_evaluation_matches_dense_powers(A):
+    """sum_k w_k N^k by one dot product per walk class equals the dense sum
+    of N's powers, for seeded random integer weights."""
+    rows = _rows(A)
+    N = RationalMatrix.from_ints(rows)
+    rng = random.Random(len(rows))
+    degree = green._annihilator(rows).degree
+    for count in (degree, degree + 1):
+        weights = [rng.randrange(-10 ** 6, 10 ** 6) for _ in range(count)]
+        power, dense = RationalMatrix.identity(N.rows), RationalMatrix.zeros(N.rows, N.rows)
+        for w in weights:
+            dense, power = dense + w * power, N * power
+        assert RationalMatrix.from_ints(green._polynomial_rows(rows, weights)) == dense
+
+
+def test_green_matrix_rejects_wrong_class_table(lap, monkeypatch):
+    """A table with two classes' profiles swapped fails the residual, and
+    no matrix is returned."""
+    def swapped(rows, count, _walk_classes=green._walk_classes):
+        index, profiles = _walk_classes(rows, count)
+        return index, (profiles[1], profiles[0]) + profiles[2:]
+
+    monkeypatch.setattr(green, "_walk_classes", swapped)
+    with pytest.raises(green.RouteMismatch, match="walk classes are wrong"):
+        green.green_matrix(lap, Fraction(1, 3))
+
+
+def test_wrong_class_table_under_optimize():
+    """The residual raises explicitly, so a wrong class table is caught with
+    asserts stripped by ``python -O``."""
+    script = """
+import sys
+from buckysob import graph, green
+real = green._walk_classes
+def swapped(rows, count):
+    index, profiles = real(rows, count)
+    return index, (profiles[1], profiles[0]) + profiles[2:]
+green._walk_classes = swapped
+try:
+    green.green_matrix(graph.laplacian(graph.buckyball()), 1)
+except green.RouteMismatch:
+    sys.exit(3)
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 3, proc.stdout + proc.stderr
+
+
 @settings(max_examples=3, deadline=None)
 @given(st.permutations(range(60)))
 def test_ca_fit_relabeled(bucky, perm):
