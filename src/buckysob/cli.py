@@ -146,20 +146,24 @@ def _verify_checks(trials: int, seed: int):
     """Yield (name, result dict) for every verification item."""
     g = graph.buckyball()
     A = graph.laplacian(g)
-    # The charpoly, G* and G(1), which several checks share, are computed on
-    # first use, inside the first check that needs them, so that their time
-    # shows in that check's report. G*'s counter holds the ops of its one
-    # solve, which block_reduction reports. G(a) is solved here by direct
-    # elimination, not by green.green_matrix, which the solves check. With
-    # its one-time annihilator (18-21 ms) and walk-class table (30-32 ms),
-    # the polynomial route took 61-68 ms for these three G(a) (12-13 ms of
-    # it the three evaluations) against 85-92 ms for the three solves
-    # (in-process medians of 9, 2-core x86-64, Python 3.11).
+    # The charpoly, G*, G(1) and the block split, which several checks
+    # share, are computed on first use, inside the first check that needs
+    # them, so that their time shows in that check's report. G*'s counter
+    # holds the ops of its one solve, which block_reduction reports. G(1) is
+    # solved by direct elimination; block_reduction compares the block route
+    # with it, and moore_penrose then solves G(1/10) and G(10) by that block
+    # route: 10 and 11 ms against 34 and 22 ms for full 60x60 inverses
+    # (in-process medians of 9, 2-core x86-64, Python 3.11). Neither route
+    # calls green.green_matrix, which these solves check: with its one-time
+    # annihilator (18-21 ms) and walk-class table (30-32 ms), the polynomial
+    # route took 61-68 ms for the three G(a).
     charpoly_of_a = functools.cache(lambda: charpoly(A))
     full_counter = PivotCounter()
     pseudo_green_of_a = functools.cache(
         lambda: green.pseudo_green(A, full_counter))
     green_at_one = functools.cache(lambda: inverse(A.scaled_add(1)))
+    split_of_a = functools.cache(
+        lambda: blocks.block_split(A, graph.find_antipodal_involution(g)))
 
     def check_graph_combinatorics():
         census = graph.face_census(g)
@@ -201,12 +205,13 @@ def _verify_checks(trials: int, seed: int):
         green.constant_diagonal(g_star)
         # The G(a) solves come before verify_pseudo_green's products, whose
         # intermediates would otherwise be alive during them; G(1/10) and
-        # G(10) serve this check only and are not kept. Their diagonals,
-        # by elimination, must be the closed form's C(a).
+        # G(10) serve this check only and are not kept. Their diagonals, by
+        # direct (G(1)) and block elimination, must be the closed form's C(a).
         ca_known = closedform.ca_closed_form()
         for a in (Fraction(1, 10), 1, 10):
             c_a = green.constant_diagonal(
-                green_at_one() if a == 1 else inverse(A.scaled_add(a)))
+                green_at_one() if a == 1
+                else blocks.assemble_green_via_blocks(split_of_a(), a))
             check(c_a == ca_known(a), f"G({a}) diagonal {c_a} is not C({a})")
         green.verify_pseudo_green(A, g_star)
         return {}
@@ -224,8 +229,7 @@ def _verify_checks(trials: int, seed: int):
         return {"clusters": cv.cluster_count, "max_deviation": cv.max_deviation}
 
     def check_block_reduction():
-        sigma = graph.find_antipodal_involution(g)
-        split = blocks.block_split(A, sigma)
+        split = split_of_a()
         relabeled = A.permuted(list(split.perm))
         j = split.j_matrix
         j_inv = Fraction(1, 2) * j
@@ -256,13 +260,12 @@ def _verify_checks(trials: int, seed: int):
             u = sobolev.random_vector(60, rng)
             _, _, holds = sobolev.sobolev_trial(u, c1, A, 1)
             check(holds, "damped inequality failed")
-        for j0 in range(60):
-            w = sobolev.equality_witness(g_star, j0, A)
+        for w in sobolev.equality_witnesses(g_star, A):
             check(w.lhs == w.rhs == closedform.C0 ** 2,
-                  f"mean-zero equality fails at column {j0}")
-            w = sobolev.equality_witness(g1, j0, A, 1)
+                  f"mean-zero equality fails at column {w.j0}")
+        for w in sobolev.equality_witnesses(g1, A, 1):
             check(w.lhs == w.rhs == c1 ** 2,
-                  f"damped equality fails at column {j0}")
+                  f"damped equality fails at column {w.j0}")
         # sharpness: any constant below C0 is beaten by a G* column
         below = closedform.C0 - Fraction(1, 10 ** 6)
         column = g_star.submatrix(range(60), [0])

@@ -4,15 +4,18 @@ Energies, the reproducing relations of the (pseudo-)Green kernels, random
 inequality trials, and the equality chain on Green-matrix columns. A vector
 is an n x 1 ``RationalMatrix``, integer numerators over one denominator, so
 energies and maxima are integer sums and every comparison (including
-sharpness) is exact. The damping parameter ``a`` selects the inequality:
-``a == 0`` is the mean-zero one, with the pseudo-Green matrix G*, and
-``a > 0`` the damped one, with G(a) = (A + aI)^-1.
+sharpness) is exact. ``energy`` and ``equality_witnesses`` share one
+integer energy, whose edge sum must equal the quadratic form x . (A x);
+the witnesses walk the kernel's integer columns over its one denominator
+and build ``Fraction``s only for what they return, and random draws are
+mean-subtracted on integers. The damping parameter ``a`` selects the
+inequality: ``a == 0`` is the mean-zero one, with the pseudo-Green matrix
+G*, and ``a > 0`` the damped one, with G(a) = (A + aI)^-1.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,9 +42,9 @@ def _numerators(u: RationalMatrix) -> list[int]:
     return [x for x, in u.num]
 
 
-def _edge_sum(x, A: RationalMatrix) -> int:
-    """Sum over the edges of A of (x_i - x_j)^2, for integers x."""
-    return sum((x[i] - x[j]) ** 2 for i, j in laplacian_edges(A))
+def _edge_sum(x, edges) -> int:
+    """Sum over the edges of (x_i - x_j)^2, for integers x."""
+    return sum((x[i] - x[j]) ** 2 for i, j in edges)
 
 
 def _require_mean_zero(x, a):
@@ -50,16 +53,27 @@ def _require_mean_zero(x, a):
                          "mean-zero vector")
 
 
+def _energy(x, den, A: RationalMatrix, a: Fraction, edges) -> tuple[int, int]:
+    """E(u) + a * sum u_j^2 for u = x / den, as an unreduced pair (numerator,
+    denominator) of integers. The edge sum E(u) of (u_i - u_j)^2 over
+    ``edges`` must equal the quadratic form u^t A u, an integer sum over A's
+    sparse rows."""
+    by_edges = _edge_sum(x, edges)
+    by_form = sum(xi * sum(c * x[j] for j, c in row)
+                  for xi, row in zip(x, A.nonzeros()) if xi)
+    if by_edges * A.den != by_form:
+        raise FormMismatch(f"edge sum {Fraction(by_edges, den * den)} vs "
+                           f"quadratic form {Fraction(by_form, A.den * den * den)}")
+    squares = sum(v * v for v in x) if a else 0
+    return (a.denominator * by_edges + a.numerator * squares,
+            a.denominator * den * den)
+
+
 def energy(u: RationalMatrix, A: RationalMatrix, a=0) -> Fraction:
     """E(u) + a * sum u_j^2 == u^t (A + aI) u, where the edge sum E(u) of
     (u_i - u_j)^2 is checked against u^t A u."""
-    x = _numerators(u)
-    w = A * u
-    by_edges = Fraction(_edge_sum(x, A), u.den ** 2)
-    by_form = Fraction(sum(map(operator.mul, x, _numerators(w))), u.den * w.den)
-    if by_edges != by_form:
-        raise FormMismatch(f"edge sum {by_edges} vs quadratic form {by_form}")
-    return by_edges + Fraction(a) * Fraction(sum(v * v for v in x), u.den ** 2)
+    return Fraction(*_energy(_numerators(u), u.den, A, Fraction(a),
+                             laplacian_edges(A)))
 
 
 def reproducing_check(u: RationalMatrix, kernel: RationalMatrix,
@@ -79,7 +93,7 @@ def sobolev_trial(u: RationalMatrix, c: Fraction, A: RationalMatrix, a=0):
     _require_mean_zero(x, a)
     den2 = u.den ** 2
     lhs = Fraction(max(map(abs, x)) ** 2, den2)
-    e = _edge_sum(x, A) + Fraction(a) * sum(v * v for v in x)
+    e = _edge_sum(x, laplacian_edges(A)) + Fraction(a) * sum(v * v for v in x)
     rhs = Fraction(c) * e / den2
     return lhs, rhs, lhs <= rhs
 
@@ -94,43 +108,64 @@ class EqualityWitness:
     rhs: Fraction  # constant * energy
 
 
-def equality_witness(kernel: RationalMatrix, j0: int, A: RationalMatrix,
-                     a=0) -> EqualityWitness:
-    """Verify the equality chain on column j0 of the kernel: the diagonal
-    attains the column max, the column's energy equals the diagonal value,
-    and both sides of the inequality coincide at the square of it."""
-    col = kernel.submatrix(range(kernel.rows), [j0])
-    x = _numerators(col)
-    top = max(map(abs, x))
-    max_abs = Fraction(top, col.den)
-    if top != abs(x[j0]):
-        raise MaxNotAtDiagonal(f"column {j0}: max {max_abs} off the diagonal")
-    c = col[j0, 0]
-    e = energy(col, A, a)
-    if e != c:
-        raise MaxNotAtDiagonal(f"column {j0}: energy {e} != diagonal {c}")
-    lhs = max_abs ** 2
-    rhs = c * e
-    if lhs != rhs:
-        raise MaxNotAtDiagonal(f"column {j0}: equality fails")
-    return EqualityWitness(j0=j0, constant=c, max_abs=max_abs, energy=e,
-                           lhs=lhs, rhs=rhs)
+def equality_witnesses(kernel: RationalMatrix, A: RationalMatrix,
+                       a=0) -> list[EqualityWitness]:
+    """Verify the equality chain on every column j0 of the kernel: the
+    diagonal attains the column max, the column's energy equals the diagonal
+    value, and both sides of the inequality coincide at the square of it.
+
+    Each column is checked on its integer numerators over the kernel's
+    shared denominator; ``Fraction``s are built only for the witnesses
+    returned, one per column in order.
+    """
+    den = kernel.den
+    a = Fraction(a)
+    edges = laplacian_edges(A)
+    witnesses = []
+    for j0, x in enumerate(zip(*kernel.num)):
+        top, d = max(map(abs, x)), x[j0]
+        if top != abs(d):
+            raise MaxNotAtDiagonal(
+                f"column {j0}: max {Fraction(top, den)} off the diagonal")
+        e_num, e_den = _energy(x, den, A, a, edges)
+        if e_num * den != d * e_den:  # E / e_den == d / den
+            raise MaxNotAtDiagonal(f"column {j0}: energy {Fraction(e_num, e_den)}"
+                                   f" != diagonal {Fraction(d, den)}")
+        if top * top * e_den != d * e_num * den:  # (top/den)^2 == (d/den) E
+            raise MaxNotAtDiagonal(f"column {j0}: equality fails")
+        c, max_abs = Fraction(d, den), Fraction(top, den)
+        lhs = max_abs ** 2
+        witnesses.append(EqualityWitness(j0=j0, constant=c, max_abs=max_abs,
+                                         energy=c, lhs=lhs, rhs=lhs))
+    return witnesses
+
+
+# perfbench/tracing.py times the witnesses under this name.
+equality_witness = equality_witnesses
+
+
+def _draw(n: int, rng: random.Random) -> tuple[list[int], int]:
+    """Integer numerators over one denominator of n entries p/q, p in
+    [-100, 100] and q in [1, 10], drawn p then q for each entry in turn."""
+    draws = [(rng.randint(-100, 100), rng.randint(1, 10)) for _ in range(n)]
+    den = math.lcm(*(q for _, q in draws))
+    return [p * (den // q) for p, q in draws], den
 
 
 def random_vector(n: int, rng: random.Random) -> RationalMatrix:
     """n x 1 matrix of entries p/q, p in [-100, 100] and q in [1, 10], drawn
     p then q for each entry in turn."""
-    draws = [(rng.randint(-100, 100), rng.randint(1, 10)) for _ in range(n)]
-    den = math.lcm(*(q for _, q in draws))
-    return RationalMatrix.from_ints([[p * (den // q)] for p, q in draws], den)
+    x, den = _draw(n, rng)
+    return RationalMatrix.from_ints([[v] for v in x], den)
 
 
 def random_mean_zero(n: int, rng: random.Random) -> RationalMatrix:
-    """A ``random_vector``, exactly mean-subtracted; retries the rare
-    all-zero draw."""
+    """A ``random_vector`` draw, exactly mean-subtracted on integers:
+    x_i / den - sum(x) / (n den) is (n x_i - sum(x)) / (n den). Retries the
+    rare all-zero result."""
     while True:
-        u = random_vector(n, rng)
-        mean = Fraction(sum(_numerators(u)), n * u.den)
-        u = u - RationalMatrix.constant(n, 1, mean)
-        if any(_numerators(u)):
-            return u
+        x, den = _draw(n, rng)
+        total = sum(x)
+        x = [n * v - total for v in x]
+        if any(x):
+            return RationalMatrix.from_ints([[v] for v in x], n * den)

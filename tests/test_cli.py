@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from buckysob import blocks, cli, closedform, graph, green, polynomials, ratmat
+from buckysob import (blocks, cli, closedform, green, polynomials, ratmat,
+                      sobolev)
 from buckysob.cli import main
 from buckysob.polynomials import DegreeInsufficient, IntPolynomial
 
@@ -147,17 +148,15 @@ def test_charpoly_without_zero_root_exits_1(monkeypatch, capsys):
 
 def test_shifted_green_diagonal_fails_moore_penrose(monkeypatch, capsys):
     """G(10) with every diagonal entry off by 1/10^6 is still constant on the
-    diagonal, but no longer C(10). moore_penrose solves G(10) by elimination
-    as ``inverse(A + 10 I)``, which is shifted here."""
-    shifted_matrix = graph.laplacian(graph.buckyball()).scaled_add(10)
-
-    def shifted(m, *args, _solve=cli.inverse):
-        g = _solve(m, *args)
-        if m == shifted_matrix:
+    diagonal, but no longer C(10). moore_penrose solves G(10) by the block
+    route, ``blocks.assemble_green_via_blocks(split, 10)``, shifted here."""
+    def shifted(split, a=None, *args, _assemble=blocks.assemble_green_via_blocks):
+        g = _assemble(split, a, *args)
+        if a == 10:
             g = g + Fraction(1, 10 ** 6) * ratmat.RationalMatrix.identity(g.rows)
         return g
 
-    monkeypatch.setattr(cli, "inverse", shifted)
+    monkeypatch.setattr(blocks, "assemble_green_via_blocks", shifted)
     code, out = run(capsys, "verify-all", "--trials", "0")
     assert code == 1
     fails = [l for l in out.splitlines() if l.startswith("FAIL")]
@@ -234,9 +233,16 @@ sys.exit(cli.main(["verify-all", "--trials", "10"]))
         "ca_three_routes", "moore_penrose", "relabel_invariance"}
 
 
+# moore_penrose solves G(1/10) from the same split as block_reduction, so
+# the shifted A- also makes G(1/10)'s diagonal non-constant.
+BLOCK_FAULT_FAILS = ["FAIL block_reduction: J conjugation",
+                     "FAIL moore_penrose: diagonal entries are not all equal"]
+
+
 def test_planted_block_fault_fails_block_reduction(monkeypatch, capsys):
     """A split whose A-[0][0] is off by 1 no longer conjugates the relabeled
-    Laplacian: only block_reduction FAILs, at the J conjugation."""
+    Laplacian: block_reduction FAILs at the J conjugation, and moore_penrose,
+    which solves G(1/10) and G(10) from the split, at the first of them."""
     one = ratmat.RationalMatrix.from_ints(
         [[int(i == j == 0) for j in range(30)] for i in range(30)])
 
@@ -247,13 +253,13 @@ def test_planted_block_fault_fails_block_reduction(monkeypatch, capsys):
     monkeypatch.setattr(blocks, "block_split", shifted)
     code, out = run(capsys, "verify-all", "--trials", "10")
     assert code == 1
-    assert [l for l in out.splitlines() if l.startswith("FAIL")] == [
-        "FAIL block_reduction: J conjugation"]
+    assert [l for l in out.splitlines() if l.startswith("FAIL")] == \
+        BLOCK_FAULT_FAILS
 
 
 def test_planted_block_fault_fails_under_optimize():
-    """The shifted A- FAILs block_reduction with asserts stripped by
-    ``python -O``."""
+    """The shifted A- FAILs block_reduction and moore_penrose with asserts
+    stripped by ``python -O``."""
     script = """
 import dataclasses, sys
 from buckysob import blocks, cli, ratmat
@@ -271,8 +277,64 @@ sys.exit(cli.main(["verify-all", "--trials", "10"]))
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 1, proc.stdout + proc.stderr
-    assert [l for l in proc.stdout.splitlines() if l.startswith("FAIL")] == [
-        "FAIL block_reduction: J conjugation"]
+    assert [l for l in proc.stdout.splitlines() if l.startswith("FAIL")] == \
+        BLOCK_FAULT_FAILS
+
+
+# Without the first edge, column 0 of G* has an edge sum below its
+# quadratic form x . (A x), which is C0.
+EDGE_FAULT_FAILS = ["FAIL sobolev_trials: edge sum 1338577279/2516025600 vs "
+                    "quadratic form 239741/376200"]
+
+
+def test_planted_edge_fault_fails_sobolev_trials(monkeypatch, capsys):
+    """Energies over the Laplacian's edges less one: only sobolev_trials
+    FAILs, when its first equality witness compares its two energies."""
+    edges = sobolev.laplacian_edges
+    monkeypatch.setattr(sobolev, "laplacian_edges", lambda A: edges(A)[1:])
+    code, out = run(capsys, "verify-all", "--trials", "10")
+    assert code == 1
+    assert [l for l in out.splitlines() if l.startswith("FAIL")] == \
+        EDGE_FAULT_FAILS
+
+
+def test_planted_edge_fault_fails_under_optimize():
+    """The dropped edge FAILs sobolev_trials with asserts stripped by
+    ``python -O``."""
+    script = """
+import sys
+from buckysob import cli, sobolev
+edges = sobolev.laplacian_edges
+sobolev.laplacian_edges = lambda A: edges(A)[1:]
+sys.exit(cli.main(["verify-all", "--trials", "10"]))
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert [l for l in proc.stdout.splitlines() if l.startswith("FAIL")] == \
+        EDGE_FAULT_FAILS
+
+
+def test_blas_threads_default_to_one():
+    """Importing buckysob sets an unset BLAS thread variable to 1 before numpy
+    loads, and leaves a preset one alone."""
+    unset = ("OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in unset}
+    env.update(OPENBLAS_NUM_THREADS="3", PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    script = """
+import os, sys
+import buckysob
+assert "numpy" in sys.modules
+print(*(os.environ.get(v) for v in
+        ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "3", "1"]
 
 
 def test_verify_checks_compute_nothing_before_the_checks(monkeypatch):
@@ -337,10 +399,10 @@ def test_verify_all_deterministic_checks(capsys, tmp_path, monkeypatch, lap):
     assert len(solved) == 2 and sum(m == lap for m in solved) == 1
     # Matrix products: A G* and G* A in moore_penrose's G* verifier and 2 in
     # the block conjugation; walk_regular reads A's walk classes, built on
-    # integer rows, and makes none. And one matrix-vector product A u per
-    # equality witness, in its form check.
+    # integer rows, and makes none. The equality witnesses form x . (A x) as
+    # an integer sum per column, with no matrix-vector product.
     assert sum(cols > 1 for _, cols in products) == 2 + 2
-    assert products.count((60, 1)) == len(products) - 4 == 120
+    assert products.count((60, 1)) == len(products) - 4 == 0
     lines = [l for l in out.strip().splitlines() if l.startswith(("PASS", "FAIL"))]
     assert len(lines) == 10
     assert all(l.startswith("PASS") for l in lines)

@@ -102,17 +102,18 @@ def test_sobolev_damped_random(lap, g_one):
 
 
 def test_equality_on_pseudo_green_columns(lap, g_star):
-    for j0 in (0, 17, 59):
-        w = sobolev.equality_witness(g_star, j0, lap)
+    witnesses = sobolev.equality_witnesses(g_star, lap)
+    assert [w.j0 for w in witnesses] == list(range(60))
+    for w in witnesses:
         assert w.constant == closedform.C0
         assert w.lhs == w.rhs == closedform.C0 ** 2
 
 
 def test_equality_on_green_columns(lap, g_one):
     c1 = green.constant_diagonal(g_one)
-    w = sobolev.equality_witness(g_one, 17, lap, 1)
-    assert w.constant == c1
-    assert w.lhs == w.rhs == c1 ** 2
+    for w in sobolev.equality_witnesses(g_one, lap, 1):
+        assert w.constant == c1
+        assert w.lhs == w.rhs == c1 ** 2
 
 
 def test_equality_is_homogeneous(lap, g_star):
@@ -155,13 +156,23 @@ def test_form_mismatch_detection():
     bad = RationalMatrix([[2, -1], [-1, 2]])
     with pytest.raises(sobolev.FormMismatch):
         sobolev.energy(vector([1, 0]), bad)
+    # column 0 of its inverse is (2/3, 1/3), maximal at the diagonal
+    with pytest.raises(sobolev.FormMismatch):
+        sobolev.equality_witnesses(RationalMatrix([[Fraction(2, 3), Fraction(1, 3)],
+                                                   [Fraction(1, 3), Fraction(2, 3)]]),
+                                   bad)
 
 
 def test_max_not_at_diagonal_detection(lap, g_star):
     rigged = [[g_star[i, j] for j in range(60)] for i in range(60)]
     rigged[5][0] = Fraction(2)  # bigger than the diagonal
-    with pytest.raises(sobolev.MaxNotAtDiagonal):
-        sobolev.equality_witness(RationalMatrix(rigged), 0, lap)
+    with pytest.raises(sobolev.MaxNotAtDiagonal, match="column 0: max 2 off"):
+        sobolev.equality_witnesses(RationalMatrix(rigged), lap)
+    # doubled, a column's energy 4 C0 is no longer its diagonal 2 C0
+    with pytest.raises(sobolev.MaxNotAtDiagonal,
+                       match=f"column 0: energy {4 * closedform.C0} != "
+                             f"diagonal {2 * closedform.C0}"):
+        sobolev.equality_witnesses(2 * g_star, lap)
 
 
 def path_plus_edges(n, extra):
@@ -175,6 +186,81 @@ def path_plus_edges(n, extra):
         rows[i][i] += 1
         rows[j][j] += 1
     return RationalMatrix(rows), edges
+
+
+def ref_energy(v, edges, a):
+    """E(v) + a * sum v_j^2 on Fractions, by the edge sum alone."""
+    return sum((v[i] - v[j]) ** 2 for i, j in edges) + a * sum(x * x for x in v)
+
+
+def reference_witnesses(k, edges, a):
+    """Per column j0 of the square Fraction rows k, the EqualityWitness built
+    on Fractions, column by column; None if the chain fails on any column."""
+    witnesses = []
+    for j0 in range(len(k)):
+        col = [row[j0] for row in k]
+        diag, top, e_col = col[j0], max(abs(x) for x in col), ref_energy(col, edges, a)
+        if top != abs(diag) or e_col != diag:
+            return None
+        witnesses.append(sobolev.EqualityWitness(
+            j0=j0, constant=diag, max_abs=top, energy=e_col, lhs=top ** 2,
+            rhs=diag * e_col))
+    return witnesses
+
+
+def fraction_rows(m):
+    return [[m[i, j] for j in range(m.cols)] for i in range(m.rows)]
+
+
+@pytest.mark.parametrize("a", [Fraction(0), Fraction(1), Fraction(3, 7)],
+                         ids=["a=0", "a=1", "a=3/7"])
+@pytest.mark.parametrize("n, extra", [(5, []), (6, [(0, 3), (2, 5)]),
+                                      (7, [(0, 6), (1, 4), (3, 5)])])
+def test_equality_witnesses_match_reference(n, extra, a):
+    A, edges = path_plus_edges(n, extra)
+    kernel = green.pseudo_green(A) if a == 0 else green.green_matrix(A, a)
+    expected = reference_witnesses(fraction_rows(kernel), edges, a)
+    assert expected is not None
+    assert sobolev.equality_witnesses(kernel, A, a) == expected
+
+
+@pytest.mark.parametrize("a", [0, 1], ids=["G*", "G(1)"])
+def test_buckyball_witnesses_match_reference(a, bucky, lap, g_star, g_one):
+    kernel = g_star if a == 0 else g_one
+    expected = reference_witnesses(fraction_rows(kernel), bucky.edges, a)
+    assert expected is not None
+    assert sobolev.equality_witnesses(kernel, lap, a) == expected
+
+
+def fraction_vector(n, rng):
+    """The entry-by-entry Fraction draw that ``random_vector`` must match."""
+    return RationalMatrix([[Fraction(rng.randint(-100, 100), rng.randint(1, 10))]
+                           for _ in range(n)])
+
+
+def fraction_mean_zero(n, rng, retries):
+    """``fraction_vector`` minus its Fraction mean, drawn again while all
+    zero; appends each retry to ``retries``."""
+    while True:
+        u = fraction_vector(n, rng)
+        mean = sum((u[i, 0] for i in range(n)), Fraction(0)) / n
+        u = u - RationalMatrix.constant(n, 1, mean)
+        if any(u[i, 0] for i in range(n)):
+            return u
+        retries.append(n)
+
+
+def test_integer_draws_match_fraction_draws():
+    retries = []
+    for seed in range(4):
+        for n in (2, 3, 60):
+            rng, oracle = random.Random(seed), random.Random(seed)
+            for _ in range(150 if n < 60 else 25):
+                assert sobolev.random_mean_zero(n, rng) == \
+                    fraction_mean_zero(n, oracle, retries)
+                assert sobolev.random_vector(n, rng) == fraction_vector(n, oracle)
+            assert rng.getstate() == oracle.getstate()
+    assert retries  # the all-zero redraw was taken
 
 
 fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
@@ -195,17 +281,13 @@ def test_functions_match_fraction_reference(data):
         mean = sum(u, Fraction(0)) / n
         u = [x - mean for x in u]
 
-    def ref_energy(v):
-        return (sum((v[i] - v[j]) ** 2 for i, j in edges)
-                + a * sum(x * x for x in v))
-
-    e = ref_energy(u)
+    e = ref_energy(u, edges, a)
     assert sobolev.energy(vector(u), A, a) == e
     lhs = max(abs(x) for x in u) ** 2
     assert sobolev.sobolev_trial(vector(u), c, A, a) == (lhs, c * e, lhs <= c * e)
 
     kernel = green.pseudo_green(A) if a == 0 else green.green_matrix(A, a)
-    k = [[kernel[i, j] for j in range(n)] for i in range(n)]
+    k = fraction_rows(kernel)
     if data.draw(st.booleans()):  # a wrong kernel
         k[data.draw(vertex)][data.draw(vertex)] += data.draw(positive_fractions)
         kernel = RationalMatrix(k)
@@ -215,13 +297,9 @@ def test_functions_match_fraction_reference(data):
     assert sobolev.reproducing_check(vector(u), kernel, A, a) == \
         (not wrong, wrong[0] if wrong else None)
 
-    j0 = data.draw(vertex)
-    col = [row[j0] for row in k]
-    diag, top, e_col = col[j0], max(abs(x) for x in col), ref_energy(col)
-    if top == abs(diag) and e_col == diag:
-        assert sobolev.equality_witness(kernel, j0, A, a) == \
-            sobolev.EqualityWitness(j0=j0, constant=diag, max_abs=top,
-                                    energy=e_col, lhs=top ** 2, rhs=diag * e_col)
+    expected = reference_witnesses(k, edges, a)
+    if expected is not None:
+        assert sobolev.equality_witnesses(kernel, A, a) == expected
     else:
         with pytest.raises(sobolev.MaxNotAtDiagonal):
-            sobolev.equality_witness(kernel, j0, A, a)
+            sobolev.equality_witnesses(kernel, A, a)
