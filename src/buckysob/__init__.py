@@ -19,10 +19,10 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 del _var
 
 from buckysob._modular import KERNEL_LANE
-from buckysob.graph import (FaceCensus, Involution, PolyhedralGraph,
-                            SeedPolyhedron, buckyball, canonical_icosahedron,
-                            face_census, find_antipodal_involution, girth,
-                            laplacian, relabel, truncate)
+from buckysob.graph import (FaceCensus, PolyhedralGraph, buckyball,
+                            canonical_icosahedron, face_census,
+                            find_antipodal_involution, girth, laplacian,
+                            relabel, truncate)
 from buckysob.polynomials import (IntPolynomial, RationalFunction,
                                   fit_rational_function)
 from buckysob.ratmat import (PivotCounter, RationalMatrix, bareiss_solve,
@@ -32,8 +32,8 @@ from buckysob.ratmat import (PivotCounter, RationalMatrix, bareiss_solve,
 __version__ = "0.1.0"
 
 __all__ = [
-    "KERNEL_LANE", "FaceCensus", "Involution", "PolyhedralGraph",
-    "SeedPolyhedron", "buckyball", "canonical_icosahedron", "face_census",
+    "KERNEL_LANE", "FaceCensus", "PolyhedralGraph", "buckyball",
+    "canonical_icosahedron", "face_census",
     "find_antipodal_involution", "girth", "laplacian", "relabel", "truncate",
     "IntPolynomial", "RationalFunction", "fit_rational_function",
     "PivotCounter", "RationalMatrix", "bareiss_solve", "charpoly",

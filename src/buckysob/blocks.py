@@ -17,7 +17,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from buckysob.graph import Involution
 from buckysob.green import positive
 from buckysob.polynomials import IntPolynomial, VerificationFailed
 from buckysob.ratmat import PivotCounter, RationalMatrix, charpoly, inverse
@@ -41,25 +40,24 @@ class BlockSplit:
     perm: tuple[int, ...]  # original label -> block label
 
 
-def block_split(A: RationalMatrix, sigma: Involution) -> BlockSplit:
-    """Relabel so sigma(i) = i + 30 and split the Laplacian into blocks.
+def block_split(A: RationalMatrix, sigma: tuple[int, ...]) -> BlockSplit:
+    """Relabel so sigma[i] = i + 30 and split the Laplacian into blocks.
 
     Orbit representatives are the smaller index of each pair, taken
     ascending; this fixes the block form deterministically.
     """
     n = A.rows
     half = n // 2
-    perm_map = sigma.perm
-    if len(perm_map) != n or any(perm_map[perm_map[i]] != i or perm_map[i] == i
-                                 for i in range(n)):
+    if len(sigma) != n or any(sigma[sigma[i]] != i or sigma[i] == i
+                              for i in range(n)):
         raise ValueError("sigma is not a fixed-point-free involution")
-    reps = sorted(i for i in range(n) if i < perm_map[i])
+    reps = sorted(i for i in range(n) if i < sigma[i])
     if len(reps) != half:
         raise ValueError("orbit count mismatch")
     perm = [0] * n
     for k, r in enumerate(reps):
         perm[r] = k
-        perm[perm_map[r]] = k + half
+        perm[sigma[r]] = k + half
     relabeled = A.permuted(perm)
     lo, hi = range(half), range(half, n)
     a0 = relabeled.submatrix(lo, lo)

@@ -1,17 +1,20 @@
 """Buckyball construction by truncating the icosahedron.
 
-Everything is combinatorial: a polyhedron is carried as a rotation system
-(counterclockwise cyclic neighbor order at every vertex), faces are traced
-by the next-edge-in-rotation walk, and a fixed-point-free involutive
-automorphism (for the block split) is found by backtracking over
-automorphisms. All objects are immutable after construction and all
-functions are pure.
+Everything is combinatorial. A polyhedron has one type, ``PolyhedralGraph``,
+which stores only its rotation system: the counterclockwise cyclic neighbor
+order at every vertex, seen from outside. The rotation system alone
+determines the embedded graph, so the vertex count and the edge set are
+derived from it. Faces are traced by the next-edge-in-rotation walk, and a
+fixed-point-free involutive automorphism (for the block split) is found by
+backtracking over automorphisms. All objects are immutable after
+construction and all functions are pure.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from buckysob.ratmat import RationalMatrix
 
@@ -25,61 +28,30 @@ class InvolutionNotFound(ValueError):
 
 
 @dataclass(frozen=True)
-class SeedPolyhedron:
-    """Rotation system of the polyhedron being truncated."""
+class PolyhedralGraph:
+    """A polyhedron as its rotation system: vertex v's neighbors in
+    counterclockwise order, for the vertices 0..n-1."""
 
-    adjacency: dict[int, tuple[int, ...]]
+    rotation: dict[int, tuple[int, ...]]
 
     def __post_init__(self):
-        for v, nbrs in self.adjacency.items():
+        if sorted(self.rotation) != list(range(len(self.rotation))):
+            raise RotationSystemError("vertices are not 0..n-1")
+        for v, nbrs in self.rotation.items():
             if len(set(nbrs)) != len(nbrs):
                 raise RotationSystemError(f"repeated neighbor at vertex {v}")
             for w in nbrs:
-                if w not in self.adjacency or v not in self.adjacency[w]:
-                    raise RotationSystemError(f"asymmetric edge ({v},{w})")
-
-    @property
-    def vertex_count(self):
-        return len(self.adjacency)
-
-    @property
-    def edge_count(self):
-        return sum(len(n) for n in self.adjacency.values()) // 2
-
-
-def canonical_icosahedron() -> SeedPolyhedron:
-    """The 12-vertex icosahedron: 0 = pole adjacent to upper ring 1..5,
-    11 = antipole adjacent to lower ring 6..10, rings joined in an
-    antiprism; cyclic orders are counterclockwise seen from outside."""
-    adj = {0: (1, 2, 3, 4, 5), 11: (6, 10, 9, 8, 7)}
-    for t in range(5):
-        adj[1 + t] = (0, 1 + (t - 1) % 5, 6 + (t - 1) % 5, 6 + t, 1 + (t + 1) % 5)
-        adj[6 + t] = (1 + t, 6 + (t - 1) % 5, 11, 6 + (t + 1) % 5, 1 + (t + 1) % 5)
-    return SeedPolyhedron(adj)
-
-
-def canonical_tetrahedron() -> SeedPolyhedron:
-    """4-vertex tetrahedron rotation system (convenience target)."""
-    return SeedPolyhedron({0: (1, 2, 3), 1: (0, 3, 2), 2: (0, 1, 3), 3: (0, 2, 1)})
-
-
-@dataclass(frozen=True)
-class PolyhedralGraph:
-    """3-regular (after truncation) graph with an embedding."""
-
-    n: int
-    edges: frozenset[tuple[int, int]]
-    rotation: dict[int, tuple[int, ...]]
-    labels: dict[int, tuple[int, tuple[int, int]]] | None = None
-
-    def __post_init__(self):
-        for v, nbrs in self.rotation.items():
-            for w in nbrs:
                 if v not in self.rotation.get(w, ()):
                     raise RotationSystemError(f"asymmetric edge ({v},{w})")
-        edges = {tuple(sorted((v, w))) for v in self.rotation for w in self.rotation[v]}
-        if edges != set(self.edges):
-            raise RotationSystemError("edge set inconsistent with rotation system")
+
+    @property
+    def n(self):
+        return len(self.rotation)
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset((v, w) for v, nbrs in self.rotation.items()
+                         for w in nbrs if v < w)
 
     def degree(self, v):
         return len(self.rotation[v])
@@ -115,40 +87,45 @@ class FaceCensus:
         return len(self.faces)
 
 
-@dataclass(frozen=True)
-class Involution:
-    perm: tuple[int, ...]
+def canonical_icosahedron() -> PolyhedralGraph:
+    """The 12-vertex icosahedron: 0 = pole adjacent to upper ring 1..5,
+    11 = antipole adjacent to lower ring 6..10, rings joined in an
+    antiprism; cyclic orders are counterclockwise seen from outside."""
+    adj = {0: (1, 2, 3, 4, 5), 11: (6, 10, 9, 8, 7)}
+    for t in range(5):
+        adj[1 + t] = (0, 1 + (t - 1) % 5, 6 + (t - 1) % 5, 6 + t, 1 + (t + 1) % 5)
+        adj[6 + t] = (1 + t, 6 + (t - 1) % 5, 11, 6 + (t + 1) % 5, 1 + (t + 1) % 5)
+    return PolyhedralGraph(adj)
 
-    def __call__(self, i):
-        return self.perm[i]
+
+def canonical_tetrahedron() -> PolyhedralGraph:
+    """4-vertex tetrahedron rotation system (convenience target)."""
+    return PolyhedralGraph({0: (1, 2, 3), 1: (0, 3, 2), 2: (0, 1, 3), 3: (0, 2, 1)})
 
 
-def truncate(seed: SeedPolyhedron) -> PolyhedralGraph:
+def truncate(seed: PolyhedralGraph) -> PolyhedralGraph:
     """Cut every corner: one new vertex per (seed vertex, incident edge).
 
     "Corner" edges join cyclically consecutive cuts around a seed vertex,
     "bond" edges join the two cuts of a seed edge. New ids are assigned in
-    (seed vertex, cyclic position) order, which is the deterministic
-    flattening all downstream golden values rely on.
+    (seed vertex, cyclic position) order, so on a d-regular seed the cut at
+    position i around seed vertex v is d v + i; all downstream golden
+    values rely on this flattening.
     """
+    rot = seed.rotation
     ids = {}
-    for v in sorted(seed.adjacency):
-        for i in range(len(seed.adjacency[v])):
+    for v in range(seed.n):
+        for i in range(len(rot[v])):
             ids[(v, i)] = len(ids)
     rotation = {}
-    labels = {}
-    for v in sorted(seed.adjacency):
-        nbrs = seed.adjacency[v]
+    for v in range(seed.n):
+        nbrs = rot[v]
         deg = len(nbrs)
-        for i in range(deg):
-            w = nbrs[i]
-            bond = ids[(w, seed.adjacency[w].index(v))]
-            nxt = ids[(v, (i + 1) % deg)]
-            prv = ids[(v, (i - 1) % deg)]
-            rotation[ids[(v, i)]] = (bond, nxt, prv)
-            labels[ids[(v, i)]] = (v, (min(v, w), max(v, w)))
-    edges = frozenset(tuple(sorted((u, w))) for u in rotation for w in rotation[u])
-    return PolyhedralGraph(n=len(ids), edges=edges, rotation=rotation, labels=labels)
+        for i, w in enumerate(nbrs):
+            bond = ids[(w, rot[w].index(v))]
+            rotation[ids[(v, i)]] = (bond, ids[(v, (i + 1) % deg)],
+                                     ids[(v, (i - 1) % deg)])
+    return PolyhedralGraph(rotation)
 
 
 def buckyball() -> PolyhedralGraph:
@@ -221,8 +198,9 @@ def distance_matrix(g: PolyhedralGraph) -> list[list[int]]:
     return out
 
 
-def find_antipodal_involution(g: PolyhedralGraph) -> Involution:
-    """Lexicographically smallest fixed-point-free involutive automorphism.
+def find_antipodal_involution(g: PolyhedralGraph) -> tuple[int, ...]:
+    """Lexicographically smallest fixed-point-free involutive automorphism,
+    as the tuple whose entry i is the image of vertex i.
 
     Despite the name this is not the antipodal map (the central
     inversion). On the buckyball it is a half-turn: it swaps the two ends
@@ -274,7 +252,7 @@ def find_antipodal_involution(g: PolyhedralGraph) -> Involution:
 
     if not search():
         raise InvolutionNotFound("no fixed-point-free involutive automorphism")
-    return Involution(tuple(perm))
+    return tuple(perm)
 
 
 def relabel(g: PolyhedralGraph, perm) -> PolyhedralGraph:
@@ -282,11 +260,8 @@ def relabel(g: PolyhedralGraph, perm) -> PolyhedralGraph:
     perm = list(perm)
     if sorted(perm) != list(range(g.n)):
         raise ValueError("not a permutation of 0..n-1")
-    rotation = {perm[v]: tuple(perm[w] for w in g.rotation[v]) for v in g.rotation}
-    edges = frozenset(tuple(sorted((perm[u], perm[w]))) for u, w in g.edges)
-    labels = ({perm[v]: lab for v, lab in g.labels.items()}
-              if g.labels is not None else None)
-    return PolyhedralGraph(n=g.n, edges=edges, rotation=rotation, labels=labels)
+    return PolyhedralGraph({perm[v]: tuple(perm[w] for w in nbrs)
+                            for v, nbrs in g.rotation.items()})
 
 
 def laplacian(g: PolyhedralGraph) -> RationalMatrix:

@@ -162,7 +162,10 @@ def random_vector(n: int, rng: random.Random) -> RationalMatrix:
 def random_mean_zero(n: int, rng: random.Random) -> RationalMatrix:
     """A ``random_vector`` draw, exactly mean-subtracted on integers:
     x_i / den - sum(x) / (n den) is (n x_i - sum(x)) / (n den). Retries the
-    rare all-zero result."""
+    rare all-zero result, which is the only result for n < 2, so that raises
+    ``ValueError``."""
+    if n < 2:
+        raise ValueError(f"a nonzero mean-zero vector needs n >= 2, got {n}")
     while True:
         x, den = _draw(n, rng)
         total = sum(x)

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from buckysob import _modular, blocks, closedform, green, ratmat
-from buckysob.graph import Involution
 from buckysob.polynomials import IntPolynomial
 from buckysob.ratmat import PivotCounter, RationalMatrix, charpoly
 
@@ -44,7 +43,7 @@ def test_j_conjugation(lap, split):
 
 def test_split_rejects_non_involution(lap):
     with pytest.raises(ValueError):
-        blocks.block_split(lap, Involution(tuple(range(60))))
+        blocks.block_split(lap, tuple(range(60)))
 
 
 def test_half_spectra(split, p_char):

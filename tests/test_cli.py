@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from buckysob import (blocks, cli, closedform, green, polynomials, ratmat,
-                      sobolev)
+from buckysob import (blocks, cli, closedform, graph, green, polynomials,
+                      ratmat, sobolev)
 from buckysob.cli import main
 from buckysob.polynomials import DegreeInsufficient, IntPolynomial
 
@@ -315,6 +315,81 @@ sys.exit(cli.main(["verify-all", "--trials", "10"]))
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert [l for l in proc.stdout.splitlines() if l.startswith("FAIL")] == \
         EDGE_FAULT_FAILS
+
+
+def _drop_last_face(monkeypatch):
+    census = graph.face_census
+
+    def dropped(g):
+        faces = census(g).faces[:-1]
+        lengths = [len(f) for f in faces]
+        return graph.FaceCensus(faces, lengths.count(5), lengths.count(6))
+
+    monkeypatch.setattr(graph, "face_census", dropped)
+
+
+def _factor_two_to_the_eighth(monkeypatch):
+    factors = closedform.CHARPOLY_FACTORS
+    assert factors[1] == (IntPolynomial([-2, 1]), 9)
+    monkeypatch.setattr(closedform, "CHARPOLY_FACTORS",
+                        factors[:1] + ((IntPolynomial([-2, 1]), 8),) + factors[2:])
+
+
+def _shifted_relabeled_pseudo_green(monkeypatch):
+    own = graph.laplacian(graph.buckyball())
+
+    def shifted(A, *args, _pseudo_green=green.pseudo_green):
+        g = _pseudo_green(A, *args)
+        if A != own:
+            g = g + Fraction(1, 10 ** 6) * ratmat.RationalMatrix.identity(g.rows)
+        return g
+
+    monkeypatch.setattr(green, "pseudo_green", shifted)
+
+
+@pytest.mark.parametrize("plant, fails", [
+    # The census loses its last face, a pentagon.
+    (_drop_last_face, ["FAIL graph_combinatorics: faces"]),
+    # The known factorization has (x-2)^8 for (x-2)^9: its product no
+    # longer equals the charpoly, and the eigenvalue table, built from the
+    # charpoly, no longer matches the factors.
+    (_factor_two_to_the_eighth,
+     ["FAIL charpoly_factorization: factor product mismatch",
+      "FAIL eigenvalue_table: polynomial does not match the known factorization"]),
+    # G* is off by 1/10^6 on the diagonal only for a relabeled Laplacian.
+    (_shifted_relabeled_pseudo_green,
+     ["FAIL relabel_invariance: C0 changed under relabeling"]),
+], ids=["face_dropped", "factor_exponent_8", "relabeled_g_star_shifted"])
+def test_planted_data_fault_fails_exactly(plant, fails, monkeypatch, capsys):
+    """Faults in the data graph_combinatorics, charpoly_factorization,
+    eigenvalue_table and relabel_invariance read FAIL exactly those checks."""
+    plant(monkeypatch)
+    code, out = run(capsys, "verify-all", "--trials", "10")
+    assert code == 1
+    assert [l for l in out.splitlines() if l.startswith("FAIL")] == fails
+
+
+def test_planted_face_fault_fails_under_optimize():
+    """The dropped face FAILs graph_combinatorics with asserts stripped by
+    ``python -O``."""
+    script = """
+import sys
+from buckysob import cli, graph
+census = graph.face_census
+def dropped(g):
+    faces = census(g).faces[:-1]
+    lengths = [len(f) for f in faces]
+    return graph.FaceCensus(faces, lengths.count(5), lengths.count(6))
+graph.face_census = dropped
+sys.exit(cli.main(["verify-all", "--trials", "10"]))
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert [l for l in proc.stdout.splitlines() if l.startswith("FAIL")] == \
+        ["FAIL graph_combinatorics: faces"]
 
 
 def test_blas_threads_default_to_one():

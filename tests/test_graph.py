@@ -6,36 +6,38 @@ import pytest
 
 from buckysob import closedform
 from buckysob.graph import (InvolutionNotFound, PolyhedralGraph,
-                            canonical_icosahedron, canonical_tetrahedron,
-                            face_census, find_antipodal_involution, girth,
-                            laplacian, relabel, to_dot, to_json_dict, truncate)
+                            RotationSystemError, canonical_icosahedron,
+                            canonical_tetrahedron, face_census,
+                            find_antipodal_involution, girth, laplacian,
+                            relabel, to_dot, to_json_dict, truncate)
 from buckysob.ratmat import charpoly
 
 
 def test_icosahedron_regularity():
     seed = canonical_icosahedron()
-    assert seed.vertex_count == 12
-    assert all(len(n) == 5 for n in seed.adjacency.values())
-    assert seed.edge_count == 30
+    assert seed.n == 12
+    assert seed.degrees() == [5] * 12
+    assert len(seed.edges) == 30
 
 
 def test_icosahedron_girth_is_three():
-    g = _seed_as_graph(canonical_icosahedron())
-    assert girth(g) == 3
+    assert girth(canonical_icosahedron()) == 3
 
 
 def test_icosahedron_faces_are_triangles():
-    g = _seed_as_graph(canonical_icosahedron())
-    c = face_census(g)
+    c = face_census(canonical_icosahedron())
     assert len(c.faces) == 20
     assert all(len(f) == 3 for f in c.faces)
 
 
-def _seed_as_graph(seed):
-    edges = frozenset(tuple(sorted((v, w)))
-                      for v in seed.adjacency for w in seed.adjacency[v])
-    return PolyhedralGraph(n=seed.vertex_count, edges=edges,
-                           rotation=dict(seed.adjacency))
+@pytest.mark.parametrize("rotation, message", [
+    ({0: (1, 1), 1: (0,)}, "repeated neighbor at vertex 0"),
+    ({0: (1, 2), 1: (0, 2), 2: (1,)}, r"asymmetric edge \(0,2\)"),
+    ({1: (2,), 2: (1,)}, r"vertices are not 0\.\.n-1"),
+], ids=["repeated_neighbor", "asymmetric_edge", "vertices_not_0_to_n"])
+def test_rotation_system_rejected(rotation, message):
+    with pytest.raises(RotationSystemError, match=message):
+        PolyhedralGraph(rotation)
 
 
 def test_buckyball_counts(bucky):
@@ -62,11 +64,12 @@ def test_face_census(bucky, census):
 
 
 def test_pentagon_provenance(bucky, census):
-    # every pentagon is the cut corner of a single seed vertex
+    # every pentagon is the cut corner of a single seed vertex; truncate
+    # numbers the cuts of the 5-regular icosahedron's vertex v as 5 v + i
     for face in census.faces:
         if len(face) != 5:
             continue
-        seeds = {bucky.labels[v][0] for v in face}
+        seeds = {v // 5 for v in face}
         assert len(seeds) == 1
 
 
@@ -76,12 +79,12 @@ def test_hexagon_provenance(bucky, census):
     for face in census.faces:
         if len(face) != 6:
             continue
-        seeds = [bucky.labels[v][0] for v in face]
+        seeds = [v // 5 for v in face]
         assert len(set(seeds)) == 3
 
 
 def test_involution_properties(bucky, sigma):
-    perm = sigma.perm
+    perm = sigma
     assert sorted(perm) == list(range(60))
     assert all(perm[perm[i]] == i for i in range(60))
     assert all(perm[i] != i for i in range(60))
@@ -101,14 +104,13 @@ GOLDEN_INVOLUTION = (
 
 
 def test_involution_is_deterministic(sigma):
-    assert sigma.perm == GOLDEN_INVOLUTION
+    assert sigma == GOLDEN_INVOLUTION
 
 
 def test_involution_not_found_on_odd_graph():
-    g = _seed_as_graph(canonical_tetrahedron())
+    g = canonical_tetrahedron()
     # remove nothing: tetrahedron has 4 vertices; use a 3-cycle instead
-    tri = PolyhedralGraph(n=3, edges=frozenset({(0, 1), (0, 2), (1, 2)}),
-                          rotation={0: (1, 2), 1: (0, 2), 2: (0, 1)})
+    tri = PolyhedralGraph({0: (1, 2), 1: (0, 2), 2: (0, 1)})
     with pytest.raises(InvolutionNotFound):
         find_antipodal_involution(tri)
     assert g.n == 4  # tetrahedron untouched

@@ -263,6 +263,13 @@ def test_integer_draws_match_fraction_draws():
     assert retries  # the all-zero redraw was taken
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_mean_zero_draw_needs_two_entries(n):
+    # every mean-zero draw of fewer than 2 entries is zero; raise, not retry
+    with pytest.raises(ValueError, match="n >= 2"):
+        sobolev.random_mean_zero(n, random.Random(0))
+
+
 fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
 positive_fractions = st.builds(Fraction, st.integers(1, 30), st.integers(1, 12))
 
