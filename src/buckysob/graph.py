@@ -162,7 +162,8 @@ def face_census(g: PolyhedralGraph) -> FaceCensus:
 
 
 def girth(g: PolyhedralGraph) -> int:
-    """Length of the shortest cycle (BFS from every vertex)."""
+    """Length of the shortest cycle (BFS from every vertex); raises
+    ValueError when the graph has no cycle."""
     best = float("inf")
     for root in range(g.n):
         dist = {root: 0}
@@ -179,6 +180,8 @@ def girth(g: PolyhedralGraph) -> int:
                     best = min(best, dist[v] + dist[w] + 1)
         if best == 3:
             break
+    if best == float("inf"):
+        raise ValueError("graph has no cycle")
     return int(best)
 
 

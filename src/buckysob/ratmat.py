@@ -8,7 +8,11 @@ permutations are integer arithmetic; products skip zero entries, so the
 4-nonzeros-per-row Laplacian is cheap. A vector is an n x 1 matrix, so a
 matrix-vector product is ``m * u`` and column j is
 ``m.submatrix(range(m.rows), [j])``. Single entries are read as reduced
-``Fraction``s through ``m[i, j]``.
+``Fraction``s through ``m[i, j]`` and ``diagonal()``, which reduce each
+distinct numerator once and keep the reduced value with the matrix, and
+``to_json()`` formats each distinct numerator once per call: a Green matrix
+of the buckyball has 3,600 entries but 24 distinct values, one per walk
+class.
 
 All elimination work in the package is delegated to the multimodular
 kernels in ``_modular``, which work modulo word-size primes and rebuild
@@ -25,6 +29,7 @@ a similarity; the denominator is divided out of the coefficients.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -77,9 +82,17 @@ class RationalMatrix:
     ``den`` is one positive denominator shared by every entry. The pair is
     kept canonical, gcd(den, every entry of num) == 1, so two matrices are
     equal exactly when their shapes, denominators and integer rows are.
+
+    ``m[i, j]`` and ``diagonal()`` read through ``_entry``, which reduces
+    each distinct numerator to a ``Fraction`` once, on its first read, and
+    keeps it in a dict keyed by value for as long as the matrix lives: up
+    to one ``Fraction`` per distinct entry read (24 for a full read of a
+    buckyball Green matrix, up to rows * cols for a general one). A matrix
+    that is never read entry by entry builds no dict, and ``to_json``
+    leaves none behind.
     """
 
-    __slots__ = ("num", "den", "rows", "cols", "_nonzeros")
+    __slots__ = ("num", "den", "rows", "cols", "_nonzeros", "_entries")
 
     def __init__(self, data):
         entries = [[Fraction(x) for x in row] for row in data]
@@ -94,6 +107,7 @@ class RationalMatrix:
         self.rows = len(num)
         self.cols = len(num[0]) if num else 0
         self._nonzeros = None
+        self._entries = None
         for row in num:
             if len(row) != self.cols:
                 raise ValueError("ragged rows")
@@ -106,9 +120,11 @@ class RationalMatrix:
             raise ZeroDivisionError("matrix denominator is zero")
         if den < 0:
             num, den = [[-x for x in row] for row in num], -den
-        g = math.gcd(den, *(x for row in num for x in row))
+        g = math.gcd(den, *itertools.chain.from_iterable(num))
         m = object.__new__(cls)
-        m._set([[x // g for x in row] for row in num], den // g)
+        # The rows are copied either way, so no matrix aliases its caller's.
+        m._set([[x // g for x in row] for row in num] if g > 1
+               else [list(row) for row in num], den // g)
         return m
 
     @classmethod
@@ -149,9 +165,20 @@ class RationalMatrix:
                               for row in self.num]
         return self._nonzeros
 
+    def _entry(self, x):
+        """The reduced ``Fraction`` x / den for a numerator x of this
+        matrix, built on the first read of its value."""
+        entries = self._entries
+        if entries is None:
+            entries = self._entries = {}
+        value = entries.get(x)
+        if value is None:
+            value = entries[x] = Fraction(x, self.den)
+        return value
+
     def __getitem__(self, ij):
         i, j = ij
-        return Fraction(self.num[i][j], self.den)
+        return self._entry(self.num[i][j])
 
     def __eq__(self, other):
         return (isinstance(other, RationalMatrix) and self.den == other.den
@@ -227,8 +254,7 @@ class RationalMatrix:
                                          for i in rows], self.den)
 
     def diagonal(self):
-        return [Fraction(self.num[i][i], self.den)
-                for i in range(min(self.rows, self.cols))]
+        return [self._entry(self.num[i][i]) for i in range(min(self.rows, self.cols))]
 
     def trace(self):
         return Fraction(sum(self.num[i][i] for i in range(min(self.rows, self.cols))),
@@ -245,7 +271,11 @@ class RationalMatrix:
         return RationalMatrix.from_ints(out, self.den)
 
     def to_json(self):
-        return [[rat_str(Fraction(x, self.den)) for x in row] for row in self.num]
+        # Each distinct numerator is formatted once, in a dict local to the
+        # call, so formatting leaves no state on the matrix.
+        text = {x: rat_str(Fraction(x, self.den))
+                for x in set(itertools.chain.from_iterable(self.num))}
+        return [[text[x] for x in row] for row in self.num]
 
     def _check_same_shape(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):

@@ -31,6 +31,12 @@ GOLDEN = {
         "47bd8c86f5c5ec0bb61c7b8b26dfdd21cfb4c1960851c21985a17690e7bba991",
     ("green", "--a-values", "281474976710597/281474976710655"):
         "f439dd68851d6c37245f831cf8bd8acd442a12dc1ad0cb87b4c167398c2fcc08",
+    # The CI's eight-value sweep, a = p/q with p and q of 1 to 47 bits.
+    ("green", "--a-values",
+     "1,216/205,50054/36903,12667956/10366955,4275361147/3268308804,"
+     "355694146273/323055404041,99917665461003/139028292933446,"
+     "125722343564244/125230156241369"):
+        "d1b73e9f2853479f6796024bee01492d82ccd04ac7118883a8fc194e8fbcb880",
     ("constants",):
         "0c645a7f54011635dc212d7d5e038d0e1c3d14740463dc3a557fa0c8eae48f94",
     ("sample-ca",):

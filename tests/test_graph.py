@@ -24,6 +24,16 @@ def test_icosahedron_girth_is_three():
     assert girth(canonical_icosahedron()) == 3
 
 
+@pytest.mark.parametrize("rotation", [
+    {0: (1,), 1: (0,)},
+    {0: (1,), 1: (0, 2), 2: (1,)},
+    {0: ()},
+])
+def test_girth_of_acyclic_graph_raises(rotation):
+    with pytest.raises(ValueError, match="graph has no cycle"):
+        girth(PolyhedralGraph(rotation))
+
+
 def test_icosahedron_faces_are_triangles():
     c = face_census(canonical_icosahedron())
     assert len(c.faces) == 20

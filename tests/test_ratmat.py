@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from buckysob import _modular, ratmat
+from buckysob import _modular, blocks, green, ratmat
 from buckysob._modular import (charpoly_bound, charpoly_int, det_int,
                                hadamard_bound, jordan_int, prime_table)
 from buckysob.graph import laplacian, relabel
@@ -388,6 +388,94 @@ def test_rational_serialization_roundtrip():
 def test_matrix_json():
     m = RationalMatrix([[Fraction(1, 2), 3]])
     assert m.to_json() == [["1/2", "3"]]
+
+
+def test_to_json_keeps_no_entry_cache():
+    """Formatting a matrix leaves no reduced entries behind on it."""
+    m = RationalMatrix.from_ints([[1, 2, 2], [-3, 0, 1]], 4)
+    assert m.to_json() == [["1/4", "1/2", "1/2"], ["-3/4", "0", "1/4"]]
+    assert m._entries is None
+
+
+def test_from_ints_copies_rows():
+    """A matrix never shares a row with its caller, also when the gcd is 1
+    and no entry is divided."""
+    for num, den in (([[1, 2], [3, 4]], 1), ([[1, 2], [3, 4]], 5),
+                     ([[2, 4], [6, 8]], 2), (((1, 2), (3, 4)), 1)):
+        m = RationalMatrix.from_ints(num, den)
+        assert all(type(row) is list and row is not caller
+                   for row, caller in zip(m.num, num))
+        if isinstance(num[0], list):
+            expected = [row[:] for row in m.num]
+            num[0][0] += 1
+            assert m.num == expected
+
+
+def _reference_entries(m):
+    return [[Fraction(x, m.den) for x in row] for row in m.num]
+
+
+def _assert_reads_match(m, cells):
+    """m[i, j] at the given cells, diagonal() and to_json() against one
+    Fraction(num, den) and rat_str per entry."""
+    ref = _reference_entries(m)
+    for i, j in cells:
+        x = m[i, j]
+        assert (x.numerator, x.denominator) == (ref[i][j].numerator,
+                                                ref[i][j].denominator)
+    assert m.diagonal() == [ref[i][i] for i in range(min(m.rows, m.cols))]
+    assert m.to_json() == [[rat_str(x) for x in row] for row in ref]
+
+
+small_or_wide = st.integers(-6, 6) | st.integers(-(2 ** 80), 2 ** 80)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_entry_reads_match_per_entry_fractions(data):
+    """Reads through the per-matrix cache give what a fresh Fraction per
+    entry gives, for negative entries, zeros, repeated values and den 1, in
+    any order, and on products and transposes of a matrix already read."""
+    n, k = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    num = data.draw(st.lists(st.lists(small_or_wide, min_size=k, max_size=k),
+                             min_size=n, max_size=n))
+    den = data.draw(st.sampled_from((1, -1)) | st.integers(-12, 12).filter(bool))
+    m = RationalMatrix.from_ints(num, den)
+    assert entries(m) == [[Fraction(x, den) for x in row] for row in num]
+    cells = [(i, j) for i in range(n) for j in range(k)]
+    _assert_reads_match(m, data.draw(st.permutations(cells)) + cells)
+    s = data.draw(small_fractions)
+    for derived in (m.transpose(), m * m.transpose(), m.transpose() * m, m * s,
+                    m - m, m + m):
+        _assert_reads_match(derived, [(i, j) for i in range(derived.rows)
+                                      for j in range(derived.cols)])
+    _assert_reads_match(m, cells)
+
+
+@pytest.mark.parametrize("route", ["direct", "blocks"])
+def test_green_matrix_reads_reduce_each_class_once(lap, sigma, monkeypatch, route):
+    """Reading all 3,600 entries of a 48-bit G(a), and its diagonal, builds
+    at most one Fraction per walk class (24 on the buckyball). The block
+    route's G(a) holds equal numerators as separate integer objects."""
+    a = Fraction(281474976710597, 281474976710655)
+    if route == "direct":
+        g = green.green_matrix(lap, a)
+    else:
+        g = blocks.assemble_green_via_blocks(blocks.block_split(lap, sigma), a)
+    expected = _reference_entries(g)
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(ratmat, "Fraction", counting)
+    values = entries(g)
+    diagonal = g.diagonal()
+    monkeypatch.undo()
+    assert 0 < len(built) <= 24
+    assert values == expected
+    assert diagonal == [expected[i][i] for i in range(60)]
 
 
 small_fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
