@@ -5,7 +5,10 @@ any size) and return exact integers. Each is a bound and a step on one
 loop, ``_multimodular``: the rows are reduced modulo a chunk of word-size
 primes at a time on int64 numpy arrays, the step turns each slice into
 residues of the result, and one ``_Crt`` per call keeps them until the
-result is read, which rebuilds it in one Chinese remaindering pass.
+result is read. The read is Chinese remaindering as one exact matrix
+product over 16-bit limbs in float64 (every partial sum an integer below
+2**53), a block of entries at a time, so that no entry is rebuilt by
+Python big-integer arithmetic; see ``_Crt``.
 ``det_int`` and ``jordan_int`` run the one Gauss-Jordan elimination of the
 package, on M and on [M | R], under the Hadamard bound
 H = prod_i (isqrt(|row_i|^2) + 1), which bounds the determinant and, taken
@@ -37,6 +40,12 @@ _CHUNK = 8
 # Bits per limb when an entry is split to be reduced modulo a prime.
 _LIMB_BITS = 30
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
+# Entries rebuilt together in one read: a block's limb products hold about
+# this many limb x entry elements.
+_BLOCK = 1 << 13
+# Primes summed in one float64 product: 64 products of a weight below 2**31
+# and a 16-bit limb sum to less than 2**53, so every partial sum is exact.
+_GROUP = 64
 
 # The table only ever grows by the same deterministic sequence, so sharing
 # it between callers changes no result.
@@ -143,48 +152,112 @@ def _mod(x, primes, p, scratch):
     np.subtract(x, scratch, out=x)
 
 
+def _limb_product(limbs, y):
+    """limbs @ y, exact, as int64: float64 arrays of integers, limbs below
+    2**16 and y below 2**31, with fewer than 2**15 columns of limbs. The
+    columns are taken _GROUP at a time, each group's product being exact in
+    float64, and the groups are added in int64."""
+    x = (limbs[:, :_GROUP] @ y[:_GROUP]).astype(np.int64)
+    for g in range(_GROUP, limbs.shape[1], _GROUP):
+        x += (limbs[:, g:g + _GROUP] @ y[g:g + _GROUP]).astype(np.int64)
+    return x
+
+
 class _Crt:
     """Chinese remaindering of an integer matrix from its residues, added a
     chunk of primes at a time; each kernel call builds one.
 
-    Each pair of primes is combined at once in int64 (Garner's step, the
-    product of two primes being below 2**62), and the terms t_i are kept
-    with their ``moduli`` q_i. Nothing is rebuilt until a read, which takes
-    one pass over all of them: x = sum_i t_i b_i modulo P = prod_i q_i,
-    with the basis b_i = (P/q_i) ((P/q_i)^-1 mod q_i) computed once per
-    read.
+    ``add`` keeps each prime's residues as int32 and nothing is rebuilt
+    until a read. A read rebuilds a block of entries at a time, as one
+    exact product over 16-bit limbs (Doliskani, Giorgi, Lebreton & Schost,
+    ACM TOMS 44(3), 2018). With P the product of the primes p_j and c_j =
+    P/p_j, the weights y_j = r_j (c_j^-1 mod p_j) mod p_j give
+    x' = sum_j y_j c_j = x (mod P):
+
+    - x' limb by limb is a float64 product of the limbs of the c_j by the
+      y_j, taken over groups of at most 64 primes. Each term is below
+      2**31 * 2**16, so every partial sum of a group is an integer below
+      2**53 and exact, in any order of summation and with any BLAS
+      threading; the groups are added in int64, which holds their sum for
+      fewer than 2**15 primes.
+    - The symmetric residue is x = x' - u P with u the integer nearest to
+      s = x'/P = sum_j y_j / p_j. In float64 each term y_j / p_j is off by
+      less than 2**-52 and the sum of k terms, each below 1, adds less
+      than k**2 2**-53, so the computed s is off by less than k**2 2**-52,
+      which is at most 2**-30 for k <= 2**11. An entry whose computed
+      fraction of s lies within 2**-30 (or that bound, if larger) of 1/2
+      is rebuilt exactly, by the sum above modulo P; P is odd, so no true
+      fraction is 1/2, and every other entry's u is exact.
+    - u P is subtracted limb by limb and the limbs are carried in int64 by
+      arithmetic shifts, all at once until no carry is left, so that every
+      limb but the top one lies in [0, 2**16) and the top one holds the
+      sign. Each entry is then read from its limbs with one
+      ``int.from_bytes``.
     """
 
     def __init__(self):
-        self.modulus, self.moduli, self._terms = 1, [], []
+        self.modulus, self._primes, self._residues = 1, [], []
 
     def add(self, primes, residues):
-        """Add residues[t] (an r x m int64 array) modulo primes[t]."""
-        for t in range(0, len(primes) - 1, 2):
-            p, q = primes[t], primes[t + 1]
-            lift = (residues[t + 1] - residues[t]) % q
-            lift *= pow(p, -1, q)
-            lift %= q
-            lift *= p
-            lift += residues[t]
-            self.moduli.append(p * q)
-            self._terms.append(lift)
-        if len(primes) % 2:
-            self.moduli.append(primes[-1])
-            self._terms.append(residues[-1].copy())
+        """Add residues[t], an r x m array of values in [0, primes[t]),
+        modulo primes[t]. ``primes`` may be empty, when no prime of a chunk
+        was usable; residues then has no slice."""
+        self._shape = residues.shape[1:]
+        if primes:
+            self._primes.extend(primes)
+            self._residues.append(
+                residues.reshape(len(primes), -1).astype(np.int32))
         self.modulus *= math.prod(primes)
 
     def symmetric(self):
         """The values in the symmetric range (-modulus/2, modulus/2]."""
-        p, half = self.modulus, self.modulus >> 1
-        basis = [(p // q) * pow(p // q, -1, q) for q in self.moduli]
-        # Row by row, so that only one row of temporaries is alive.
-        rows = []
-        for i in range(len(self._terms[0])):
-            row = [sum(map(operator.mul, ts, basis)) % p
-                   for ts in zip(*(t[i].tolist() for t in self._terms))]
-            rows.append([x - p if x > half else x for x in row])
-        return rows
+        big, primes = self.modulus, self._primes
+        r, m = self._shape
+        k = len(primes)
+        if k >= 1 << 15:
+            raise OverflowError("too many primes for one read")
+        cofactors = [big // q for q in primes]
+        p = np.array(primes, dtype=np.int64)[:, None]
+        inv = np.array([pow(c, -1, q) for c, q in zip(cofactors, primes)],
+                       dtype=np.int64)[:, None]
+        recip = 1.0 / np.array(primes, dtype=np.float64)
+        margin = max(2.0 ** -30, k * k * 2.0 ** -52)
+        width = -(-big.bit_length() // 16)
+        limbs = np.frombuffer(
+            b"".join(c.to_bytes(2 * width, "little") for c in cofactors),
+            dtype="<u2").reshape(k, width).T.astype(np.float64)
+        modulus_limbs = np.frombuffer(big.to_bytes(2 * width, "little"),
+                                      dtype="<u2").astype(np.int64)[:, None]
+        size = r * m
+        step = max(1, _BLOCK // width)
+        values = []
+        for lo in range(0, size, step):
+            y = np.concatenate([res[:, lo:lo + step] for res in self._residues],
+                               dtype=np.int64)
+            y *= inv
+            y %= p
+            y = y.astype(np.float64)
+            # A product and a sum, not a BLAS product: the same bound, with
+            # one BLAS routine fewer paged in.
+            s = (y * recip[:, None]).sum(axis=0)
+            near = np.flatnonzero(np.abs(s - np.floor(s) - 0.5) < margin)
+            x = _limb_product(limbs, y)
+            x -= modulus_limbs * np.rint(s).astype(np.int64)
+            while True:
+                carry = x[:-1] >> 16
+                if not np.count_nonzero(carry):
+                    break
+                x[:-1] &= 0xFFFF
+                x[1:] += carry
+            raw = x.T.astype("<u2").tobytes()
+            block = [int.from_bytes(raw[i:i + 2 * width], "little", signed=True)
+                     for i in range(0, len(raw), 2 * width)]
+            for e in near.tolist():
+                v = sum(map(operator.mul, y[:, e].astype(np.int64).tolist(),
+                            cofactors)) % big
+                block[e] = v - big if v > big >> 1 else v
+            values += block
+        return [values[i:i + m] for i in range(0, size, m)]
 
 
 def _multimodular(rows, bound, step):

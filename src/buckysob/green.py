@@ -324,15 +324,6 @@ def limit_identity_check(ca: RationalFunction, c0: Fraction, n: int = 60) -> boo
     return regular(0) == c0
 
 
-def monotonicity_scan(ca: RationalFunction, points) -> bool:
-    """Exact evaluations at ascending positive points strictly decrease."""
-    pts = [Fraction(x) for x in points]
-    if any(x <= 0 for x in pts) or any(b <= a for a, b in zip(pts, pts[1:])):
-        raise ValueError("points must be positive and strictly ascending")
-    values = [ca(x) for x in pts]
-    return all(b < a for a, b in zip(values, values[1:]))
-
-
 @dataclass(frozen=True)
 class GreenBundle:
     g_star: RationalMatrix

@@ -363,44 +363,3 @@ def charpoly(m: RationalMatrix, counter: PivotCounter | None = None) -> IntPolyn
     if any(c.denominator != 1 for c in coeffs):
         raise ValueError("characteristic polynomial is not integral")
     return IntPolynomial([int(c) for c in coeffs])
-
-
-def charpoly_cofactor(m: RationalMatrix) -> list[Fraction]:
-    """Brute-force oracle: det(xI - m) by cofactor expansion over
-    polynomial-valued entries. Exponential; for cross-checks on tiny
-    matrices only."""
-    n = m.rows
-
-    def pmul(p, q):
-        out = [Fraction(0)] * (len(p) + len(q) - 1)
-        for i, a in enumerate(p):
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-        return out
-
-    def padd(p, q):
-        out = [Fraction(0)] * max(len(p), len(q))
-        for i, a in enumerate(p):
-            out[i] += a
-        for i, b in enumerate(q):
-            out[i] += b
-        return out
-
-    entries = [[[-m[i, j]] + ([Fraction(1)] if i == j else [])
-                for j in range(n)] for i in range(n)]
-
-    def det(rows, cols):
-        i = rows[0]
-        if len(rows) == 1:
-            return entries[i][cols[0]]
-        acc = [Fraction(0)]
-        for k, j in enumerate(cols):
-            minor = det(rows[1:], cols[:k] + cols[k + 1:])
-            term = pmul(entries[i][j], minor)
-            if k % 2:
-                term = [-c for c in term]
-            acc = padd(acc, term)
-        return acc
-
-    p = det(list(range(n)), list(range(n)))
-    return p + [Fraction(0)] * (n + 1 - len(p))

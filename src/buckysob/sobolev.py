@@ -1,16 +1,16 @@
 """Discrete Sobolev inequalities as executable, exact statements.
 
-Energies, the reproducing relations of the (pseudo-)Green kernels, random
-inequality trials, and the equality chain on Green-matrix columns. A vector
-is an n x 1 ``RationalMatrix``, integer numerators over one denominator, so
-energies and maxima are integer sums and every comparison (including
-sharpness) is exact. ``energy`` and ``equality_witnesses`` share one
-integer energy, whose edge sum must equal the quadratic form x . (A x);
-the witnesses walk the kernel's integer columns over its one denominator
-and build ``Fraction``s only for what they return, and random draws are
-mean-subtracted on integers. The damping parameter ``a`` selects the
-inequality: ``a == 0`` is the mean-zero one, with the pseudo-Green matrix
-G*, and ``a > 0`` the damped one, with G(a) = (A + aI)^-1.
+Energies, random inequality trials, and the equality chain on
+Green-matrix columns. A vector is an n x 1 ``RationalMatrix``, integer
+numerators over one denominator, so energies and maxima are integer sums
+and every comparison (including sharpness) is exact. ``energy`` and
+``equality_witnesses`` share one integer energy, whose edge sum must
+equal the quadratic form x . (A x); the witnesses walk the kernel's
+integer columns over its one denominator and build ``Fraction``s only
+for what they return, and random draws are mean-subtracted on integers.
+The damping parameter ``a`` selects the inequality: ``a == 0`` is the
+mean-zero one, with the pseudo-Green matrix G*, and ``a > 0`` the damped
+one, with G(a) = (A + aI)^-1.
 """
 
 from __future__ import annotations
@@ -74,17 +74,6 @@ def energy(u: RationalMatrix, A: RationalMatrix, a=0) -> Fraction:
     (u_i - u_j)^2 is checked against u^t A u."""
     return Fraction(*_energy(_numerators(u), u.den, A, Fraction(a),
                              laplacian_edges(A)))
-
-
-def reproducing_check(u: RationalMatrix, kernel: RationalMatrix,
-                      A: RationalMatrix, a=0):
-    """Does (u, K delta_j) in the A- (a == 0) or (A+aI)-inner product recover
-    u(j) for every j? Returns (ok, offending_j)."""
-    _require_mean_zero(_numerators(u), a)
-    recovered = kernel * (A.scaled_add(a) * u)  # kernel is symmetric
-    if recovered == u:
-        return True, None
-    return False, next(j for j in range(u.rows) if recovered[j, 0] != u[j, 0])
 
 
 def sobolev_trial(u: RationalMatrix, c: Fraction, A: RationalMatrix, a=0):

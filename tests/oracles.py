@@ -1,0 +1,68 @@
+"""Brute-force and exact oracles that only the tests use."""
+
+from fractions import Fraction
+
+from buckysob.polynomials import RationalFunction
+from buckysob.ratmat import RationalMatrix
+from buckysob.sobolev import _numerators, _require_mean_zero
+
+
+def charpoly_cofactor(m: RationalMatrix) -> list[Fraction]:
+    """Brute-force oracle: det(xI - m) by cofactor expansion over
+    polynomial-valued entries. Exponential; for cross-checks on tiny
+    matrices only."""
+    n = m.rows
+
+    def pmul(p, q):
+        out = [Fraction(0)] * (len(p) + len(q) - 1)
+        for i, a in enumerate(p):
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+        return out
+
+    def padd(p, q):
+        out = [Fraction(0)] * max(len(p), len(q))
+        for i, a in enumerate(p):
+            out[i] += a
+        for i, b in enumerate(q):
+            out[i] += b
+        return out
+
+    entries = [[[-m[i, j]] + ([Fraction(1)] if i == j else [])
+                for j in range(n)] for i in range(n)]
+
+    def det(rows, cols):
+        i = rows[0]
+        if len(rows) == 1:
+            return entries[i][cols[0]]
+        acc = [Fraction(0)]
+        for k, j in enumerate(cols):
+            minor = det(rows[1:], cols[:k] + cols[k + 1:])
+            term = pmul(entries[i][j], minor)
+            if k % 2:
+                term = [-c for c in term]
+            acc = padd(acc, term)
+        return acc
+
+    p = det(list(range(n)), list(range(n)))
+    return p + [Fraction(0)] * (n + 1 - len(p))
+
+
+def monotonicity_scan(ca: RationalFunction, points) -> bool:
+    """Exact evaluations at ascending positive points strictly decrease."""
+    pts = [Fraction(x) for x in points]
+    if any(x <= 0 for x in pts) or any(b <= a for a, b in zip(pts, pts[1:])):
+        raise ValueError("points must be positive and strictly ascending")
+    values = [ca(x) for x in pts]
+    return all(b < a for a, b in zip(values, values[1:]))
+
+
+def reproducing_check(u: RationalMatrix, kernel: RationalMatrix,
+                      A: RationalMatrix, a=0):
+    """Does (u, K delta_j) in the A- (a == 0) or (A+aI)-inner product recover
+    u(j) for every j? Returns (ok, offending_j)."""
+    _require_mean_zero(_numerators(u), a)
+    recovered = kernel * (A.scaled_add(a) * u)  # kernel is symmetric
+    if recovered == u:
+        return True, None
+    return False, next(j for j in range(u.rows) if recovered[j, 0] != u[j, 0])

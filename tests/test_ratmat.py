@@ -16,8 +16,8 @@ from buckysob._modular import (charpoly_bound, charpoly_int, det_int,
 from buckysob.graph import laplacian, relabel
 from buckysob.ratmat import (PivotCounter, RationalMatrix, SingularMatrixError,
                              bareiss_solve, charpoly, charpoly_coeffs,
-                             charpoly_cofactor, determinant, inverse,
-                             parse_rat, rat_str)
+                             determinant, inverse, parse_rat, rat_str)
+from oracles import charpoly_cofactor
 
 
 def _cofactor_det(rows):
@@ -227,6 +227,96 @@ def test_crt_reads_agree_after_every_chunk(case):
                                    for row in x]
         if crt.modulus > bound:
             assert crt.symmetric() == x
+
+
+def _crt_oracle(primes, x):
+    """Pure-Python Chinese remaindering of the residues of x: sum_j r_j b_j
+    modulo P in the symmetric range, with b_j = (P/p_j)((P/p_j)^-1 mod p_j)."""
+    big = math.prod(primes)
+    basis = [(big // q) * pow(big // q, -1, q) for q in primes]
+    out = []
+    for row in x:
+        out.append([])
+        for v in row:
+            y = sum(v % q * b for q, b in zip(primes, basis)) % big
+            out[-1].append(y - big if y > big >> 1 else y)
+    return out
+
+
+def _add_in_chunks(crt, primes, x, sizes):
+    r, m = len(x), len(x[0])
+    used = 0
+    for size in sizes:
+        chunk = primes[used:used + size]
+        crt.add(chunk, np.array([[[v % q for v in row] for row in x] for q in chunk],
+                                dtype=np.int64).reshape(size, r, m))
+        used += size
+
+
+@pytest.mark.parametrize("count", [1, 2, 63, 64, 65, 130])
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_crt_read_matches_pure_python_crt(count, data):
+    # Groups of 64 primes meet at 64, 65 and 130; 1 prime has a 2-limb
+    # modulus. The entries fill up to two and a half blocks of a read, never
+    # a whole number of them, and hold 0, +-1 and +-(P-1)/2: the last two
+    # lie within 1/(2P) of the half-way point and must take the exact path.
+    primes = prime_table(count)
+    half = math.prod(primes) >> 1
+    step = _modular._BLOCK // -(-(2 * half + 1).bit_length() // 16)
+    r = data.draw(st.integers(1, 3), label="rows")
+    m = data.draw(st.integers(1, (2 * step + step // 2) // r), label="cols")
+    assume((r * m) % step)
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
+    flat = [rng.randint(-half, half) for _ in range(r * m)]
+    for v in (0, 1, -1, half, -half):
+        flat[rng.randrange(r * m)] = v
+    x = [flat[i:i + m] for i in range(0, r * m, m)]
+    sizes = []
+    while sum(sizes) < count:
+        sizes.append(min(rng.randint(0, 8), count - sum(sizes)))
+    sizes.insert(rng.randint(0, len(sizes)), 0)
+    crt = _modular._Crt()
+    _add_in_chunks(crt, primes, x, sizes)
+    assert crt.modulus == 2 * half + 1
+    got = crt.symmetric()
+    assert got == _crt_oracle(primes, x)
+    assert got == x
+
+
+def test_crt_read_of_the_half_way_values():
+    # Every entry is 0, +-1 or +-(P-1)/2, so four of the ten take the exact
+    # path; 70 primes put 64 and 6 in the two groups.
+    primes = prime_table(70)
+    half = math.prod(primes) >> 1
+    x = [[0, 1, -1, half, -half], [-half, half, 1, 0, -1]]
+    crt = _modular._Crt()
+    _add_in_chunks(crt, primes, x, [8] * 8 + [6])
+    assert crt.symmetric() == x == _crt_oracle(primes, x)
+
+
+def test_crt_add_of_no_prime():
+    # A chunk whose primes were all unusable adds an empty array: before
+    # any prime, between chunks and last.
+    primes, x = prime_table(3), [[5, -7, 2 ** 80], [0, 1, -(2 ** 90)]]
+    crt = _modular._Crt()
+    _add_in_chunks(crt, primes, x, [0, 2, 0, 1, 0])
+    assert crt.modulus == math.prod(primes)
+    assert crt.symmetric() == x
+
+
+def test_limb_product_exact_at_the_largest_terms():
+    # Every term at its largest, (2^16 - 1)(2^31 - 1): a sum over 64 of them
+    # is below 2^53, over 65 it is not, and 130 columns make three groups.
+    limbs = np.full((2, 130), 0xFFFF, dtype=np.float64)
+    y = np.full((130, 3), 2 ** 31 - 1, dtype=np.float64)
+    assert _modular._limb_product(limbs, y).tolist() == \
+        [[130 * 0xFFFF * (2 ** 31 - 1)] * 3] * 2
+    rng = np.random.default_rng(5)
+    limbs = rng.integers(0, 2 ** 16, (4, 200)).astype(np.float64)
+    y = rng.integers(0, 2 ** 31, (200, 7)).astype(np.float64)
+    exact = limbs.astype(np.int64).astype(object) @ y.astype(np.int64).astype(object)
+    assert _modular._limb_product(limbs, y).tolist() == exact.tolist()
 
 
 def test_primes_used_pass_twice_hadamard(chunks):

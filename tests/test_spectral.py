@@ -1,6 +1,8 @@
 """Numeric spectrum vs exact factor table."""
 
+import ast
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -59,6 +61,36 @@ def test_table_has_sqrt13_row(table):
     assert abs(entry.numeric - root) <= 1e-11
     assert entry.multiplicity == 5
     assert "13" in entry.closed_form_hint
+
+
+_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+        ast.Mult: operator.mul, ast.Div: operator.truediv}
+
+
+def _float_value(node):
+    """A radical form in floats, from integers, + - * /, unary minus and
+    sqrt alone."""
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return float(node.value)
+    if isinstance(node, ast.BinOp) and type(node.op) in _OPS:
+        return _OPS[type(node.op)](_float_value(node.left), _float_value(node.right))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return -_float_value(node.operand)
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "sqrt" and len(node.args) == 1 and not node.keywords):
+        return math.sqrt(_float_value(node.args[0]))
+    raise ValueError(f"not a radical form: {ast.dump(node)}")
+
+
+def test_root_hints_evaluate_to_their_roots():
+    # Each printed radical form names the root it stands beside: swapping
+    # two forms of one factor moves a value by more than 0.9.
+    assert len(closedform.ROOT_HINTS) == 15
+    for factor, _ in closedform.CHARPOLY_FACTORS:
+        for idx, root in enumerate(spectral.real_roots(factor)):
+            hint = closedform.ROOT_HINTS[(factor, idx)]
+            value = _float_value(ast.parse(hint, mode="eval").body)
+            assert abs(value - root) <= 1e-12, (str(factor), idx, hint)
 
 
 def test_table_trace(table):
