@@ -37,9 +37,7 @@ def _json_text(obj) -> str:
 
 
 def _parse_a_values(s: str) -> list[Fraction]:
-    values = [parse_rat(tok) for tok in s.split(",") if tok.strip()]
-    if not values:
-        raise ValueError("empty a-values list")
+    values = [parse_rat(tok) for tok in s.split(",")]
     if any(a <= 0 for a in values):
         raise ValueError("a-values must be positive")
     return values
@@ -112,7 +110,7 @@ def cmd_spectrum(args) -> int:
 def cmd_green(args) -> int:
     g = graph.buckyball()
     A = graph.laplacian(g)
-    if args.a_values:
+    if args.a_values is not None:
         values = _parse_a_values(args.a_values)
         matrices = {rat_str(a): green.green_matrix(A, a).to_json() for a in values}
         _write(_json_text({"schema_version": 1, "green": matrices}), args.output)
@@ -137,7 +135,8 @@ def cmd_sample_ca(args) -> int:
     A = graph.laplacian(g)
     p = charpoly(A)
     ca = green.ca_via_charpoly(p)
-    a_values = _parse_a_values(args.a_values or ",".join(DEFAULT_CA_GRID))
+    a_values = _parse_a_values(",".join(DEFAULT_CA_GRID)
+                               if args.a_values is None else args.a_values)
     _write(green.sample_ca_csv(ca, a_values), args.output)
     return 0
 

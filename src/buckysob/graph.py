@@ -4,10 +4,11 @@ Everything is combinatorial. A polyhedron has one type, ``PolyhedralGraph``,
 which stores only its rotation system: the counterclockwise cyclic neighbor
 order at every vertex, seen from outside. The rotation system alone
 determines the embedded graph, so the vertex count and the edge set are
-derived from it. Faces are traced by the next-edge-in-rotation walk, and a
-fixed-point-free involutive automorphism (for the block split) is found by
-backtracking over automorphisms. All objects are immutable after
-construction and all functions are pure.
+derived from it. Faces are traced by the next-edge-in-rotation walk. An
+automorphism of a connected rotation system is fixed by the image of one
+dart (a directed edge), so the fixed-point-free involutive automorphism for
+the block split is read off the images of a few darts. All objects are
+immutable after construction and all functions are pure.
 """
 
 from __future__ import annotations
@@ -185,20 +186,30 @@ def girth(g: PolyhedralGraph) -> int:
     return int(best)
 
 
-def distance_matrix(g: PolyhedralGraph) -> list[list[int]]:
-    out = []
-    for root in range(g.n):
-        dist = [-1] * g.n
-        dist[root] = 0
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for w in g.rotation[v]:
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-        out.append(dist)
-    return out
+def _dart_automorphism(g: PolyhedralGraph, v: int, w: int, s: int):
+    """The automorphism of g's rotation system that sends the dart
+    (0, rotation[0][0]) to (v, w), keeping every cyclic order for s = 1 and
+    reversing it for s = -1; None if there is none. Once every vertex is
+    reached, each neighbourhood maps onto its image's, so it is a
+    permutation."""
+    rot = g.rotation
+    image = {0: v}
+    queue = deque([(0, 0, v, rot[v].index(w))])
+    while queue:
+        x, i, x2, j = queue.popleft()
+        d = len(rot[x])
+        if len(rot[x2]) != d:
+            return None
+        for k in range(d):
+            a, b = rot[x][(i + k) % d], rot[x2][(j + s * k) % d]
+            if a not in image:
+                image[a] = b
+                queue.append((a, rot[a].index(x), b, rot[b].index(x2)))
+            elif image[a] != b:
+                return None
+    if len(image) < g.n:
+        return None
+    return tuple(image[x] for x in range(g.n))
 
 
 def find_antipodal_involution(g: PolyhedralGraph) -> tuple[int, ...]:
@@ -211,51 +222,25 @@ def find_antipodal_involution(g: PolyhedralGraph) -> tuple[int, ...]:
     4 vertices go to their antipode at distance 9. The block split needs no
     more than a fixed-point-free involution.
 
-    Backtracking over paired assignments i <-> j in vertex order, pruned
-    by degree, pairwise distance preservation, and adjacency consistency
-    with everything already assigned.
+    The minimum is taken over the automorphisms of the rotation system,
+    orientation-preserving and orientation-reversing. Each is fixed by its
+    orientation and the image (v, w) of the dart (0, rotation[0][0]). For a
+    polyhedron (a 3-connected planar graph) these are all of its graph
+    automorphisms (Whitney, Amer. J. Math. 54, 1932). Entry 0 is the first
+    key of the order, so the answer is the smallest among those for the
+    smallest v that has any. On a disconnected rotation system no dart's
+    image reaches every vertex, so none is found.
     """
     n = g.n
     if n % 2:
         raise InvolutionNotFound("odd vertex count")
-    dist = distance_matrix(g)
-    adj = [set(g.rotation[v]) for v in range(n)]
-    perm = [-1] * n
-
-    def assign_ok(i, j):
-        if dist[i][j] < 0:
-            return False
-        if len(adj[i]) != len(adj[j]):
-            return False
-        for k in range(n):
-            pk = perm[k]
-            if pk < 0:
-                continue
-            if dist[i][k] != dist[j][pk]:
-                return False
-            if (k in adj[i]) != (pk in adj[j]):
-                return False
-        return True
-
-    def search():
-        try:
-            i = perm.index(-1)
-        except ValueError:
-            return True
-        for j in range(n):
-            if j == i or perm[j] >= 0:
-                continue
-            if not assign_ok(i, j):
-                continue
-            perm[i], perm[j] = j, i
-            if search():
-                return True
-            perm[i] = perm[j] = -1
-        return False
-
-    if not search():
-        raise InvolutionNotFound("no fixed-point-free involutive automorphism")
-    return tuple(perm)
+    for v in range(1, n):
+        found = [perm for w in g.rotation[v] for s in (1, -1)
+                 if (perm := _dart_automorphism(g, v, w, s)) is not None
+                 and all(p != i and perm[p] == i for i, p in enumerate(perm))]
+        if found:
+            return min(found)
+    raise InvolutionNotFound("no fixed-point-free involutive automorphism")
 
 
 def relabel(g: PolyhedralGraph, perm) -> PolyhedralGraph:

@@ -86,8 +86,11 @@ def test_bad_a_values_exit_code(capsys):
 @pytest.mark.parametrize("argv", [
     ["green", "--a-values", "1/0"],
     ["sample-ca", "--a-values", "1/2,1/0"],
+    ["green", "--a-values", ""],
+    ["sample-ca", "--a-values", ""],
+    ["green", "--a-values", "1,,10"],
 ])
-def test_zero_denominator_in_a_values_exits_2(argv, capsys):
+def test_malformed_a_values_exit_2(argv, capsys):
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
 

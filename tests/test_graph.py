@@ -1,5 +1,6 @@
 """Graph construction: icosahedron seed, truncation, faces, involution."""
 
+import itertools
 import random
 
 import pytest
@@ -102,9 +103,9 @@ def test_involution_properties(bucky, sigma):
     assert all(tuple(sorted((perm[u], perm[w]))) in edges for u, w in edges)
 
 
-# Frozen output of the ascending-candidate backtracking search; the
-# tie-break (lexicographically smallest permutation) makes this a stable
-# golden value for the canonical construction.
+# Frozen output of the search; the tie-break (lexicographically smallest
+# permutation) makes this a stable golden value for the canonical
+# construction.
 GOLDEN_INVOLUTION = (
     5, 6, 7, 8, 9, 0, 1, 2, 3, 4, 29, 25, 26, 27, 28, 54, 50, 51, 52, 53,
     30, 31, 32, 33, 34, 11, 12, 13, 14, 10, 20, 21, 22, 23, 24, 49, 45, 46,
@@ -118,12 +119,62 @@ def test_involution_is_deterministic(sigma):
 
 
 def test_involution_not_found_on_odd_graph():
-    g = canonical_tetrahedron()
-    # remove nothing: tetrahedron has 4 vertices; use a 3-cycle instead
     tri = PolyhedralGraph({0: (1, 2), 1: (0, 2), 2: (0, 1)})
     with pytest.raises(InvolutionNotFound):
         find_antipodal_involution(tri)
-    assert g.n == 4  # tetrahedron untouched
+
+
+def brute_force_involution(g):
+    """Lexicographically smallest fixed-point-free involution of 0..n-1
+    that preserves the edge set, over all n! permutations; None if none."""
+    for perm in itertools.permutations(range(g.n)):
+        if (all(p != i and perm[p] == i for i, p in enumerate(perm))
+                and {tuple(sorted((perm[u], perm[w]))) for u, w in g.edges}
+                == g.edges):
+            return perm
+    return None
+
+
+def cycle(n):
+    return PolyhedralGraph({i: ((i + 1) % n, (i - 1) % n) for i in range(n)})
+
+
+CUBE = PolyhedralGraph({0: (1, 3, 4), 1: (0, 5, 2), 2: (1, 6, 3),
+                        3: (2, 7, 0), 4: (0, 7, 5), 5: (1, 4, 6),
+                        6: (2, 5, 7), 7: (3, 6, 4)})
+TRIANGULAR_PRISM = PolyhedralGraph({0: (1, 2, 3), 1: (0, 4, 2),
+                                    2: (0, 1, 5), 3: (0, 5, 4),
+                                    4: (1, 3, 5), 5: (2, 4, 3)})
+PENTAGONAL_PYRAMID = PolyhedralGraph({0: (1, 2, 3, 4, 5), 1: (0, 5, 2),
+                                      2: (0, 1, 3), 3: (0, 2, 4),
+                                      4: (0, 3, 5), 5: (0, 4, 1)})
+
+
+@pytest.mark.parametrize("g", [
+    canonical_tetrahedron(), CUBE, TRIANGULAR_PRISM, cycle(4), cycle(6),
+    cycle(8),
+], ids=["tetrahedron", "cube", "triangular_prism", "C4", "C6", "C8"])
+def test_involution_matches_brute_force(g):
+    assert g.n - len(g.edges) + face_census(g).face_count == 2  # a sphere
+    expected = brute_force_involution(g)
+    assert expected is not None
+    assert find_antipodal_involution(g) == expected
+
+
+def test_involution_not_found_on_even_graph():
+    # the apex is the only degree-5 vertex, so every automorphism fixes it
+    assert brute_force_involution(PENTAGONAL_PYRAMID) is None
+    with pytest.raises(InvolutionNotFound):
+        find_antipodal_involution(PENTAGONAL_PYRAMID)
+
+
+def test_involution_not_found_on_disconnected_graph():
+    # two disjoint edges have the involution (1, 0, 3, 2), but they are not
+    # a polyhedron: no dart's image reaches both components
+    g = PolyhedralGraph({0: (1,), 1: (0,), 2: (3,), 3: (2,)})
+    assert brute_force_involution(g) == (1, 0, 3, 2)
+    with pytest.raises(InvolutionNotFound):
+        find_antipodal_involution(g)
 
 
 def test_relabel_identity(bucky):
