@@ -9,10 +9,12 @@ result is read. The read is Chinese remaindering as one exact matrix
 product over 16-bit limbs in float64 (every partial sum an integer below
 2**53), a block of entries at a time, so that no entry is rebuilt by
 Python big-integer arithmetic; see ``_Crt``.
-``det_int`` and ``jordan_int`` run the one Gauss-Jordan elimination of the
-package, on M and on [M | R], under the Hadamard bound
-H = prod_i (isqrt(|row_i|^2) + 1), which bounds the determinant and, taken
-over the rows of [M | R], every Cramer numerator of M X = R.
+``det_int`` and ``jordan_int`` run the one elimination of the package, an
+in-place Gauss-Jordan inversion of M's residues (n^3 multiply-mod updates
+per prime), under the Hadamard bound H = prod_i (isqrt(|row_i|^2) + 1),
+which bounds the determinant and, taken over the rows of [M | R], every
+Cramer numerator of M X = R. Only M is reduced and inverted; a solve then
+applies R through its nonzeros, with det(M) folded into their residues.
 ``charpoly_int`` brings M to Hessenberg form by similarity and runs the
 Hessenberg charpoly recurrence, under the bound
 B = prod_i (isqrt(|row_i|^2) + 2) on its coefficients. Once the primes'
@@ -286,72 +288,82 @@ def _multimodular(rows, bound, step):
     return crt.symmetric(), ops
 
 
-def _eliminate(a, primes):
-    """Gauss-Jordan elimination with unit pivots on the residues a
-    (c x n x w int64, one n x w slice per prime).
+def _invert(a, primes):
+    """In-place Gauss-Jordan inversion of the residues a (c x n x n int64,
+    one slice per prime).
 
-    Each step writes the updated rows as one contiguous array without the
-    pivot column, which numpy reduces several times faster than a strided
-    view; two buffers of a's size take turns holding it. Returns (det
-    residue per prime, whether each prime had a pivot in every column, ops,
-    the last array). A prime without a pivot in some column has det = 0
-    modulo it; its slice is carried on with a stand-in pivot and must be
-    ignored. For a = [M | R] the last array is M^-1 R modulo each prime.
+    Step k stores column k of the inverse in place of column k. With f the
+    column and r the row of the pivot, r scaled by the inverse pivot and
+    r_k = 1/pivot, both are cleared in a and every row i gains g_i r, where
+    g_i = -f_i and g_k = 1: one rank-one update of the whole contiguous
+    slice, n^2 multiply-mod updates per step and prime. Each product is
+    below p**2, so a is reduced after every second update only: it stays
+    below 2 p**2 < 2**63, and only the pivot's column and row are reduced
+    when they are read after an unreduced update. A slice whose pivot
+    vanishes swaps in the first row below with a nonzero entry; at the end
+    its swaps are undone on its inverse's columns, in reverse order.
+    Returns (det residue per prime, whether each prime had a pivot in every
+    column, ops); then a[t] is M^-1 modulo primes[t]. A prime without a
+    pivot in some column has det = 0 modulo it; its slice is carried on
+    with a stand-in pivot and must be ignored.
     """
-    c, n, w = a.shape
-    p2 = np.array(primes, dtype=np.int64)[:, None]
+    c, n, _ = a.shape
+    p1 = np.array(primes, dtype=np.int64)
+    p2 = p1[:, None]
     p3 = p2[:, :, None]
-    here, there = a.reshape(-1), np.empty(a.size, dtype=np.int64)
+    scratch = np.empty_like(a)
     det = [1] * c
     live = [True] * c
-    ops = 0
+    swaps = []
     for k in range(n):
-        # Column 0 of a is column k.
-        piv = a[:, k, 0].tolist()
-        for t in range(c):
+        piv = (a[:, k, k] % p1).tolist()
+        for t, q in enumerate(primes):
             if piv[t]:
                 continue
-            below = np.flatnonzero(a[t, k:, 0])
+            below = np.flatnonzero(a[t, k:, k] % q)
             if below.size == 0:
                 live[t] = False
                 piv[t] = 1
                 continue
             r = k + int(below[0])
             a[t, [k, r]] = a[t, [r, k]]
-            piv[t] = int(a[t, k, 0])
+            swaps.append((t, k, r))
+            piv[t] = int(a[t, k, k] % q)
             det[t] = -det[t]
         det = [d * x % q for d, x, q in zip(det, piv, primes)]
         inv = np.array([pow(x, -1, q) for x, q in zip(piv, primes)],
                        dtype=np.int64)[:, None]
-        rowk = a[:, k, 1:]
-        # Row i gains -a[i][k]/pivot times row k; row k itself gains
-        # (1/pivot - 1) times itself, which scales it to a unit pivot.
-        factors = (p2 - a[:, :, 0]) * inv % p2
-        factors[:, k] = inv[:, 0] - 1
-        body = a[:, :, 1:]
-        ops += c * (n - 1) * (w - k - 1)
-        shape = body.shape
-        a = there[:body.size].reshape(shape)
-        np.multiply(factors[:, :, None], rowk[:, None, :], out=a)
-        np.add(a, body, out=a)
-        # The last array is no longer read: its buffer holds the quotients.
-        _mod(a, primes, p3, here[:a.size].reshape(shape))
-        here, there = there, here
+        col, row = a[:, :, k], a[:, k, :]
+        if k % 2:
+            col, row = col % p2, row % p2
+        # g in (0, p], so each product g_i r_j is below p**2.
+        g = p2 - col
+        g[:, k] = 1
+        row = row * inv % p2
+        row[:, k] = inv[:, 0]
+        a[:, :, k] = 0
+        a[:, k, :] = 0
+        np.multiply(g[:, :, None], row[:, None, :], out=scratch)
+        a += scratch
+        if k % 2 or k == n - 1:
+            _mod(a, primes, p3, scratch)
+    for t, k, r in reversed(swaps):
+        a[t][:, [k, r]] = a[t][:, [r, k]]
     det = [d if alive else 0 for d, alive in zip(det, live)]
-    return det, live, ops, a
+    return det, live, c * n ** 3
 
 
 def _det_step(a, primes):
     # det 0 modulo a prime without a pivot is still the det's residue.
-    det, _, ops, _ = _eliminate(a, primes)
+    det, _, ops = _invert(a, primes)
     return np.array(det, dtype=np.int64)[:, None, None], [True] * len(primes), ops
 
 
 def det_int(rows):
-    """Determinant of a square integer matrix.
+    """Determinant of a square integer matrix, from the in-place inversion.
 
     Returns (det, ops) where ops counts the multiply-mod updates of the
-    Gauss-Jordan elimination, summed over the primes; a singular matrix
+    inversion, n^3 per prime, summed over the primes; a singular matrix
     has det 0 modulo every prime, and det 0. The input is not mutated.
     """
     if not rows:
@@ -360,30 +372,72 @@ def det_int(rows):
     return values[0][0], ops
 
 
-def _solve_step(a, primes):
-    # adj(M) [R | M 1] = [adj(M) R | det(M) 1]: det(M) is rebuilt as one
-    # more column of the solution. Primes that divide det(M) are unusable.
-    det, live, ops, sol = _eliminate(a, primes)
-    det = np.array(det, dtype=np.int64)[:, None, None]
-    sol *= det
-    sol %= np.array(primes, dtype=np.int64)[:, None, None]
-    column = np.broadcast_to(det, sol.shape[:2] + (1,))
-    return np.concatenate((sol, column), axis=2), live, ops
+def _rhs_rounds(aug, n, m):
+    """R's nonzeros, for R the last m columns of aug, in rounds: round l
+    holds the l-th nonzero from the top of every column that has one, as
+    (row indices, column indices), so that a round writes no column twice.
+    Returns the rounds and the nonzeros' values in the rounds' order."""
+    rounds, depth = [], [0] * m
+    for i, row in enumerate(aug):
+        for j, v in enumerate(row[n:]):
+            if v:
+                if depth[j] == len(rounds):
+                    rounds.append(([], [], []))
+                rows, cols, values = rounds[depth[j]]
+                rows.append(i)
+                cols.append(j)
+                values.append(v)
+                depth[j] += 1
+    return ([(np.array(rows), np.array(cols)) for rows, cols, _ in rounds],
+            [v for _, _, values in rounds for v in values])
+
+
+def _apply(inv, det, primes, rounds, values, m):
+    """[det(M) M^-1 R | det(M) 1] modulo each prime, c x n x (m + 1), from
+    the inverses inv (c x n x n), the det residues and R's nonzeros in
+    rounds: values[t] holds them modulo primes[t], in the rounds' order.
+    det(M) is folded into the values, so each nonzero costs one
+    multiply-mod per row of M."""
+    c, n, _ = inv.shape
+    p2 = np.array(primes, dtype=np.int64)[:, None]
+    det = np.array(det, dtype=np.int64)[:, None]
+    values = values * det % p2
+    out = np.zeros((c, n, m + 1), dtype=np.int64)
+    out[:, :, m] = det
+    lo = 0
+    for rows, cols in rounds:
+        x = inv[:, :, rows] * values[:, None, lo:lo + rows.size]
+        if lo:
+            x += out[:, :, cols]
+        _mod(x, primes, p2[:, :, None], np.empty_like(x))
+        out[:, :, cols] = x
+        lo += rows.size
+    return out
 
 
 def jordan_int(aug, n, m):
-    """Gauss-Jordan on an n x (n+m) integer matrix [M | R].
+    """Solve M X = R for an n x (n+m) integer matrix [M | R].
 
     Returns (den, num, ops) where den = det(M), nonzero and possibly
-    negative, and num = adj(M) R, so that M @ (num / den) == R exactly;
-    ops counts the multiply-mod updates, summed over the primes. The
+    negative, and num = adj(M) R, so that M @ (num / den) == R exactly.
+    Only M is reduced modulo the primes and inverted in place; R is then
+    applied through its nonzeros, with det(M) folded into their residues,
+    and det(M) is rebuilt as one more column. ops counts the multiply-mod
+    updates of the inversion, n^3 per prime, summed over the primes. The
     primes run to the Hadamard bound of [M | R]. Primes dividing det(M)
     are skipped; M is singular exactly when their product passes the
     bound, and then ZeroDivisionError is raised. The input is not mutated.
     """
     if n == 0:
         return 1, [], 0
-    values, ops = _multimodular(aug, hadamard_bound(aug), _solve_step)
+    rounds, values = _rhs_rounds(aug, n, m)
+    rhs = _Residues([values])
+
+    def step(a, primes):
+        det, live, ops = _invert(a, primes)
+        return _apply(a, det, primes, rounds, rhs.modulo(primes)[:, 0], m), live, ops
+
+    values, ops = _multimodular([row[:n] for row in aug], hadamard_bound(aug), step)
     return values[0][m], [row[:m] for row in values], ops
 
 

@@ -151,11 +151,11 @@ def _verify_checks(trials: int, seed: int):
     # holds the ops of its one solve, which block_reduction reports. G(1) is
     # solved by direct elimination; block_reduction compares the block route
     # with it, and moore_penrose then solves G(1/10) and G(10) by that block
-    # route: 10 and 11 ms against 34 and 22 ms for full 60x60 inverses
-    # (in-process medians of 9, 2-core x86-64, Python 3.11). Neither route
-    # calls green.green_matrix, which these solves check: with its one-time
-    # annihilator (18-21 ms) and walk-class table (30-32 ms), the polynomial
-    # route took 61-68 ms for the three G(a).
+    # route: 10 and 8 ms against 24 and 18 ms for full 60x60 inverses
+    # (in-process medians of 9, 2-core x86-64, Python 3.11, in-place
+    # inversion kernel). Neither route calls green.green_matrix, which these
+    # solves check: with its one-time annihilator (16 ms) and walk-class
+    # table (29 ms), the polynomial route took 57-59 ms for the three G(a).
     charpoly_of_a = functools.cache(lambda: charpoly(A))
     full_counter = PivotCounter()
     pseudo_green_of_a = functools.cache(

@@ -41,6 +41,8 @@ class PolyhedralGraph:
         for v, nbrs in self.rotation.items():
             if len(set(nbrs)) != len(nbrs):
                 raise RotationSystemError(f"repeated neighbor at vertex {v}")
+            if v in nbrs:
+                raise RotationSystemError(f"self-loop at vertex {v}")
             for w in nbrs:
                 if v not in self.rotation.get(w, ()):
                     raise RotationSystemError(f"asymmetric edge ({v},{w})")

@@ -44,13 +44,16 @@ class SingularMatrixError(VerificationFailed):
 class PivotCounter:
     """Accumulates the kernels' operation counts across calls.
 
-    A kernel's count is the number of multiply-mod updates of its loops
-    (elimination for determinants and solves; Hessenberg reduction and the
-    charpoly recurrence for characteristic polynomials), taken from the
-    loop bounds and summed over the primes it used, so it scales with the
-    matrix shape and the bit size of the entries. Every kernel runs its
-    primes to its bound, so a count depends on the input alone, not on the
-    size of the reduced result.
+    A kernel's count is the number of multiply-mod updates of its loops,
+    taken from the loop bounds and summed over the primes it used, so it
+    scales with the matrix shape and the bit size of the entries. For
+    determinants and solves it is the in-place inversion of the n x n
+    matrix, n^3 per prime (inverse(A + I) on the buckyball: 5 primes,
+    5 * 60^3); applying a solve's right-hand side afterwards is not
+    counted. For characteristic polynomials it is the Hessenberg reduction
+    and the charpoly recurrence. Every kernel runs its primes to its bound,
+    so a count depends on the input alone, not on the size of the reduced
+    result.
     """
 
     def __init__(self):

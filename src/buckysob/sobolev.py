@@ -10,7 +10,7 @@ integer columns over its one denominator and build ``Fraction``s only
 for what they return, and random draws are mean-subtracted on integers.
 The damping parameter ``a`` selects the inequality: ``a == 0`` is the
 mean-zero one, with the pseudo-Green matrix G*, and ``a > 0`` the damped
-one, with G(a) = (A + aI)^-1.
+one, with G(a) = (A + aI)^-1; a negative ``a`` raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -47,6 +47,14 @@ def _edge_sum(x, edges) -> int:
     return sum((x[i] - x[j]) ** 2 for i, j in edges)
 
 
+def _damping(a) -> Fraction:
+    """The damping parameter a as a Fraction; a < 0 raises ValueError."""
+    a = Fraction(a)
+    if a < 0:
+        raise ValueError(f"damping parameter must be nonnegative, got {a}")
+    return a
+
+
 def _require_mean_zero(x, a):
     if a == 0 and sum(x) != 0:
         raise ValueError("the mean-zero inequality (a = 0) requires a "
@@ -72,17 +80,18 @@ def _energy(x, den, A: RationalMatrix, a: Fraction, edges) -> tuple[int, int]:
 def energy(u: RationalMatrix, A: RationalMatrix, a=0) -> Fraction:
     """E(u) + a * sum u_j^2 == u^t (A + aI) u, where the edge sum E(u) of
     (u_i - u_j)^2 is checked against u^t A u."""
-    return Fraction(*_energy(_numerators(u), u.den, A, Fraction(a),
+    return Fraction(*_energy(_numerators(u), u.den, A, _damping(a),
                              laplacian_edges(A)))
 
 
 def sobolev_trial(u: RationalMatrix, c: Fraction, A: RationalMatrix, a=0):
     """(max |u_j|)^2 vs c * (E(u) + a * sum u_j^2); returns (lhs, rhs, holds)."""
+    a = _damping(a)
     x = _numerators(u)
     _require_mean_zero(x, a)
     den2 = u.den ** 2
     lhs = Fraction(max(map(abs, x)) ** 2, den2)
-    e = _edge_sum(x, laplacian_edges(A)) + Fraction(a) * sum(v * v for v in x)
+    e = _edge_sum(x, laplacian_edges(A)) + a * sum(v * v for v in x)
     rhs = Fraction(c) * e / den2
     return lhs, rhs, lhs <= rhs
 
@@ -108,7 +117,7 @@ def equality_witnesses(kernel: RationalMatrix, A: RationalMatrix,
     returned, one per column in order.
     """
     den = kernel.den
-    a = Fraction(a)
+    a = _damping(a)
     edges = laplacian_edges(A)
     witnesses = []
     for j0, x in enumerate(zip(*kernel.num)):

@@ -42,7 +42,7 @@ GOLDEN = {
     ("sample-ca",):
         "0966d845fd99591f393bd9a1f3014af00e239a962f2e6e16938ec997313af30d",
     ("verify-all", "--seed", "1"):
-        "27fc611347b1678c3fc9d399b9f1c44ae8e0a301c637a5f04cdc684d6914e886",
+        "7da77cd78efd1ecf730ed22131f6033693b1435a70278f8969f5b973d392797d",
 }
 
 

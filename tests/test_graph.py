@@ -45,7 +45,8 @@ def test_icosahedron_faces_are_triangles():
     ({0: (1, 1), 1: (0,)}, "repeated neighbor at vertex 0"),
     ({0: (1, 2), 1: (0, 2), 2: (1,)}, r"asymmetric edge \(0,2\)"),
     ({1: (2,), 2: (1,)}, r"vertices are not 0\.\.n-1"),
-], ids=["repeated_neighbor", "asymmetric_edge", "vertices_not_0_to_n"])
+    ({0: (0, 1), 1: (0,)}, r"self-loop at vertex 0"),
+], ids=["repeated_neighbor", "asymmetric_edge", "vertices_not_0_to_n", "self_loop"])
 def test_rotation_system_rejected(rotation, message):
     with pytest.raises(RotationSystemError, match=message):
         PolyhedralGraph(rotation)

@@ -94,16 +94,16 @@ def _lu(diag, seed):
 @pytest.fixture
 def chunks(monkeypatch):
     """(primes, whether each had a pivot in every column) for every chunk
-    the kernels eliminate."""
+    the kernels invert."""
     seen = []
-    eliminate = _modular._eliminate
+    invert = _modular._invert
 
     def recording(a, primes):
-        out = eliminate(a, primes)
+        out = invert(a, primes)
         seen.append((list(primes), out[1]))
         return out
 
-    monkeypatch.setattr(_modular, "_eliminate", recording)
+    monkeypatch.setattr(_modular, "_invert", recording)
     return seen
 
 
@@ -132,6 +132,56 @@ def test_kernel_swaps_rows_for_some_primes_only():
     det, num, _ = jordan_int([r + s for r, s in zip(mat, rhs)], 3, 1)
     assert det == _cofactor_det(mat)
     assert [[Fraction(x, det) for x in row] for row in num] == _fraction_solve(mat, rhs)
+
+
+def _leading_minors(rows):
+    return [_cofactor_det([r[:k] for r in rows[:k]]) for k in range(1, len(rows) + 1)]
+
+
+def _inverse_mod(mat, q):
+    """M^-1 modulo q, from the Fraction oracle."""
+    n = len(mat)
+    inv = _fraction_solve(mat, [[int(i == j) for j in range(n)] for i in range(n)])
+    return [[x.numerator * pow(x.denominator, -1, q) % q for x in row] for row in inv]
+
+
+def test_invert_undoes_two_swaps_of_one_prime():
+    # Modulo p0 only, column 0 swaps rows 0 and 2 and then column 1 swaps
+    # rows 1 and 2. The two swaps do not commute, so the inverse's columns
+    # come out right only if they are undone in reverse order.
+    primes = prime_table(3)
+    p0 = primes[0]
+    mat = [[p0, 1, 2, 3], [2 * p0, p0, 1, 4], [1, 2, 3, 1], [3, 1, 1, 2]]
+    assert [mat[i][0] % p0 for i in range(3)] == [0, 0, 1]
+    swapped = [mat[2], mat[1], mat[0], mat[3]]
+    assert _leading_minors(swapped)[1] % p0 == 0
+    swapped[1], swapped[2] = swapped[2], swapped[1]
+    assert all(d % p0 for d in _leading_minors(swapped))
+    assert all(d % q for q in primes[1:] for d in _leading_minors(mat))
+    a = np.array([[[x % q for x in row] for row in mat] for q in primes], dtype=np.int64)
+    det, live, ops = _modular._invert(a, primes)
+    d = _cofactor_det(mat)
+    assert det == [d % q for q in primes] and live == [True] * 3
+    assert ops == 3 * 4 ** 3
+    assert [a[t].tolist() for t in range(3)] == [_inverse_mod(mat, q) for q in primes]
+    assert det_int(mat)[0] == d
+    rhs = [[1, 0], [0, -2], [5, 0], [0, 0]]
+    den, num, _ = jordan_int([r + s for r, s in zip(mat, rhs)], 4, 2)
+    assert den == d
+    assert [[Fraction(x, den) for x in row] for row in num] == _fraction_solve(mat, rhs)
+
+
+@pytest.mark.parametrize("rhs", [
+    [[0, 1], [0, 0], [0, 0], [0, 0], [0, 0]],
+    [[0, 3, 0], [0, 0, 0], [0, -2, 4], [0, 7, 0], [0, 1, 0]],
+    [[2 ** 70 + i * j - 3 for j in range(4)] for i in range(5)],
+], ids=["zero_column", "several_nonzeros", "dense"])
+def test_jordan_applies_rhs_through_its_nonzeros(rhs):
+    mat = _lu([2, -1, 3, 1, -5], seed=54)
+    n, m = len(mat), len(rhs[0])
+    den, num, _ = jordan_int([r + s for r, s in zip(mat, rhs)], n, m)
+    assert den == _cofactor_det(mat) == 30
+    assert [[Fraction(x, den) for x in row] for row in num] == _fraction_solve(mat, rhs)
 
 
 @pytest.mark.parametrize("mat", [
@@ -388,11 +438,11 @@ def test_det_of_shifted_laplacian_matches_charpoly(bucky, lap, p_char):
 
 def test_charpoly_runs_no_elimination(monkeypatch, lap, p_char):
     """The charpoly is its own route: it never reaches det_int, jordan_int
-    or their shared elimination loop."""
+    or their shared in-place inversion."""
     def refuse(*args, **kwargs):
         raise AssertionError("charpoly reached the elimination kernel")
 
-    monkeypatch.setattr(_modular, "_eliminate", refuse)
+    monkeypatch.setattr(_modular, "_invert", refuse)
     for name in ("det_int", "jordan_int"):
         monkeypatch.setattr(ratmat, name, refuse)
     assert charpoly(lap) == p_char
@@ -433,6 +483,15 @@ def test_solve_counts_pivot_ops():
     c = PivotCounter()
     inverse(RationalMatrix.identity(4), c)
     assert c.ops > 0
+
+
+def test_inverse_ops_are_n_cubed_per_prime(lap, chunks):
+    # The in-place inversion makes n^2 multiply-mod updates per pivot step
+    # and prime; applying R is not counted. inverse(A + I) takes 5 primes.
+    c = PivotCounter()
+    inverse(lap.scaled_add(1), c)
+    assert [len(primes) for primes, _ in chunks] == [5]
+    assert c.ops == 5 * 60 ** 3 == 1080000
 
 
 def test_charpoly_1x1_zero():

@@ -84,6 +84,18 @@ def test_reproducing_meanzero_requires_mean_zero(lap, g_star):
         reproducing_check(vector([1] * 60), g_star, lap)
 
 
+@pytest.mark.parametrize("a", [-5, Fraction(-1, 10 ** 6)], ids=["-5", "-1/10^6"])
+def test_negative_damping_rejected(lap, g_one, a):
+    # A + aI is not positive semidefinite for a < 0: sobolev_trial(u, 1, A,
+    # -5) would report a negative energy.
+    u = delta(0)
+    for call in (lambda: sobolev.energy(u, lap, a),
+                 lambda: sobolev.sobolev_trial(u, 1, lap, a),
+                 lambda: sobolev.equality_witnesses(g_one, lap, a)):
+        with pytest.raises(ValueError, match="damping parameter must be nonnegative"):
+            call()
+
+
 def test_sobolev_inequality_random(lap):
     rng = random.Random(15)
     for _ in range(200):
