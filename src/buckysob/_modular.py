@@ -12,9 +12,9 @@ Python big-integer arithmetic; see ``_Crt``.
 ``det_int`` and ``jordan_int`` run the one elimination of the package, an
 in-place Gauss-Jordan inversion of M's residues (n^3 multiply-mod updates
 per prime), under the Hadamard bound H = prod_i (isqrt(|row_i|^2) + 1),
-which bounds the determinant and, taken over the rows of [M | R], every
-Cramer numerator of M X = R. Only M is reduced and inverted; a solve then
-applies R through its nonzeros, with det(M) folded into their residues.
+which bounds the determinant and every cofactor. ``jordan_int`` only
+inverts: it returns det(M) and adj(M), and a solve M X = R multiplies the
+exact inverse by R outside the kernel, in ``ratmat``.
 ``charpoly_int`` brings M to Hessenberg form by similarity and runs the
 Hessenberg charpoly recurrence, under the bound
 B = prod_i (isqrt(|row_i|^2) + 2) on its coefficients. Once the primes'
@@ -92,8 +92,10 @@ def prime_table(count):
 
 
 def hadamard_bound(rows):
-    """prod_i (isqrt(|row_i|^2) + 1): a bound on |det| of every square
-    matrix whose rows are taken, one entry each, from these rows."""
+    """prod_i (isqrt(|row_i|^2) + 1): a bound on |det| of the square matrix
+    M of these rows and on every cofactor of M, whose rows are parts of
+    all but one of M's rows. It is the only bound an inverse needs: a solve
+    multiplies the exact adj(M) / det(M) by its right-hand side."""
     return math.prod(math.isqrt(sum(x * x for x in row)) + 1 for row in rows)
 
 
@@ -372,73 +374,38 @@ def det_int(rows):
     return values[0][0], ops
 
 
-def _rhs_rounds(aug, n, m):
-    """R's nonzeros, for R the last m columns of aug, in rounds: round l
-    holds the l-th nonzero from the top of every column that has one, as
-    (row indices, column indices), so that a round writes no column twice.
-    Returns the rounds and the nonzeros' values in the rounds' order."""
-    rounds, depth = [], [0] * m
-    for i, row in enumerate(aug):
-        for j, v in enumerate(row[n:]):
-            if v:
-                if depth[j] == len(rounds):
-                    rounds.append(([], [], []))
-                rows, cols, values = rounds[depth[j]]
-                rows.append(i)
-                cols.append(j)
-                values.append(v)
-                depth[j] += 1
-    return ([(np.array(rows), np.array(cols)) for rows, cols, _ in rounds],
-            [v for _, _, values in rounds for v in values])
+def jordan_int(rows):
+    """Invert a square integer matrix M, given by its rows.
 
-
-def _apply(inv, det, primes, rounds, values, m):
-    """[det(M) M^-1 R | det(M) 1] modulo each prime, c x n x (m + 1), from
-    the inverses inv (c x n x n), the det residues and R's nonzeros in
-    rounds: values[t] holds them modulo primes[t], in the rounds' order.
-    det(M) is folded into the values, so each nonzero costs one
-    multiply-mod per row of M."""
-    c, n, _ = inv.shape
-    p2 = np.array(primes, dtype=np.int64)[:, None]
-    det = np.array(det, dtype=np.int64)[:, None]
-    values = values * det % p2
-    out = np.zeros((c, n, m + 1), dtype=np.int64)
-    out[:, :, m] = det
-    lo = 0
-    for rows, cols in rounds:
-        x = inv[:, :, rows] * values[:, None, lo:lo + rows.size]
-        if lo:
-            x += out[:, :, cols]
-        _mod(x, primes, p2[:, :, None], np.empty_like(x))
-        out[:, :, cols] = x
-        lo += rows.size
-    return out
-
-
-def jordan_int(aug, n, m):
-    """Solve M X = R for an n x (n+m) integer matrix [M | R].
-
-    Returns (den, num, ops) where den = det(M), nonzero and possibly
-    negative, and num = adj(M) R, so that M @ (num / den) == R exactly.
-    Only M is reduced modulo the primes and inverted in place; R is then
-    applied through its nonzeros, with det(M) folded into their residues,
-    and det(M) is rebuilt as one more column. ops counts the multiply-mod
-    updates of the inversion, n^3 per prime, summed over the primes. The
-    primes run to the Hadamard bound of [M | R]. Primes dividing det(M)
-    are skipped; M is singular exactly when their product passes the
-    bound, and then ZeroDivisionError is raised. The input is not mutated.
+    Returns (det, adj, ops) where det = det(M), nonzero and possibly
+    negative, and adj = adj(M), so that M @ adj == det I exactly. M's
+    residues are inverted in place, each prime's inverse is multiplied by
+    det(M) modulo the prime, and det(M) is rebuilt as one more column. ops
+    counts the multiply-mod updates of the inversion, n^3 per prime, summed
+    over the primes. The primes run to the Hadamard bound of M, which
+    bounds det(M) and every cofactor: a cofactor is the determinant of M
+    with one row and one column dropped, dropping a column only shortens
+    the rows, and each factor of the bound is >= 1, so dropping a row's
+    factor cannot raise it. Primes dividing det(M) are skipped; M is
+    singular exactly when their product passes the bound, and then
+    ZeroDivisionError is raised. The input is not mutated.
     """
-    if n == 0:
+    if not rows:
         return 1, [], 0
-    rounds, values = _rhs_rounds(aug, n, m)
-    rhs = _Residues([values])
+    n = len(rows)
 
     def step(a, primes):
         det, live, ops = _invert(a, primes)
-        return _apply(a, det, primes, rounds, rhs.modulo(primes)[:, 0], m), live, ops
+        out = np.empty((len(primes), n, n + 1), dtype=np.int64)
+        out[:, :, n] = np.array(det, dtype=np.int64)[:, None]
+        adj = out[:, :, :n]
+        np.multiply(a, out[:, :, n:], out=adj)
+        # a has been read, so it serves as the reduction's scratch.
+        _mod(adj, primes, np.array(primes, dtype=np.int64)[:, None, None], a)
+        return out, live, ops
 
-    values, ops = _multimodular([row[:n] for row in aug], hadamard_bound(aug), step)
-    return values[0][m], [row[:m] for row in values], ops
+    values, ops = _multimodular(rows, hadamard_bound(rows), step)
+    return values[0][n], [row[:n] for row in values], ops
 
 
 def charpoly_bound(rows):

@@ -18,10 +18,11 @@ All elimination work in the package is delegated to the multimodular
 kernels in ``_modular``, which work modulo word-size primes and rebuild
 exact integers by Chinese remaindering under a Hadamard-type bound. (The
 moment route to C(a) in ``green`` eliminates nothing.) Before ``det_int``
-and ``jordan_int`` run, a matrix and a right-hand side are cleared to
-integers row by row, which changes neither solutions nor singularity. A
-solve's result is the kernel's integer rows N over its denominator d,
-with M N == d R exactly: adj(M) R over det(M), exact by the bound alone.
+and ``jordan_int`` run, a matrix is cleared to integers row by row, M = S m
+for the diagonal S of the row scales, which changes no singularity.
+``jordan_int`` inverts M and nothing more, exact by the bound alone: its
+(det(M), adj(M)) gives m^-1 = adj(M) S / det(M). A solve m X = R is that
+exact inverse times R, one sparse-aware product.
 ``charpoly_int`` takes the rows ``num`` as they are, since the
 characteristic polynomial is a similarity invariant and row scaling is not
 a similarity; the denominator is divided out of the coefficients.
@@ -31,10 +32,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 from buckysob._modular import charpoly_int, det_int, jordan_int
 from buckysob.polynomials import IntPolynomial, VerificationFailed
+
+
+# The text parse_rat accepts: ASCII digits only, so no decimal point,
+# exponent, underscore or other script's digit gets through Fraction.
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 class SingularMatrixError(VerificationFailed):
@@ -47,10 +54,10 @@ class PivotCounter:
     A kernel's count is the number of multiply-mod updates of its loops,
     taken from the loop bounds and summed over the primes it used, so it
     scales with the matrix shape and the bit size of the entries. For
-    determinants and solves it is the in-place inversion of the n x n
+    determinants and inverses it is the in-place inversion of the n x n
     matrix, n^3 per prime (inverse(A + I) on the buckyball: 5 primes,
-    5 * 60^3); applying a solve's right-hand side afterwards is not
-    counted. For characteristic polynomials it is the Hessenberg reduction
+    5 * 60^3); a solve is an inverse, and counts as one. For
+    characteristic polynomials it is the Hessenberg reduction
     and the charpoly recurrence. Every kernel runs its primes to its bound,
     so a count depends on the input alone, not on the size of the reduced
     result.
@@ -70,12 +77,16 @@ def rat_str(x: Fraction) -> str:
 
 
 def parse_rat(s: str) -> Fraction:
-    """The rational written as "p/q" or "p"; raises ValueError on malformed
-    text and on a zero denominator."""
+    """The rational written as "p/q" or "p", with an optional sign on p and
+    whitespace around it; raises ValueError on any other text (decimals,
+    exponents and underscores too) and on a zero denominator."""
+    text = s.strip()
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"not a rational p/q or p: {text!r}")
     try:
-        return Fraction(s.strip())
+        return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {s.strip()!r}") from None
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 class RationalMatrix:
@@ -285,26 +296,19 @@ class RationalMatrix:
             raise ValueError("shape mismatch")
 
 
-def _cleared_rows(m: RationalMatrix, rhs: RationalMatrix | None = None):
-    """Integer rows of [m | rhs], each scaled by the lcm of its own reduced
+def _cleared_rows(m: RationalMatrix):
+    """Integer rows of m, each scaled by the lcm of its own reduced
     denominators; returns (int rows, row scale factors).
 
-    Row scaling changes neither solutions nor singularity, and scaling each
-    row by its own lcm instead of the common denominator keeps the
-    determinant as small as the entries allow.
+    Row scaling changes no singularity, and scaling each row by its own lcm
+    instead of the common denominator keeps the determinant as small as the
+    entries allow.
     """
-    if rhs is None:
-        den, rows = m.den, m.num
-    else:
-        den = math.lcm(m.den, rhs.den)
-        s, t = den // m.den, den // rhs.den
-        rows = [[s * x for x in r1] + [t * y for y in r2]
-                for r1, r2 in zip(m.num, rhs.num)]
     out, scales = [], []
-    for row in rows:
-        g = math.gcd(den, *row)
+    for row in m.num:
+        g = math.gcd(m.den, *row)
         out.append([x // g for x in row] if g > 1 else row)
-        scales.append(den // g)
+        scales.append(m.den // g)
     return out, scales
 
 
@@ -322,25 +326,30 @@ def determinant(m: RationalMatrix, counter: PivotCounter | None = None) -> Fract
 
 def bareiss_solve(m: RationalMatrix, rhs: RationalMatrix,
                   counter: PivotCounter | None = None) -> RationalMatrix:
-    """Exact X with m @ X == rhs by the multimodular Gauss-Jordan kernel;
-    its (den, num), with M num == den R for the cleared rows [M | R],
-    becomes the result num / den directly."""
-    if not m.is_square():
-        raise ValueError("square matrix required")
+    """Exact X with m @ X == rhs: the exact inverse of m times rhs."""
     if rhs.rows != m.rows:
         raise ValueError("rhs row count mismatch")
-    rows, _ = _cleared_rows(m, rhs)
+    return inverse(m, counter) * rhs
+
+
+def inverse(m: RationalMatrix, counter: PivotCounter | None = None) -> RationalMatrix:
+    """Exact m^-1 from the multimodular kernel.
+
+    The kernel inverts the cleared rows M = S m, with S the diagonal of the
+    row scales, and returns (det(M), adj(M)); then m^-1 = M^-1 S is adj(M)
+    with column j scaled by S_j, over det(M).
+    """
+    if not m.is_square():
+        raise ValueError("square matrix required")
+    rows, scales = _cleared_rows(m)
     try:
-        den, num, ops = jordan_int(rows, m.rows, rhs.cols)
+        det, adj, ops = jordan_int(rows)
     except ZeroDivisionError as exc:
         raise SingularMatrixError(str(exc)) from None
     if counter is not None:
         counter.add(ops)
-    return RationalMatrix.from_ints(num, den)
-
-
-def inverse(m: RationalMatrix, counter: PivotCounter | None = None) -> RationalMatrix:
-    return bareiss_solve(m, RationalMatrix.identity(m.rows), counter)
+    return RationalMatrix.from_ints([[x * s for x, s in zip(row, scales)]
+                                     for row in adj], det)
 
 
 def charpoly_coeffs(m: RationalMatrix,

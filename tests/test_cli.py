@@ -89,6 +89,14 @@ def test_bad_a_values_exit_code(capsys):
     ["green", "--a-values", ""],
     ["sample-ca", "--a-values", ""],
     ["green", "--a-values", "1,,10"],
+    # Only "p/q" and "p": no exponent, which Fraction would expand into a
+    # huge denominator, no decimal point and no underscore.
+    ["green", "--a-values", "1e-3000000"],
+    ["sample-ca", "--a-values", "1e-3000000"],
+    ["green", "--a-values", "0.1"],
+    ["sample-ca", "--a-values", "0.1"],
+    ["green", "--a-values", "1_0"],
+    ["sample-ca", "--a-values", "1_0"],
 ])
 def test_malformed_a_values_exit_2(argv, capsys):
     assert main(argv) == 2

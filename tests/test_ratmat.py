@@ -46,17 +46,13 @@ def test_kernel_jordan_solves_exactly():
         mat = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
         rhs = [[rng.randint(-5, 5) for _ in range(m)] for _ in range(n)]
         d = _cofactor_det(mat)
-        aug = [mat[i] + rhs[i] for i in range(n)]
         if d == 0:
             with pytest.raises(ZeroDivisionError):
-                jordan_int(aug, n, m)
+                jordan_int(mat)
             continue
-        det, num, _ = jordan_int(aug, n, m)
-        assert det == d
-        for j in range(m):
-            for i in range(n):
-                s = sum(Fraction(mat[i][k] * num[k][j], det) for k in range(n))
-                assert s == rhs[i][j]
+        _assert_adjugate(mat, d)
+        x = bareiss_solve(RationalMatrix(mat), RationalMatrix(rhs))
+        assert RationalMatrix(mat) * x == RationalMatrix(rhs)
         done += 1
 
 
@@ -77,6 +73,23 @@ def _fraction_solve(mat, rhs):
 def _int_matmul(a, b):
     return [[sum(x * b[t][j] for t, x in enumerate(row)) for j in range(len(b[0]))]
             for row in a]
+
+
+def _assert_adjugate(mat, d):
+    """jordan_int(mat) returns det(M) == d and adj(M), with M adj == d I;
+    returns adj."""
+    det, adj, _ = jordan_int(mat)
+    assert det == d
+    n = len(mat)
+    assert _int_matmul(mat, adj) == [[d * (i == j) for j in range(n)] for i in range(n)]
+    return adj
+
+
+def _assert_solves(mat, rhs):
+    """bareiss_solve, the exact inverse times rhs, against the Fraction
+    oracle."""
+    assert bareiss_solve(RationalMatrix(mat), RationalMatrix(rhs)) == \
+        RationalMatrix(_fraction_solve(mat, rhs))
 
 
 def _lu(diag, seed):
@@ -116,11 +129,10 @@ def test_kernel_skips_primes_dividing_det(chunks):
     rhs = [[i - j for j in range(2)] for i in range(6)]
     assert det_int(mat)[0] == -p0 * p1 == _cofactor_det(mat)
     chunks.clear()
-    det, num, _ = jordan_int([r + s for r, s in zip(mat, rhs)], 6, 2)
-    assert det == -p0 * p1
-    assert [[Fraction(x, det) for x in row] for row in num] == _fraction_solve(mat, rhs)
+    _assert_adjugate(mat, -p0 * p1)
     skipped = {q for primes, live in chunks for q, ok in zip(primes, live) if not ok}
     assert skipped == {p0, p1}
+    _assert_solves(mat, rhs)
 
 
 def test_kernel_swaps_rows_for_some_primes_only():
@@ -129,9 +141,8 @@ def test_kernel_swaps_rows_for_some_primes_only():
     mat = [[p0, 1, 2], [1, 1, -1], [3, -2, 1]]
     rhs = [[1], [0], [2]]
     assert det_int(mat)[0] == _cofactor_det(mat)
-    det, num, _ = jordan_int([r + s for r, s in zip(mat, rhs)], 3, 1)
-    assert det == _cofactor_det(mat)
-    assert [[Fraction(x, det) for x in row] for row in num] == _fraction_solve(mat, rhs)
+    _assert_adjugate(mat, _cofactor_det(mat))
+    _assert_solves(mat, rhs)
 
 
 def _leading_minors(rows):
@@ -165,10 +176,8 @@ def test_invert_undoes_two_swaps_of_one_prime():
     assert ops == 3 * 4 ** 3
     assert [a[t].tolist() for t in range(3)] == [_inverse_mod(mat, q) for q in primes]
     assert det_int(mat)[0] == d
-    rhs = [[1, 0], [0, -2], [5, 0], [0, 0]]
-    den, num, _ = jordan_int([r + s for r, s in zip(mat, rhs)], 4, 2)
-    assert den == d
-    assert [[Fraction(x, den) for x in row] for row in num] == _fraction_solve(mat, rhs)
+    _assert_adjugate(mat, d)
+    _assert_solves(mat, [[1, 0], [0, -2], [5, 0], [0, 0]])
 
 
 @pytest.mark.parametrize("rhs", [
@@ -177,11 +186,12 @@ def test_invert_undoes_two_swaps_of_one_prime():
     [[2 ** 70 + i * j - 3 for j in range(4)] for i in range(5)],
 ], ids=["zero_column", "several_nonzeros", "dense"])
 def test_jordan_applies_rhs_through_its_nonzeros(rhs):
+    # The kernel inverts M alone; the solve's product then runs through
+    # R's nonzeros: none in a column, a few, or every one beyond 2**64.
     mat = _lu([2, -1, 3, 1, -5], seed=54)
-    n, m = len(mat), len(rhs[0])
-    den, num, _ = jordan_int([r + s for r, s in zip(mat, rhs)], n, m)
-    assert den == _cofactor_det(mat) == 30
-    assert [[Fraction(x, den) for x in row] for row in num] == _fraction_solve(mat, rhs)
+    _assert_adjugate(mat, 30)
+    assert _cofactor_det(mat) == 30
+    _assert_solves(mat, rhs)
 
 
 @pytest.mark.parametrize("mat", [
@@ -196,11 +206,10 @@ def test_kernel_singular(mat):
     n = len(mat)
     assert det_int(mat)[0] == 0
     with pytest.raises(ZeroDivisionError):
-        jordan_int([row + [int(i == j) for j in range(n)]
-                    for i, row in enumerate(mat)], n, n)
+        jordan_int(mat)
     # X = 0 solves M X = 0, but not uniquely: still singular.
-    with pytest.raises(ZeroDivisionError):
-        jordan_int([row + [0] for row in mat], n, 1)
+    with pytest.raises(SingularMatrixError):
+        bareiss_solve(RationalMatrix(mat), RationalMatrix.zeros(n, 1))
     with pytest.raises(SingularMatrixError):
         bareiss_solve(RationalMatrix(mat), RationalMatrix.identity(n))
 
@@ -215,19 +224,25 @@ def test_kernel_entries_beyond_int64():
         d = _cofactor_det(mat)
         assert d != 0
         assert det_int(mat)[0] == d
-        den, num, _ = jordan_int([r + s for r, s in zip(mat, rhs)], n, 2)
-        assert den != 0
-        assert [[Fraction(x, den) for x in row] for row in num] == _fraction_solve(mat, rhs)
+        _assert_adjugate(mat, d)
+        _assert_solves(mat, rhs)
 
 
 def test_kernel_small_shapes_and_signs():
     assert det_int([[-7]])[0] == -7
     assert det_int([[0, 1], [1, 0]])[0] == -1
-    assert jordan_int([[-3, 6]], 1, 1)[:2] == (-3, [[6]])
-    assert jordan_int([[0, 2, 4], [1, 0, 1]], 2, 1)[:2] == (-2, [[-2], [-4]])
-    assert jordan_int([[2, 1], [1, 3]], 2, 0)[:2] == (5, [[], []])
+    assert jordan_int([]) == (1, [], 0)
+    assert jordan_int([[-3]])[:2] == (-3, [[1]])
+    assert jordan_int([[0, 2], [1, 0]])[:2] == (-2, [[0, -2], [-1, 0]])
+    assert jordan_int([[2, 1], [1, 3]])[:2] == (5, [[3, -1], [-1, 2]])
     with pytest.raises(ZeroDivisionError):
-        jordan_int([[0]], 1, 0)
+        jordan_int([[0]])
+    assert bareiss_solve(RationalMatrix([[-3]]), RationalMatrix([[6]])) == \
+        RationalMatrix([[-2]])
+    assert bareiss_solve(RationalMatrix([[0, 2], [1, 0]]),
+                         RationalMatrix([[4], [1]])) == RationalMatrix([[1], [2]])
+    empty = bareiss_solve(RationalMatrix([[2, 1], [1, 3]]), RationalMatrix([[], []]))
+    assert (empty.rows, empty.cols) == (2, 0)
 
 
 def test_prime_table():
@@ -370,21 +385,21 @@ def test_limb_product_exact_at_the_largest_terms():
 
 
 def test_primes_used_pass_twice_hadamard(chunks):
-    # The bound is the only stopping rule: the second system, det(M) = k^8
-    # with reduced denominators dividing k^2, also runs to the bound and
-    # returns den = det(M).
+    # The bound is the only stopping rule: the second matrix, det(M) = k^8
+    # with M^-1's reduced denominators dividing k^2, also runs to the bound
+    # and returns det(M). The bound of M also bounds every cofactor.
     rng = random.Random(49)
-    systems = [([[rng.randint(-2 ** 40, 2 ** 40) for _ in range(8)] for _ in range(8)],
-                [[rng.randint(-9, 9) for _ in range(3)] for _ in range(8)]),
-               _nilpotent_shift(8, 3, 2 ** 200 + 235, 3, seed=53)]
-    for mat, rhs in systems:
-        aug = [r + s for r, s in zip(mat, rhs)]
+    mats = [[[rng.randint(-2 ** 40, 2 ** 40) for _ in range(8)] for _ in range(8)],
+            _nilpotent_shift(8, 3, 2 ** 200 + 235, 3, seed=53)[0]]
+    for mat in mats:
         d = _cofactor_det(mat)
-        assert abs(d) <= hadamard_bound(mat) <= hadamard_bound(aug)
-        for run, bound in ((lambda: det_int(mat), hadamard_bound(mat)),
-                           (lambda: jordan_int(aug, 8, 3), hadamard_bound(aug))):
+        bound = hadamard_bound(mat)
+        assert abs(d) <= bound
+        adj = _assert_adjugate(mat, d)
+        assert max(abs(x) for row in adj for x in row) <= bound
+        for run in (det_int, jordan_int):
             chunks.clear()
-            assert run()[0] == d
+            assert run(mat)[0] == d
             assert all(len(primes) <= 8 for primes, _ in chunks)
             assert all(all(live) for _, live in chunks)
             used = [primes for primes, _ in chunks]
@@ -393,8 +408,7 @@ def test_primes_used_pass_twice_hadamard(chunks):
 
 
 def test_solve_primes_run_in_even_chunks(lap, chunks):
-    # [A + I | I] is 60 x 120 and needs 5 primes: one chunk, however wide
-    # the arrays.
+    # A + I needs 5 primes: one chunk.
     inverse(lap.scaled_add(1))
     assert [len(primes) for primes, _ in chunks] == [5]
     # A shift of 2**30 needs about 60 primes: split evenly into chunks of
@@ -460,6 +474,16 @@ def test_solve_2x2_adjugate():
     assert inverse(m) == RationalMatrix([[1, -1], [-1, 2]])
 
 
+def test_inverse_scales_columns_by_the_row_scales():
+    # Rows cleared by different scales, S = diag(6, 35, 4): m^-1 is
+    # adj(M) S / det(M), with column j of adj(M) scaled by S_j.
+    m = [[Fraction(1, 2), Fraction(1, 3), 0], [Fraction(1, 5), Fraction(1, 7), 1],
+         [Fraction(3, 4), 0, Fraction(-1, 2)]]
+    assert ratmat._cleared_rows(RationalMatrix(m))[1] == [6, 35, 4]
+    expected = _fraction_solve(m, [[int(i == j) for j in range(3)] for i in range(3)])
+    assert inverse(RationalMatrix(m)) == RationalMatrix(expected)
+
+
 def test_solve_random_roundtrip():
     rng = random.Random(45)
     done = 0
@@ -471,6 +495,23 @@ def test_solve_random_roundtrip():
             continue
         assert m * inverse(m) == RationalMatrix.identity(n)
         done += 1
+
+
+@pytest.mark.parametrize("m, rhs", [
+    (RationalMatrix([[1, 2, 3], [4, 5, 6]]), RationalMatrix([[1], [2]])),
+    (RationalMatrix([[2, 1], [1, 1]]), RationalMatrix([[1], [2], [3]])),
+], ids=["non_square", "rhs_rows"])
+def test_solve_shape_errors_stop_before_the_kernel(monkeypatch, m, rhs):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a shape error reached the kernel")
+
+    monkeypatch.setattr(ratmat, "jordan_int", refuse)
+    monkeypatch.setattr(_modular, "_invert", refuse)
+    with pytest.raises(ValueError):
+        bareiss_solve(m, rhs)
+    # A well-shaped solve does reach the patched kernel.
+    with pytest.raises(AssertionError, match="reached the kernel"):
+        bareiss_solve(RationalMatrix.identity(rhs.rows), rhs)
 
 
 def test_solve_singular_raises():
@@ -487,7 +528,7 @@ def test_solve_counts_pivot_ops():
 
 def test_inverse_ops_are_n_cubed_per_prime(lap, chunks):
     # The in-place inversion makes n^2 multiply-mod updates per pivot step
-    # and prime; applying R is not counted. inverse(A + I) takes 5 primes.
+    # and prime, and nothing else is counted. inverse(A + I) takes 5 primes.
     c = PivotCounter()
     inverse(lap.scaled_add(1), c)
     assert [len(primes) for primes, _ in chunks] == [5]
@@ -723,17 +764,15 @@ def test_kernel_matches_cofactor_and_fractions(data):
                              min_size=n, max_size=n))
     d = _cofactor_det(mat)
     assert det_int(mat)[0] == d
-    aug = [r + s for r, s in zip(mat, rhs)]
     if d == 0:
         with pytest.raises(ZeroDivisionError):
-            jordan_int(aug, n, m)
+            jordan_int(mat)
+        with pytest.raises(SingularMatrixError):
+            inverse(RationalMatrix(mat))
         return
-    den, num, _ = jordan_int(aug, n, m)
-    assert den != 0
-    expected = _fraction_solve(mat, rhs)
-    assert [[Fraction(x, den) for x in row] for row in num] == expected
+    _assert_adjugate(mat, d)
     if m:
-        assert bareiss_solve(RationalMatrix(mat), RationalMatrix(rhs)) == RationalMatrix(expected)
+        _assert_solves(mat, rhs)
 
 
 def _nilpotent_shift(n, h, k, rhs_cols, seed):
@@ -760,15 +799,12 @@ def nilpotent_shifts(draw):
 @settings(max_examples=60, deadline=None)
 @given(nilpotent_shifts())
 def test_large_det_small_solution_matches_fraction_oracle(system):
-    """A large det with a small reduced solution: jordan_int returns it
-    over det(M), and bareiss_solve reduces it to the one solution."""
+    """A large det with a small reduced solution: jordan_int returns adj(M)
+    over det(M) = k^n (M is triangular with k on its diagonal), and
+    bareiss_solve reduces the inverse times R to the one solution."""
     mat, rhs = system
-    n, m = len(mat), len(rhs[0])
-    expected = _fraction_solve(mat, rhs)
-    den, num, _ = jordan_int([r + s for r, s in zip(mat, rhs)], n, m)
-    assert den != 0
-    assert [[Fraction(x, den) for x in row] for row in num] == expected
-    assert bareiss_solve(RationalMatrix(mat), RationalMatrix(rhs)) == RationalMatrix(expected)
+    _assert_adjugate(mat, mat[0][0] ** len(mat))
+    _assert_solves(mat, rhs)
 
 
 @pytest.fixture
