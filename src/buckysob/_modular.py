@@ -17,14 +17,16 @@ inverts: it returns det(M) and adj(M), and a solve M X = R multiplies the
 exact inverse by R outside the kernel, in ``ratmat``.
 ``charpoly_int`` brings M to Hessenberg form by similarity and runs the
 Hessenberg charpoly recurrence, under the bound
-B = prod_i (isqrt(|row_i|^2) + 2) on its coefficients. Once the primes'
-product passes twice the bound the symmetric residues are the integers
-themselves (Abbott, Bronstein & Mulders, ISSAC 1999). Every result is
-exact by the bound alone, and the bound alone decides singularity.
+B = prod_i (isqrt(|row_i|^2) + 2) on its coefficients. Primes are taken
+until their product P passes 2B + (B >> 18), a little more than twice the
+bound: past 2B the symmetric residues are the integers themselves (Abbott,
+Bronstein & Mulders, ISSAC 1999), and the extra 2**-18 B keeps every
+result's x/P at least 2**-21 from 1/2, so that the read rounds each one
+by its float estimate alone. Every result is exact by the bound alone, and
+the bound alone decides singularity.
 """
 
 import math
-import operator
 
 import numpy as np
 
@@ -95,7 +97,8 @@ def hadamard_bound(rows):
     """prod_i (isqrt(|row_i|^2) + 1): a bound on |det| of the square matrix
     M of these rows and on every cofactor of M, whose rows are parts of
     all but one of M's rows. It is the only bound an inverse needs: a solve
-    multiplies the exact adj(M) / det(M) by its right-hand side."""
+    multiplies the exact adj(M) / det(M) by its right-hand side. Like every
+    bound of ``_multimodular``, its primes run past 2H + (H >> 18)."""
     return math.prod(math.isqrt(sum(x * x for x in row)) + 1 for row in rows)
 
 
@@ -188,10 +191,10 @@ class _Crt:
       s = x'/P = sum_j y_j / p_j. In float64 each term y_j / p_j is off by
       less than 2**-52 and the sum of k terms, each below 1, adds less
       than k**2 2**-53, so the computed s is off by less than k**2 2**-52,
-      which is at most 2**-30 for k <= 2**11. An entry whose computed
-      fraction of s lies within 2**-30 (or that bound, if larger) of 1/2
-      is rebuilt exactly, by the sum above modulo P; P is odd, so no true
-      fraction is 1/2, and every other entry's u is exact.
+      which is below 2**-22 for k < 2**15. The read is exact for entries
+      with (2 + 2**-18) |x| < P, which ``_multimodular`` guarantees by
+      its choice of primes: their true fraction x/P lies more than 2**-21
+      from 1/2, so u = rint(s).
     - u P is subtracted limb by limb and the limbs are carried in int64 by
       arithmetic shifts, all at once until no carry is left, so that every
       limb but the top one lies in [0, 2**16) and the top one holds the
@@ -225,7 +228,6 @@ class _Crt:
         inv = np.array([pow(c, -1, q) for c, q in zip(cofactors, primes)],
                        dtype=np.int64)[:, None]
         recip = 1.0 / np.array(primes, dtype=np.float64)
-        margin = max(2.0 ** -30, k * k * 2.0 ** -52)
         width = -(-big.bit_length() // 16)
         limbs = np.frombuffer(
             b"".join(c.to_bytes(2 * width, "little") for c in cofactors),
@@ -244,7 +246,6 @@ class _Crt:
             # A product and a sum, not a BLAS product: the same bound, with
             # one BLAS routine fewer paged in.
             s = (y * recip[:, None]).sum(axis=0)
-            near = np.flatnonzero(np.abs(s - np.floor(s) - 0.5) < margin)
             x = _limb_product(limbs, y)
             x -= modulus_limbs * np.rint(s).astype(np.int64)
             while True:
@@ -254,13 +255,8 @@ class _Crt:
                 x[:-1] &= 0xFFFF
                 x[1:] += carry
             raw = x.T.astype("<u2").tobytes()
-            block = [int.from_bytes(raw[i:i + 2 * width], "little", signed=True)
-                     for i in range(0, len(raw), 2 * width)]
-            for e in near.tolist():
-                v = sum(map(operator.mul, y[:, e].astype(np.int64).tolist(),
-                            cofactors)) % big
-                block[e] = v - big if v > big >> 1 else v
-            values += block
+            values += [int.from_bytes(raw[i:i + 2 * width], "little", signed=True)
+                       for i in range(0, len(raw), 2 * width)]
         return [values[i:i + m] for i in range(0, size, m)]
 
 
@@ -269,10 +265,12 @@ def _multimodular(rows, bound, step):
     from the residues ``step`` computes; and the ops of ``step``, summed.
     ``step(a, primes)`` may overwrite a, the rows modulo a chunk of primes,
     and returns (c x r x m residues, whether each prime was usable, ops).
+    Primes are taken until the usable ones' product passes 2 * bound +
+    (bound >> 18), which the read of ``_Crt`` needs to be exact;
     ZeroDivisionError is raised once the unusable primes' product passes
-    2 * bound.
+    that too.
     """
-    bound *= 2
+    bound = 2 * bound + (bound >> 18)
     residues = _Residues(rows)
     crt = _Crt()
     used, ops, skipped = 0, 0, 1
@@ -387,8 +385,8 @@ def jordan_int(rows):
     with one row and one column dropped, dropping a column only shortens
     the rows, and each factor of the bound is >= 1, so dropping a row's
     factor cannot raise it. Primes dividing det(M) are skipped; M is
-    singular exactly when their product passes the bound, and then
-    ZeroDivisionError is raised. The input is not mutated.
+    singular exactly when their product passes 2H + (H >> 18) for the bound
+    H, and then ZeroDivisionError is raised. The input is not mutated.
     """
     if not rows:
         return 1, [], 0
@@ -415,6 +413,8 @@ def charpoly_bound(rows):
     The coefficient of x^(n-k) is (-1)^k times the sum of the principal
     k x k minors, and Hadamard bounds each minor on the rows S by
     prod_{i in S} |row_i|; summed over every S that is prod_i (1 + |row_i|).
+    Like every bound of ``_multimodular``, its primes run past
+    2B + (B >> 18).
     """
     return math.prod(math.isqrt(sum(x * x for x in row)) + 2 for row in rows)
 
@@ -514,7 +514,8 @@ def charpoly_int(rows):
     first, and the multiply-mod updates of the Hessenberg reductions and
     recurrences, summed over the primes. Hessenberg reduction needs no
     division by anything but a nonzero pivot, so every prime is usable;
-    primes are taken until their product passes twice ``charpoly_bound``.
+    primes are taken until their product passes twice ``charpoly_bound``
+    and a little more (see ``_multimodular``).
     The input is not mutated.
     """
     if not rows:

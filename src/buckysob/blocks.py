@@ -71,12 +71,11 @@ def block_split(A: RationalMatrix, sigma: tuple[int, ...]) -> BlockSplit:
                       a_plus=a0 + a1, a_minus=a0 - a1, perm=tuple(perm))
 
 
-def half_spectra_check(split: BlockSplit, p: IntPolynomial,
-                       counter: PivotCounter | None = None) -> bool:
+def half_spectra_check(split: BlockSplit, p: IntPolynomial) -> bool:
     """charpoly(A+) * charpoly(A-) == p; A+ annihilates constants;
     A- is nonsingular, as charpoly(A-)(0) = det(-A-) != 0."""
-    p_plus = charpoly(split.a_plus, counter)
-    p_minus = charpoly(split.a_minus, counter)
+    p_plus = charpoly(split.a_plus)
+    p_minus = charpoly(split.a_minus)
     if p_plus * p_minus != p:
         raise SpectrumSplitMismatch("half charpolys do not multiply to the full one")
     if any(map(sum, split.a_plus.num)):  # the row sums are A+ 1

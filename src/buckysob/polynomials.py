@@ -12,7 +12,9 @@ Geddes, Czapor & Labahn, *Algorithms for Computer Algebra*, 1992, ch. 7),
 whose candidate is returned only once it divides both inputs exactly,
 with a primitive pseudo-remainder sequence as the fallback when a few
 evaluation points all fail. ``exact_div`` is integer long division that
-raises ValueError on a remainder or a quotient that is not integral.
+raises ``InexactDivision`` on a remainder or a quotient that is not
+integral: every divisor it is given was computed by the package, so a
+failed division is a wrong answer, not bad input.
 
 A rational function is recovered from the coefficients of its expansion at
 infinity by Berlekamp-Massey over Q, with no degree given and no
@@ -35,6 +37,11 @@ class VerificationFailed(Exception):
 
 class DegreeInsufficient(VerificationFailed):
     """A series too short to fix its minimal recurrence."""
+
+
+class InexactDivision(VerificationFailed):
+    """A polynomial division that should be exact left a remainder or a
+    quotient that is not integral."""
 
 
 def _trim(coeffs):
@@ -237,12 +244,12 @@ def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
 
 
 def exact_div(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    """p / q; ValueError unless q divides p with an integer quotient."""
+    """p / q; InexactDivision unless q divides p with an integer quotient."""
     if q.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     quo = _quotient(p.coeffs, q.coeffs)
     if quo is None:
-        raise ValueError("inexact polynomial division")
+        raise InexactDivision("inexact polynomial division")
     return IntPolynomial(quo)
 
 

@@ -17,15 +17,13 @@ class.
 All elimination work in the package is delegated to the multimodular
 kernels in ``_modular``, which work modulo word-size primes and rebuild
 exact integers by Chinese remaindering under a Hadamard-type bound. (The
-moment route to C(a) in ``green`` eliminates nothing.) Before ``det_int``
-and ``jordan_int`` run, a matrix is cleared to integers row by row, M = S m
-for the diagonal S of the row scales, which changes no singularity.
-``jordan_int`` inverts M and nothing more, exact by the bound alone: its
-(det(M), adj(M)) gives m^-1 = adj(M) S / det(M). A solve m X = R is that
-exact inverse times R, one sparse-aware product.
-``charpoly_int`` takes the rows ``num`` as they are, since the
-characteristic polynomial is a similarity invariant and row scaling is not
-a similarity; the denominator is divided out of the coefficients.
+moment route to C(a) in ``green`` eliminates nothing.) Every kernel takes
+the matrix's own integer rows N = ``num`` and the denominator d = ``den``
+is divided out afterwards: for m = N/d, det(m) = det(N) / d^n, and
+``jordan_int`` inverts N and nothing more, exact by the bound alone, so
+its (det(N), adj(N)) gives m^-1 = d adj(N) / det(N). A solve m X = R is
+that exact inverse times R, one sparse-aware product. The coefficient of
+x^k in det(xI - m) is that of det(xI - N) over d^(n-k).
 """
 
 from __future__ import annotations
@@ -296,32 +294,17 @@ class RationalMatrix:
             raise ValueError("shape mismatch")
 
 
-def _cleared_rows(m: RationalMatrix):
-    """Integer rows of m, each scaled by the lcm of its own reduced
-    denominators; returns (int rows, row scale factors).
-
-    Row scaling changes no singularity, and scaling each row by its own lcm
-    instead of the common denominator keeps the determinant as small as the
-    entries allow.
-    """
-    out, scales = [], []
-    for row in m.num:
-        g = math.gcd(m.den, *row)
-        out.append([x // g for x in row] if g > 1 else row)
-        scales.append(m.den // g)
-    return out, scales
-
-
 def determinant(m: RationalMatrix, counter: PivotCounter | None = None) -> Fraction:
+    """Exact det(m) = det(N) / d^n for m = N/d, with det(N) from the
+    multimodular kernel on the integer rows N = m.num."""
     if not m.is_square():
         raise ValueError("square matrix required")
     if m.rows == 0:
         return Fraction(1)
-    rows, scales = _cleared_rows(m)
-    d, ops = det_int(rows)
+    d, ops = det_int(m.num)
     if counter is not None:
         counter.add(ops)
-    return Fraction(d, math.prod(scales))
+    return Fraction(d, m.den ** m.rows)
 
 
 def bareiss_solve(m: RationalMatrix, rhs: RationalMatrix,
@@ -335,21 +318,18 @@ def bareiss_solve(m: RationalMatrix, rhs: RationalMatrix,
 def inverse(m: RationalMatrix, counter: PivotCounter | None = None) -> RationalMatrix:
     """Exact m^-1 from the multimodular kernel.
 
-    The kernel inverts the cleared rows M = S m, with S the diagonal of the
-    row scales, and returns (det(M), adj(M)); then m^-1 = M^-1 S is adj(M)
-    with column j scaled by S_j, over det(M).
+    The kernel inverts the integer rows N = m.num and returns (det(N),
+    adj(N)); for m = N/d, m^-1 = d N^-1 = d adj(N) / det(N).
     """
     if not m.is_square():
         raise ValueError("square matrix required")
-    rows, scales = _cleared_rows(m)
     try:
-        det, adj, ops = jordan_int(rows)
+        det, adj, ops = jordan_int(m.num)
     except ZeroDivisionError as exc:
         raise SingularMatrixError(str(exc)) from None
     if counter is not None:
         counter.add(ops)
-    return RationalMatrix.from_ints([[x * s for x, s in zip(row, scales)]
-                                     for row in adj], det)
+    return RationalMatrix.from_ints([[m.den * x for x in row] for row in adj], det)
 
 
 def charpoly_coeffs(m: RationalMatrix,

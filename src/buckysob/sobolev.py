@@ -37,8 +37,11 @@ def laplacian_edges(A: RationalMatrix) -> list[tuple[int, int]]:
     return [(i, j) for i, row in enumerate(A.nonzeros()) for j, _ in row if j > i]
 
 
-def _numerators(u: RationalMatrix) -> list[int]:
-    """The integer numerators of the n x 1 matrix u."""
+def _numerators(u: RationalMatrix, A: RationalMatrix) -> list[int]:
+    """The integer numerators of u; ValueError unless u is n x 1 for the
+    n x n Laplacian A."""
+    if (u.rows, u.cols) != (A.rows, 1):
+        raise ValueError(f"vector is {u.rows}x{u.cols}, not {A.rows}x1")
     return [x for x, in u.num]
 
 
@@ -80,14 +83,14 @@ def _energy(x, den, A: RationalMatrix, a: Fraction, edges) -> tuple[int, int]:
 def energy(u: RationalMatrix, A: RationalMatrix, a=0) -> Fraction:
     """E(u) + a * sum u_j^2 == u^t (A + aI) u, where the edge sum E(u) of
     (u_i - u_j)^2 is checked against u^t A u."""
-    return Fraction(*_energy(_numerators(u), u.den, A, _damping(a),
+    return Fraction(*_energy(_numerators(u, A), u.den, A, _damping(a),
                              laplacian_edges(A)))
 
 
 def sobolev_trial(u: RationalMatrix, c: Fraction, A: RationalMatrix, a=0):
     """(max |u_j|)^2 vs c * (E(u) + a * sum u_j^2); returns (lhs, rhs, holds)."""
     a = _damping(a)
-    x = _numerators(u)
+    x = _numerators(u, A)
     _require_mean_zero(x, a)
     den2 = u.den ** 2
     lhs = Fraction(max(map(abs, x)) ** 2, den2)
@@ -101,9 +104,7 @@ class EqualityWitness:
     j0: int
     constant: Fraction  # diagonal entry = sharp constant
     max_abs: Fraction
-    energy: Fraction
-    lhs: Fraction  # (max |column|)^2
-    rhs: Fraction  # constant * energy
+    lhs: Fraction  # (max |column|)^2, checked equal to constant * energy
 
 
 def equality_witnesses(kernel: RationalMatrix, A: RationalMatrix,
@@ -114,8 +115,12 @@ def equality_witnesses(kernel: RationalMatrix, A: RationalMatrix,
 
     Each column is checked on its integer numerators over the kernel's
     shared denominator; ``Fraction``s are built only for the witnesses
-    returned, one per column in order.
+    returned, one per column in order. The kernel must be n x n for the
+    n x n Laplacian A, or ValueError is raised.
     """
+    if (kernel.rows, kernel.cols) != (A.rows, A.rows):
+        raise ValueError(f"kernel is {kernel.rows}x{kernel.cols}, "
+                         f"not {A.rows}x{A.rows}")
     den = kernel.den
     a = _damping(a)
     edges = laplacian_edges(A)
@@ -131,10 +136,9 @@ def equality_witnesses(kernel: RationalMatrix, A: RationalMatrix,
                                    f" != diagonal {Fraction(d, den)}")
         if top * top * e_den != d * e_num * den:  # (top/den)^2 == (d/den) E
             raise MaxNotAtDiagonal(f"column {j0}: equality fails")
-        c, max_abs = Fraction(d, den), Fraction(top, den)
-        lhs = max_abs ** 2
-        witnesses.append(EqualityWitness(j0=j0, constant=c, max_abs=max_abs,
-                                         energy=c, lhs=lhs, rhs=lhs))
+        max_abs = Fraction(top, den)
+        witnesses.append(EqualityWitness(j0=j0, constant=Fraction(d, den),
+                                         max_abs=max_abs, lhs=max_abs ** 2))
     return witnesses
 
 

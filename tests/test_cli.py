@@ -157,6 +157,30 @@ def test_charpoly_without_zero_root_exits_1(monkeypatch, capsys):
     assert "verification failed: polynomial has no root at 0" in capsys.readouterr().err
 
 
+INEXACT_GCD_SCRIPT = """
+import sys
+from buckysob import cli, polynomials
+polynomials.poly_gcd = lambda p, q: polynomials.IntPolynomial([1, 1])
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+@pytest.mark.parametrize("argv", [["constants"], ["sample-ca"],
+                                  ["green", "--a-values", "1"]],
+                         ids=["constants", "sample-ca", "green"])
+def test_inexact_division_exits_1(flags, argv):
+    """A gcd that does not divide its inputs makes an exact division fail:
+    a failed verification (exit 1), not a configuration error (exit 2),
+    also with asserts stripped by ``python -O``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, *flags, "-c", INEXACT_GCD_SCRIPT, *argv],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stderr == "verification failed: inexact polynomial division\n"
+
+
 def test_shifted_green_diagonal_fails_moore_penrose(monkeypatch, capsys):
     """G(10) with every diagonal entry off by 1/10^6 is still constant on the
     diagonal, but no longer C(10). moore_penrose solves G(10) by the block
@@ -307,6 +331,26 @@ def test_planted_edge_fault_fails_sobolev_trials(monkeypatch, capsys):
     assert code == 1
     assert [l for l in out.splitlines() if l.startswith("FAIL")] == \
         EDGE_FAULT_FAILS
+
+
+@pytest.mark.parametrize("damping, line", [
+    (0, "FAIL sobolev_trials: mean-zero equality fails at column 0"),
+    (1, "FAIL sobolev_trials: damped equality fails at column 0"),
+], ids=["G*", "G(1)"])
+def test_planted_witness_fault_fails_sobolev_trials(damping, line, monkeypatch,
+                                                    capsys):
+    """A witness whose lhs is off by 1/10^6 is no longer the square of the
+    sharp constant: sobolev_trials FAILs at its column."""
+    def shifted(kernel, A, a=0, _witnesses=sobolev.equality_witnesses):
+        out = _witnesses(kernel, A, a)
+        if a == damping:
+            out[0] = dataclasses.replace(out[0], lhs=out[0].lhs + Fraction(1, 10 ** 6))
+        return out
+
+    monkeypatch.setattr(sobolev, "equality_witnesses", shifted)
+    code, out = run(capsys, "verify-all", "--trials", "10")
+    assert code == 1
+    assert [l for l in out.splitlines() if l.startswith("FAIL")] == [line]
 
 
 def test_planted_edge_fault_fails_under_optimize():

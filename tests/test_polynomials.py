@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from buckysob import _modular, closedform, green, polynomials, ratmat
-from buckysob.polynomials import (DegreeInsufficient, IntPolynomial,
-                                  RationalFunction, exact_div,
+from buckysob.polynomials import (DegreeInsufficient, InexactDivision,
+                                  IntPolynomial, RationalFunction, exact_div,
                                   fit_rational_function, poly_gcd,
                                   squarefree_part)
 
@@ -46,12 +46,12 @@ def test_poly_gcd_and_squarefree():
 
 
 def test_exact_div_rejects_inexact():
-    with pytest.raises(ValueError):
+    with pytest.raises(InexactDivision):
         exact_div(IntPolynomial([1, 1]), IntPolynomial([0, 1]))
     # exact over Q, but the quotient is not integral
-    with pytest.raises(ValueError):
+    with pytest.raises(InexactDivision):
         exact_div(IntPolynomial([1, 1]), IntPolynomial([2]))
-    with pytest.raises(ValueError):
+    with pytest.raises(InexactDivision):
         exact_div(IntPolynomial([1, 3]), IntPolynomial([1, 2]))
     with pytest.raises(ZeroDivisionError):
         exact_div(IntPolynomial([1]), IntPolynomial([]))
@@ -116,10 +116,10 @@ def test_poly_gcd_edge_cases(p, q, g):
 @given(polys, nonzero_polys, polys)
 def test_exact_div_inverts_multiplication(f, h, r):
     assert exact_div(f * h, h) == f
-    with pytest.raises(ValueError):  # the quotient f + 1/2 is not integral
+    with pytest.raises(InexactDivision):  # the quotient f + 1/2 is not integral
         exact_div(2 * f * h + h, 2 * h)
     if r.degree < h.degree and not r.is_zero():
-        with pytest.raises(ValueError):
+        with pytest.raises(InexactDivision):
             exact_div(f * h + r, h)
 
 

@@ -269,16 +269,33 @@ def crt_inputs(draw):
     return rows, sizes
 
 
+def _readable(v, modulus):
+    """Whether the read of ``_Crt`` is exact for v modulo ``modulus``: the
+    margin ``_multimodular`` keeps by its choice of primes."""
+    return 2 * abs(v) + (abs(v) >> 18) < modulus
+
+
+def _largest_readable(modulus):
+    """The largest x with _readable(x, modulus)."""
+    x = (modulus - 1) * (1 << 18) // ((1 << 19) + 1)
+    while _readable(x + 1, modulus):
+        x += 1
+    while not _readable(x, modulus):
+        x -= 1
+    return x
+
+
 @settings(max_examples=40, deadline=None)
 @given(crt_inputs())
 @example(([[2 ** 300, -(2 ** 300)], [1, 0]], [0, 1, 2, 1, 8, 3]))
 def test_crt_reads_agree_after_every_chunk(case):
-    # Chunks run on past 2 max|x| by single primes.
+    # Chunks run on by single primes until every entry is readable, as
+    # ``_multimodular`` runs them past 2 max|x| + (max|x| >> 18). A read
+    # before that is checked whenever every symmetric residue is readable.
     x, sizes = case
     r, m = len(x), len(x[0])
-    bound = 2 * max(abs(v) for row in x for v in row)
     crt, table, modulus = _modular._Crt(), prime_table(60), 1
-    while sizes or crt.modulus <= bound:
+    while sizes or not all(_readable(v, modulus) for row in x for v in row):
         size = sizes.pop(0) if sizes else 1
         primes, table = table[:size], table[size:]
         crt.add(primes, np.array([[[v % q for v in row] for row in x] for q in primes],
@@ -288,10 +305,10 @@ def test_crt_reads_agree_after_every_chunk(case):
         if modulus == 1:
             continue
         half = crt.modulus >> 1
-        assert crt.symmetric() == [[(v + half) % crt.modulus - half for v in row]
-                                   for row in x]
-        if crt.modulus > bound:
-            assert crt.symmetric() == x
+        expected = [[(v + half) % crt.modulus - half for v in row] for row in x]
+        if all(_readable(v, modulus) for row in expected for v in row):
+            assert crt.symmetric() == expected
+    assert crt.symmetric() == x
 
 
 def _crt_oracle(primes, x):
@@ -324,17 +341,18 @@ def _add_in_chunks(crt, primes, x, sizes):
 def test_crt_read_matches_pure_python_crt(count, data):
     # Groups of 64 primes meet at 64, 65 and 130; 1 prime has a 2-limb
     # modulus. The entries fill up to two and a half blocks of a read, never
-    # a whole number of them, and hold 0, +-1 and +-(P-1)/2: the last two
-    # lie within 1/(2P) of the half-way point and must take the exact path.
+    # a whole number of them, and hold 0, +-1 and the largest readable +-x,
+    # whose fraction x/P lies closest to the half-way point.
     primes = prime_table(count)
-    half = math.prod(primes) >> 1
-    step = _modular._BLOCK // -(-(2 * half + 1).bit_length() // 16)
+    big = math.prod(primes)
+    top = _largest_readable(big)
+    step = _modular._BLOCK // -(-big.bit_length() // 16)
     r = data.draw(st.integers(1, 3), label="rows")
     m = data.draw(st.integers(1, (2 * step + step // 2) // r), label="cols")
     assume((r * m) % step)
     rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
-    flat = [rng.randint(-half, half) for _ in range(r * m)]
-    for v in (0, 1, -1, half, -half):
+    flat = [rng.randint(-top, top) for _ in range(r * m)]
+    for v in (0, 1, -1, top, -top):
         flat[rng.randrange(r * m)] = v
     x = [flat[i:i + m] for i in range(0, r * m, m)]
     sizes = []
@@ -343,21 +361,39 @@ def test_crt_read_matches_pure_python_crt(count, data):
     sizes.insert(rng.randint(0, len(sizes)), 0)
     crt = _modular._Crt()
     _add_in_chunks(crt, primes, x, sizes)
-    assert crt.modulus == 2 * half + 1
+    assert crt.modulus == big
     got = crt.symmetric()
     assert got == _crt_oracle(primes, x)
     assert got == x
 
 
-def test_crt_read_of_the_half_way_values():
-    # Every entry is 0, +-1 or +-(P-1)/2, so four of the ten take the exact
-    # path; 70 primes put 64 and 6 in the two groups.
+def test_crt_read_of_the_largest_values():
+    # Every entry is 0, +-1 or the largest readable +-x, whose fraction x/P
+    # lies within 2**-20 of 1/2; 70 primes put 64 and 6 in the two groups.
     primes = prime_table(70)
-    half = math.prod(primes) >> 1
-    x = [[0, 1, -1, half, -half], [-half, half, 1, 0, -1]]
+    top = _largest_readable(math.prod(primes))
+    x = [[0, 1, -1, top, -top], [-top, top, 1, 0, -1]]
     crt = _modular._Crt()
     _add_in_chunks(crt, primes, x, [8] * 8 + [6])
     assert crt.symmetric() == x == _crt_oracle(primes, x)
+
+
+@pytest.mark.parametrize("k", [1, 2, 8, 9])
+def test_multimodular_runs_past_twice_the_bound(k):
+    # B = (P_k - 1) / 2 has 2B < P_k <= 2B + (B >> 18): k primes would read
+    # the half-way value +-B, so one more is taken, and +-B reads exactly.
+    primes = prime_table(k + 1)
+    bound = (math.prod(primes[:k]) - 1) // 2
+    assert 2 * bound < math.prod(primes[:k]) <= 2 * bound + (bound >> 18)
+    taken = []
+
+    def unchanged(a, chunk):
+        taken.extend(chunk)
+        return a, [True] * len(chunk), 0
+
+    x = [[bound, -bound, 0], [1, -1, bound - 1]]
+    assert _modular._multimodular(x, bound, unchanged) == (x, 0)
+    assert taken == primes
 
 
 def test_crt_add_of_no_prime():
@@ -403,8 +439,9 @@ def test_primes_used_pass_twice_hadamard(chunks):
             assert all(len(primes) <= 8 for primes, _ in chunks)
             assert all(all(live) for _, live in chunks)
             used = [primes for primes, _ in chunks]
-            assert math.prod(map(math.prod, used)) > 2 * bound
-            assert math.prod(map(math.prod, used[:-1])) <= 2 * bound
+            enlarged = 2 * bound + (bound >> 18)
+            assert math.prod(map(math.prod, used)) > enlarged
+            assert math.prod(map(math.prod, used[:-1])) <= enlarged
 
 
 def test_solve_primes_run_in_even_chunks(lap, chunks):
@@ -474,14 +511,15 @@ def test_solve_2x2_adjugate():
     assert inverse(m) == RationalMatrix([[1, -1], [-1, 2]])
 
 
-def test_inverse_scales_columns_by_the_row_scales():
-    # Rows cleared by different scales, S = diag(6, 35, 4): m^-1 is
-    # adj(M) S / det(M), with column j of adj(M) scaled by S_j.
+def test_inverse_of_rows_over_different_denominators():
+    # Rows whose own denominators differ (6, 35 and 4) over the one
+    # denominator 420: m^-1 is 420 adj(N) / det(N) for N = m.num.
     m = [[Fraction(1, 2), Fraction(1, 3), 0], [Fraction(1, 5), Fraction(1, 7), 1],
          [Fraction(3, 4), 0, Fraction(-1, 2)]]
-    assert ratmat._cleared_rows(RationalMatrix(m))[1] == [6, 35, 4]
+    assert RationalMatrix(m).den == 420
     expected = _fraction_solve(m, [[int(i == j) for j in range(3)] for i in range(3)])
     assert inverse(RationalMatrix(m)) == RationalMatrix(expected)
+    assert RationalMatrix(m) * inverse(RationalMatrix(m)) == RationalMatrix.identity(3)
 
 
 def test_solve_random_roundtrip():

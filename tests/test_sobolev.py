@@ -119,14 +119,14 @@ def test_equality_on_pseudo_green_columns(lap, g_star):
     assert [w.j0 for w in witnesses] == list(range(60))
     for w in witnesses:
         assert w.constant == closedform.C0
-        assert w.lhs == w.rhs == closedform.C0 ** 2
+        assert w.lhs == closedform.C0 ** 2
 
 
 def test_equality_on_green_columns(lap, g_one):
     c1 = green.constant_diagonal(g_one)
     for w in sobolev.equality_witnesses(g_one, lap, 1):
         assert w.constant == c1
-        assert w.lhs == w.rhs == c1 ** 2
+        assert w.lhs == c1 ** 2
 
 
 def test_equality_is_homogeneous(lap, g_star):
@@ -188,6 +188,29 @@ def test_max_not_at_diagonal_detection(lap, g_star):
         sobolev.equality_witnesses(2 * g_star, lap)
 
 
+@pytest.mark.parametrize("n", [59, 61])
+def test_vector_of_the_wrong_size_raises(lap, n):
+    # A 61-entry u would drop entry 60 from the edge sum, a 59-entry one
+    # would index past its end: both are rejected before any sum.
+    u = vector([1] + [0] * (n - 1))
+    for call in (lambda: sobolev.energy(u, lap),
+                 lambda: sobolev.energy(u, lap, 1),
+                 lambda: sobolev.sobolev_trial(u, closedform.C0, lap, 1)):
+        with pytest.raises(ValueError, match=f"vector is {n}x1, not 60x1"):
+            call()
+    with pytest.raises(ValueError, match="not 60x1"):
+        sobolev.energy(RationalMatrix.zeros(60, 2), lap)
+
+
+@pytest.mark.parametrize("n", [59, 61])
+def test_kernel_of_the_wrong_size_raises(lap, n):
+    kernel = RationalMatrix.identity(n)
+    with pytest.raises(ValueError, match=f"kernel is {n}x{n}, not 60x60"):
+        sobolev.equality_witnesses(kernel, lap)
+    with pytest.raises(ValueError, match="kernel is 60x59, not 60x60"):
+        sobolev.equality_witnesses(RationalMatrix.zeros(60, 59), lap, 1)
+
+
 def path_plus_edges(n, extra):
     """The Laplacian and edge list of the path 0-1-...-(n-1) plus ``extra``
     (loops dropped): a connected graph, so G* exists."""
@@ -213,11 +236,10 @@ def reference_witnesses(k, edges, a):
     for j0 in range(len(k)):
         col = [row[j0] for row in k]
         diag, top, e_col = col[j0], max(abs(x) for x in col), ref_energy(col, edges, a)
-        if top != abs(diag) or e_col != diag:
+        if top != abs(diag) or e_col != diag or top ** 2 != diag * e_col:
             return None
         witnesses.append(sobolev.EqualityWitness(
-            j0=j0, constant=diag, max_abs=top, energy=e_col, lhs=top ** 2,
-            rhs=diag * e_col))
+            j0=j0, constant=diag, max_abs=top, lhs=top ** 2))
     return witnesses
 
 
