@@ -137,7 +137,7 @@ def cmd_sample_ca(args) -> int:
     ca = green.ca_via_charpoly(p)
     a_values = _parse_a_values(",".join(DEFAULT_CA_GRID)
                                if args.a_values is None else args.a_values)
-    _write(green.sample_ca_csv(ca, a_values), args.output)
+    _write(green.sample_ca_csv(ca, a_values, A.rows), args.output)
     return 0
 
 
@@ -196,7 +196,7 @@ def _verify_checks(trials: int, seed: int):
 
     def check_limit_identity():
         rf = ca if ca is not None else green.ca_via_charpoly(charpoly_of_a())
-        check(green.limit_identity_check(rf, closedform.C0), "limit value")
+        check(green.limit_identity_check(rf, closedform.C0, A.rows), "limit value")
         return {}
 
     def check_moore_penrose():
@@ -233,7 +233,7 @@ def _verify_checks(trials: int, seed: int):
         j = split.j_matrix
         j_inv = Fraction(1, 2) * j
         conj = j_inv * relabeled * j
-        zero = RationalMatrix.zeros(30, 30)
+        zero = RationalMatrix.zeros(A.rows // 2, A.rows // 2)
         expected = RationalMatrix.block([[split.a_plus, zero], [zero, split.a_minus]])
         check(conj == expected, "J conjugation")
         blocks.half_spectra_check(split, charpoly_of_a())
@@ -250,13 +250,13 @@ def _verify_checks(trials: int, seed: int):
         g_star = pseudo_green_of_a()
         rng = random.Random(seed)
         for _ in range(trials):
-            u = sobolev.random_mean_zero(60, rng)
+            u = sobolev.random_mean_zero(A.rows, rng)
             lhs, rhs, holds = sobolev.sobolev_trial(u, closedform.C0, A)
             check(holds, f"mean-zero inequality failed: {lhs} > {rhs}")
         g1 = green_at_one()
         c1 = green.constant_diagonal(g1)
         for _ in range(max(trials // 10, 1)):
-            u = sobolev.random_vector(60, rng)
+            u = sobolev.random_vector(A.rows, rng)
             _, _, holds = sobolev.sobolev_trial(u, c1, A, 1)
             check(holds, "damped inequality failed")
         for w in sobolev.equality_witnesses(g_star, A):
@@ -267,14 +267,14 @@ def _verify_checks(trials: int, seed: int):
                   f"damped equality fails at column {w.j0}")
         # sharpness: any constant below C0 is beaten by a G* column
         below = closedform.C0 - Fraction(1, 10 ** 6)
-        column = g_star.submatrix(range(60), [0])
+        column = g_star.submatrix(range(A.rows), [0])
         _, _, holds = sobolev.sobolev_trial(column, below, A)
         check(not holds, "C0 - 1e-6 not refuted")
         return {"trials": trials}
 
     def check_relabel_invariance():
         rng = random.Random(seed)
-        perm = list(range(60))
+        perm = list(range(A.rows))
         rng.shuffle(perm)
         g2 = graph.relabel(g, perm)
         A2 = graph.laplacian(g2)

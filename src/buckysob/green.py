@@ -230,6 +230,8 @@ def closed_walk_moments(A: RationalMatrix, j: int, count: int) -> list[Fraction]
     """
     if not A.is_symmetric():
         raise ValueError("closed-walk moments need a symmetric matrix")
+    if not 0 <= j < A.rows:
+        raise ValueError(f"vertex {j} is not in 0..{A.rows - 1}")
     rows = A.nonzeros()
     v = [int(i == j) for i in range(A.rows)]
     out = []
@@ -316,7 +318,7 @@ def singular_part(n: int) -> RationalFunction:
     return RationalFunction(IntPolynomial([1]), IntPolynomial([0, n]))
 
 
-def limit_identity_check(ca: RationalFunction, c0: Fraction, n: int = 60) -> bool:
+def limit_identity_check(ca: RationalFunction, c0: Fraction, n: int) -> bool:
     """C(a) - 1/(n a) must be regular at 0 with value c0."""
     regular = ca - singular_part(n)
     if regular.has_pole_at(0):
@@ -387,7 +389,7 @@ def constants_report(bundle: GreenBundle) -> dict:
     }
 
 
-def sample_ca_csv(ca: RationalFunction, a_values, n: int = 60) -> str:
+def sample_ca_csv(ca: RationalFunction, a_values, n: int) -> str:
     """CSV of C(a) and C(a) - 1/(na) at the given points, exact and float."""
     regular = ca - singular_part(n)
     buf = io.StringIO()

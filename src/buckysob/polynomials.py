@@ -7,14 +7,10 @@ jointly content-free, positive leading denominator coefficient. That makes
 equality with any published coefficient list a literal comparison.
 
 The gcd and the division run on integers only. ``poly_gcd`` is the
-heuristic gcd (Char, Geddes & Gonnet, J. Symbolic Comput. 7, 1989;
-Geddes, Czapor & Labahn, *Algorithms for Computer Algebra*, 1992, ch. 7),
-whose candidate is returned only once it divides both inputs exactly,
-with a primitive pseudo-remainder sequence as the fallback when a few
-evaluation points all fail. ``exact_div`` is integer long division that
-raises ``InexactDivision`` on a remainder or a quotient that is not
-integral: every divisor it is given was computed by the package, so a
-failed division is a wrong answer, not bad input.
+primitive pseudo-remainder sequence. ``exact_div`` is integer long
+division that raises ``InexactDivision`` on a remainder or a quotient
+that is not integral: every divisor it is given was computed by the
+package, so a failed division is a wrong answer, not bad input.
 
 A rational function is recovered from the coefficients of its expansion at
 infinity by Berlekamp-Massey over Q, with no degree given and no
@@ -194,48 +190,15 @@ def _pseudo_remainder(p, q):
     return rem
 
 
-def _heuristic_gcd(a: IntPolynomial, b: IntPolynomial, xi: int):
-    """GCDHEU at one evaluation point (Char, Geddes & Gonnet, J. Symbolic
-    Comput. 7, 1989): the primitive polynomial read from the symmetric
-    xi-adic digits of gcd(a(xi), b(xi)), if it divides both a and b;
-    None otherwise.
-
-    For primitive a, b and xi >= 2 min(|a|, |b|) + 2 (max-norms), a
-    primitive h from these digits that divides both is their gcd: the
-    gcd is h k with k(xi) dividing the digits' content, which is at most
-    xi/2, while a k of positive degree has |k(xi)| > xi/2 there.
-    """
-    gamma = math.gcd(a(xi), b(xi))
-    digits = []
-    while gamma:
-        d = gamma % xi
-        if d > xi // 2:
-            d -= xi
-        digits.append(d)
-        gamma = (gamma - d) // xi
-    h = IntPolynomial(digits).primitive()
-    if _quotient(a.coeffs, h.coeffs) is None or _quotient(b.coeffs, h.coeffs) is None:
-        return None
-    return h
-
-
 def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     """Primitive gcd with positive leading coefficient, on integers.
 
+    A primitive pseudo-remainder sequence: each pseudo-remainder has its
+    content removed before the next step (Collins, JACM 14, 1967; Geddes,
+    Czapor & Labahn, *Algorithms for Computer Algebra*, 1992, ch. 7).
     gcd(p, 0) is the primitive part of p, gcd(0, 0) the zero polynomial.
-    The heuristic gcd is tried at up to six growing points xi; the first
-    candidate that divides both primitive parts exactly is returned. If
-    none does, a primitive pseudo-remainder sequence decides.
     """
     a, b = p.primitive(), q.primitive()
-    if a.is_zero() or b.is_zero():
-        return b if a.is_zero() else a
-    xi = 2 * min(max(map(abs, a.coeffs)), max(map(abs, b.coeffs))) + 29
-    for _ in range(6):
-        g = _heuristic_gcd(a, b, xi)
-        if g is not None:
-            return g
-        xi = xi * 73794 // 27011
     if a.degree < b.degree:
         a, b = b, a
     while not b.is_zero():

@@ -80,7 +80,7 @@ def test_criterion_5_moore_penrose_and_diagonals(lap, g_star):
 
 def test_criterion_6_limit_identity(ca):
     with criterion("6 C(a) - 1/(60a) regular at 0 with value C0"):
-        assert green.limit_identity_check(ca, closedform.C0)
+        assert green.limit_identity_check(ca, closedform.C0, 60)
 
 
 def test_criterion_7_block_reduction(bucky, lap, p_char, g_star):

@@ -522,6 +522,12 @@ def test_closed_walk_moments_scale_by_denominator():
         1, 0, Fraction(1, 4), 0, Fraction(2, 16)]
 
 
+@pytest.mark.parametrize("j", [-1, 60])
+def test_closed_walk_moments_reject_a_missing_vertex(lap, j):
+    with pytest.raises(ValueError, match="not in 0..59"):
+        green.closed_walk_moments(lap, j, 4)
+
+
 def test_ca_fit_solves_one_column_per_sample(lap, monkeypatch):
     """Sample k of the fit is (A^k e_0)_0: the route reads one column of
     moments, vertex 0's 2n = 120; walk_regular reads none."""
@@ -577,7 +583,7 @@ def test_trace_of_green_is_60_ca(lap, ca, g_one):
 
 
 def test_limit_identity(ca):
-    assert green.limit_identity_check(ca, closedform.C0)
+    assert green.limit_identity_check(ca, closedform.C0, 60)
 
 
 def test_limit_identity_wrong_residue(ca):
@@ -585,7 +591,7 @@ def test_limit_identity_wrong_residue(ca):
     assert wrong.has_pole_at(0)
     bad = RationalFunction(IntPolynomial([1]), IntPolynomial([0, 59]))
     with pytest.raises(green.PoleRemains):
-        green.limit_identity_check(bad, closedform.C0)
+        green.limit_identity_check(bad, closedform.C0, 60)
 
 
 def test_limit_identity_pointwise(ca):
@@ -639,7 +645,7 @@ def test_bundle_and_report(lap, p_char):
 
 
 def test_sample_ca_csv(ca):
-    text = green.sample_ca_csv(ca, [Fraction(1, 10), 1, 10])
+    text = green.sample_ca_csv(ca, [Fraction(1, 10), 1, 10], 60)
     lines = text.strip().splitlines()
     assert len(lines) == 4
     values = [Fraction(line.split(",")[1]) for line in lines[1:]]

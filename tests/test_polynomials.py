@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from buckysob import _modular, closedform, green, polynomials, ratmat
+from buckysob import _modular, closedform, green, ratmat
 from buckysob.polynomials import (DegreeInsufficient, InexactDivision,
                                   IntPolynomial, RationalFunction, exact_div,
                                   fit_rational_function, poly_gcd,
@@ -129,25 +129,21 @@ def test_rational_function_cancels_any_common_factor(f, g, h):
     assert RationalFunction(f * h, g * h) == RationalFunction(f, g)
 
 
-def test_prs_fallback_agrees_with_heuristic(monkeypatch, p_char):
-    """With the heuristic step always giving up, the primitive PRS alone
-    returns the same gcd, squarefree part and C(a)."""
+def test_poly_gcd_on_charpoly_cases(p_char):
+    """The gcd, squarefree part and C(a) of the buckyball's charpoly, each
+    against a value read off the listed factors, not off poly_gcd."""
     p = closedform.charpoly_product()
     x = IntPolynomial([0, 1])
-    cases = [(p, p.derivative()), (p_char, p_char.compose_neg()),
-             (-6 * (x - IntPolynomial([1])) ** 3, 4 * (x * x - IntPolynomial([1])))]
-    expected = ([poly_gcd(a, b) for a, b in cases], squarefree_part(p),
-                green.ca_via_charpoly(p))
-    attempts = []
-
-    def give_up(a, b, xi):
-        attempts.append(xi)
-        return None
-
-    monkeypatch.setattr(polynomials, "_heuristic_gcd", give_up)
-    assert ([poly_gcd(a, b) for a, b in cases], squarefree_part(p),
-            green.ca_via_charpoly(p)) == expected
-    assert attempts
+    one = IntPolynomial([1])
+    repeated, radical = one, one
+    for f, e in closedform.CHARPOLY_FACTORS:
+        repeated, radical = repeated * f ** (e - 1), radical * f
+    assert (repeated.degree, radical.degree) == (45, 15)
+    assert poly_gcd(p, p.derivative()) == repeated
+    assert squarefree_part(p) == radical
+    assert poly_gcd(p_char, p_char.compose_neg()) == x
+    assert poly_gcd(-6 * (x - one) ** 3, 4 * (x * x - one)) == x - one
+    assert green.ca_via_charpoly(p) == closedform.ca_closed_form()
 
 
 def test_rational_function_normalization():
