@@ -26,8 +26,7 @@ from buckysob.graph import (FaceCensus, PolyhedralGraph, buckyball,
 from buckysob.polynomials import (IntPolynomial, RationalFunction,
                                   fit_rational_function)
 from buckysob.ratmat import (PivotCounter, RationalMatrix, bareiss_solve,
-                             charpoly, determinant, inverse, parse_rat,
-                             rat_str)
+                             charpoly, inverse, parse_rat, rat_str)
 
 __version__ = "0.1.0"
 
@@ -37,5 +36,5 @@ __all__ = [
     "find_antipodal_involution", "girth", "laplacian", "relabel", "truncate",
     "IntPolynomial", "RationalFunction", "fit_rational_function",
     "PivotCounter", "RationalMatrix", "bareiss_solve", "charpoly",
-    "determinant", "inverse", "parse_rat", "rat_str", "__version__",
+    "inverse", "parse_rat", "rat_str", "__version__",
 ]

@@ -125,8 +125,7 @@ def cmd_constants(args) -> int:
     g = graph.buckyball()
     A = graph.laplacian(g)
     p = charpoly(A)
-    bundle = green.build_green_bundle(A, p)
-    _write(_json_text(green.constants_report(bundle)), args.output)
+    _write(_json_text(green.constants_report(A, p)), args.output)
     return 0
 
 
@@ -349,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("green", cmd_green, a_values=True,
         help="exact Green / pseudo-Green matrices")
     add("constants", cmd_constants, help="sharp constants report")
-    add("sample-ca", cmd_sample_ca, formats=("csv",), a_values=True,
+    add("sample-ca", cmd_sample_ca, a_values=True,
         help="CSV samples of C(a) and C(a)-1/(60a)")
     verify = add("verify-all", cmd_verify_all, sampling=True,
                  help="run the full oracle suite")

@@ -32,7 +32,6 @@ import csv
 import functools
 import io
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from buckysob import closedform
@@ -326,13 +325,6 @@ def limit_identity_check(ca: RationalFunction, c0: Fraction, n: int) -> bool:
     return regular(0) == c0
 
 
-@dataclass(frozen=True)
-class GreenBundle:
-    g_star: RationalMatrix
-    c0: Fraction
-    c_of_a: RationalFunction
-
-
 def verify_pseudo_green(A: RationalMatrix, g_star: RationalMatrix) -> None:
     """Raise RouteMismatch unless g_star is the Moore-Penrose inverse G* of
     the Laplacian A, with A G* = G* A = I - E0.
@@ -362,26 +354,21 @@ def verify_pseudo_green(A: RationalMatrix, g_star: RationalMatrix) -> None:
         raise RouteMismatch("G* 1 != 0, so G* E0 != 0")
 
 
-def build_green_bundle(A: RationalMatrix, p: IntPolynomial) -> GreenBundle:
-    """Assemble and cross-verify everything the constants rest on."""
+def constants_report(A: RationalMatrix, p: IntPolynomial) -> dict:
+    """Cross-verify everything the constants rest on and report C0 and C(a)."""
     g_star = pseudo_green(A)
     verify_pseudo_green(A, g_star)
-    c0_diag = c0_via_diagonal(g_star)
+    c0 = c0_via_diagonal(g_star)
     c0_trace = c0_via_trace(p)
-    if c0_diag != c0_trace:
-        raise RouteMismatch(f"C0 diagonal {c0_diag} vs trace {c0_trace}")
+    if c0 != c0_trace:
+        raise RouteMismatch(f"C0 diagonal {c0} vs trace {c0_trace}")
     ca = c_of_a(A, p)
-    if not limit_identity_check(ca, c0_diag, A.rows):
+    if not limit_identity_check(ca, c0, A.rows):
         raise RouteMismatch("limit of C(a) - 1/(na) at 0 is not C0")
-    return GreenBundle(g_star=g_star, c0=c0_diag, c_of_a=ca)
-
-
-def constants_report(bundle: GreenBundle) -> dict:
-    ca = bundle.c_of_a
     return {
         "schema_version": 1,
-        "c0": rat_str(bundle.c0),
-        "c0_decimal": float(bundle.c0),
+        "c0": rat_str(c0),
+        "c0_decimal": float(c0),
         "N": ca.num.to_json(),
         "D": ca.den.to_json(),
         "D_factors": [str(f) for f in closedform.CA_DEN_FACTORS],

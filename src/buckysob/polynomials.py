@@ -113,10 +113,9 @@ class IntPolynomial:
         return self.__mul__(other)
 
     def __pow__(self, e):
-        out = IntPolynomial([1])
-        for _ in range(e):
-            out = out * self
-        return out
+        if e < 0:
+            raise ValueError(f"negative exponent {e}")
+        return math.prod([self] * e, start=IntPolynomial([1]))
 
     def derivative(self):
         return IntPolynomial([k * c for k, c in enumerate(self.coeffs)][1:])

@@ -19,9 +19,9 @@ kernels in ``_modular``, which work modulo word-size primes and rebuild
 exact integers by Chinese remaindering under a Hadamard-type bound. (The
 moment route to C(a) in ``green`` eliminates nothing.) Every kernel takes
 the matrix's own integer rows N = ``num`` and the denominator d = ``den``
-is divided out afterwards: for m = N/d, det(m) = det(N) / d^n, and
-``jordan_int`` inverts N and nothing more, exact by the bound alone, so
-its (det(N), adj(N)) gives m^-1 = d adj(N) / det(N). A solve m X = R is
+is divided out afterwards: ``jordan_int`` inverts N and nothing more,
+exact by the bound alone, so for m = N/d its (det(N), adj(N)) gives
+m^-1 = d adj(N) / det(N). A solve m X = R is
 that exact inverse times R, one sparse-aware product. The coefficient of
 x^k in det(xI - m) is that of det(xI - N) over d^(n-k).
 """
@@ -33,6 +33,7 @@ import math
 import re
 from fractions import Fraction
 
+# Imported only because perfbench/tracing.py wraps buckysob.ratmat.det_int.
 from buckysob._modular import charpoly_int, det_int, jordan_int
 from buckysob.polynomials import IntPolynomial, VerificationFailed
 
@@ -52,13 +53,12 @@ class PivotCounter:
     A kernel's count is the number of multiply-mod updates of its loops,
     taken from the loop bounds and summed over the primes it used, so it
     scales with the matrix shape and the bit size of the entries. For
-    determinants and inverses it is the in-place inversion of the n x n
-    matrix, n^3 per prime (inverse(A + I) on the buckyball: 5 primes,
-    5 * 60^3); a solve is an inverse, and counts as one. For
-    characteristic polynomials it is the Hessenberg reduction
-    and the charpoly recurrence. Every kernel runs its primes to its bound,
-    so a count depends on the input alone, not on the size of the reduced
-    result.
+    inverses it is the in-place inversion of the n x n matrix, n^3 per
+    prime (inverse(A + I) on the buckyball: 5 primes, 5 * 60^3); a solve
+    is an inverse, and counts as one. For characteristic polynomials it is
+    the Hessenberg reduction and the charpoly recurrence. Every kernel runs
+    its primes to its bound, so a count depends on the input alone, not on
+    the size of the reduced result.
     """
 
     def __init__(self):
@@ -292,19 +292,6 @@ class RationalMatrix:
     def _check_same_shape(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-
-
-def determinant(m: RationalMatrix, counter: PivotCounter | None = None) -> Fraction:
-    """Exact det(m) = det(N) / d^n for m = N/d, with det(N) from the
-    multimodular kernel on the integer rows N = m.num."""
-    if not m.is_square():
-        raise ValueError("square matrix required")
-    if m.rows == 0:
-        return Fraction(1)
-    d, ops = det_int(m.num)
-    if counter is not None:
-        counter.add(ops)
-    return Fraction(d, m.den ** m.rows)
 
 
 def bareiss_solve(m: RationalMatrix, rhs: RationalMatrix,

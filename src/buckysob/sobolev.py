@@ -110,8 +110,8 @@ class EqualityWitness:
 def equality_witnesses(kernel: RationalMatrix, A: RationalMatrix,
                        a=0) -> list[EqualityWitness]:
     """Verify the equality chain on every column j0 of the kernel: the
-    diagonal attains the column max, the column's energy equals the diagonal
-    value, and both sides of the inequality coincide at the square of it.
+    diagonal attains the column max and the column's energy E equals the
+    diagonal value d; these two give the third equality, max^2 = d E.
 
     Each column is checked on its integer numerators over the kernel's
     shared denominator; ``Fraction``s are built only for the witnesses
@@ -134,8 +134,6 @@ def equality_witnesses(kernel: RationalMatrix, A: RationalMatrix,
         if e_num * den != d * e_den:  # E / e_den == d / den
             raise MaxNotAtDiagonal(f"column {j0}: energy {Fraction(e_num, e_den)}"
                                    f" != diagonal {Fraction(d, den)}")
-        if top * top * e_den != d * e_num * den:  # (top/den)^2 == (d/den) E
-            raise MaxNotAtDiagonal(f"column {j0}: equality fails")
         max_abs = Fraction(top, den)
         witnesses.append(EqualityWitness(j0=j0, constant=Fraction(d, den),
                                          max_abs=max_abs, lhs=max_abs ** 2))

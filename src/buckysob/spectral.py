@@ -101,10 +101,10 @@ class CrossValidation:
     max_deviation: float
 
 
-def cluster_values(values, gap: float = CLUSTER_GAP) -> list[list[float]]:
+def cluster_values(values) -> list[list[float]]:
     clusters = [[values[0]]]
     for prev, cur in zip(values, values[1:]):
-        if cur - prev > gap:
+        if cur - prev > CLUSTER_GAP:
             clusters.append([])
         clusters[-1].append(cur)
     return clusters

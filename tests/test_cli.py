@@ -1,5 +1,6 @@
 """Command-line surface: outputs, determinism, exit codes."""
 
+import argparse
 import dataclasses
 import json
 import os
@@ -66,7 +67,7 @@ def test_green_at_one(capsys):
 
 
 def test_sample_ca_decreasing(capsys):
-    code, out = run(capsys, "sample-ca", "--a-values", "1/10,1,10", "--format", "csv")
+    code, out = run(capsys, "sample-ca", "--a-values", "1/10,1,10")
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) == 4
@@ -118,6 +119,7 @@ def test_unknown_command_exits_2():
 
 @pytest.mark.parametrize("argv", [
     ["charpoly", "--format", "dot"],
+    ["sample-ca", "--format", "csv"],
     ["build-graph", "--trials", "5"],
     ["verify-all", "--trials", "-1"],
     ["constants", "--parallel", "0"],
@@ -130,11 +132,36 @@ def test_option_not_read_or_out_of_range_exits_2(argv):
     assert exc.value.code == 2
 
 
+def test_every_option_is_read(tmp_path):
+    # verify-all accepts --parallel without reading it only because the
+    # benchmark's workloads pass "--parallel 1".
+    unread = {"verify-all": {"parallel"}}
+    reads = set()
+
+    class RecordingNamespace(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    parser = cli.build_parser()
+    commands = parser._subparsers._group_actions[0].choices
+    for name, subparser in commands.items():
+        dests = {a.dest for a in subparser._actions
+                 if a.default is not argparse.SUPPRESS}
+        argv = [name, "--output", str(tmp_path / name)]
+        if name == "verify-all":
+            argv += ["--trials", "2"]
+        args = parser.parse_args(argv, namespace=RecordingNamespace())
+        reads.clear()
+        assert args.fn(args) == 0
+        assert dests - reads == unread.get(name, set()), name
+
+
 def test_verification_failure_exits_1(monkeypatch, capsys):
     def mismatch(*args, **kwargs):
         raise green.RouteMismatch("C0 diagonal vs trace")
 
-    monkeypatch.setattr(green, "build_green_bundle", mismatch)
+    monkeypatch.setattr(green, "constants_report", mismatch)
     assert main(["constants"]) == 1
     assert "verification failed" in capsys.readouterr().err
 

@@ -7,10 +7,11 @@ import pytest
 
 from buckysob import closedform
 from buckysob.graph import (InvolutionNotFound, PolyhedralGraph,
-                            RotationSystemError, canonical_icosahedron,
-                            canonical_tetrahedron, face_census,
-                            find_antipodal_involution, girth, laplacian,
-                            relabel, to_dot, to_json_dict, truncate)
+                            RotationSystemError, buckyball,
+                            canonical_icosahedron, canonical_tetrahedron,
+                            face_census, find_antipodal_involution, girth,
+                            laplacian, relabel, to_dot, to_json_dict,
+                            truncate)
 from buckysob.ratmat import charpoly
 
 
@@ -213,3 +214,26 @@ def test_json_export(bucky):
     assert d["edges"] == sorted(d["edges"])
     assert all(i < j for i, j in d["edges"])
     assert len(d["faces"]) == 32
+
+
+TORUS_K4 = PolyhedralGraph({0: (1, 2, 3), 1: (0, 2, 3), 2: (0, 1, 3),
+                            3: (0, 1, 2)})
+
+
+@pytest.mark.parametrize("g", [
+    canonical_tetrahedron(), CUBE, TRIANGULAR_PRISM, PENTAGONAL_PYRAMID,
+    cycle(4), cycle(5), cycle(6), cycle(7), cycle(8), buckyball(), TORUS_K4,
+], ids=["tetrahedron", "cube", "triangular_prism", "pentagonal_pyramid",
+        "C4", "C5", "C6", "C7", "C8", "buckyball", "torus_K4"])
+def test_faces_partition_the_darts(g):
+    faces = face_census(g).faces
+    darts = [(f[i], f[(i + 1) % len(f)]) for f in faces for i in range(len(f))]
+    assert sorted(darts) == sorted((v, w) for v in g.rotation
+                                   for w in g.rotation[v])
+    assert sum(map(len, faces)) == 2 * len(g.edges)
+
+
+def test_toroidal_rotation_faces():
+    faces = face_census(TORUS_K4).faces
+    assert sorted(map(len, faces)) == [4, 8]
+    assert TORUS_K4.n - len(TORUS_K4.edges) + len(faces) == 0

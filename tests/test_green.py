@@ -635,9 +635,8 @@ def test_monotonicity_rejects_bad_points(ca):
 
 
 def test_bundle_and_report(lap, p_char):
-    bundle = green.build_green_bundle(lap, p_char)
-    assert bundle.c0 == closedform.C0
-    report = green.constants_report(bundle)
+    report = green.constants_report(lap, p_char)
+    assert Fraction(report["c0"]) == closedform.C0
     assert report["c0"] == "239741/376200"
     assert report["N"][0] == "3344"
     assert report["schema_version"] == 1

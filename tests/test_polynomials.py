@@ -29,6 +29,9 @@ def test_eval_at_roots_of_known_factors(p_char):
 def test_mul_and_pow():
     x = IntPolynomial([0, 1])
     assert (x - IntPolynomial([2])) ** 2 == IntPolynomial([4, -4, 1])
+    assert (x + IntPolynomial([1])) ** 0 == IntPolynomial([1])
+    with pytest.raises(ValueError):
+        (x + IntPolynomial([1])) ** -1
 
 
 def test_compose_neg():
