@@ -569,7 +569,7 @@ def test_verify_all_deterministic_checks(capsys, tmp_path, monkeypatch, lap):
     assert report["ok"] is True
     assert report["schema_version"] == 1
     # The in-place inversion costs n^3 multiply-mod updates per prime: G*'s
-    # 60 x 60 solve takes 7 primes (7 * 60^3), the two 30 x 30 halves 9
-    # between them (9 * 30^3).
+    # 60 x 60 grounded solve takes 4 primes (4 * 60^3), the two 30 x 30
+    # halves 9 between them (9 * 30^3).
     assert report["checks"]["block_reduction"] == {
-        "ok": True, "half_ops": 243000, "full_ops": 1512000}
+        "ok": True, "half_ops": 243000, "full_ops": 864000}

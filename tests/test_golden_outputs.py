@@ -42,7 +42,7 @@ GOLDEN = {
     ("sample-ca",):
         "0966d845fd99591f393bd9a1f3014af00e239a962f2e6e16938ec997313af30d",
     ("verify-all", "--seed", "1"):
-        "7da77cd78efd1ecf730ed22131f6033693b1435a70278f8969f5b973d392797d",
+        "e74beea337cc40d4702ec087508ad34d0e012d41404ddcbd8a3911acd68df5be",
 }
 
 

@@ -229,7 +229,8 @@ def test_verify_pseudo_green_checks_the_laplacian(lap, g_star, bad):
 
 @pytest.mark.parametrize("seed", [None, 7])
 def test_pseudo_green_matches_projection_formula(bucky, seed):
-    # (A + J)^-1 - E0/60 against the formula (A + E0)^-1 - E0, entrywise.
+    # P (A + e_0 e_0^T)^-1 P against the formula (A + E0)^-1 - E0,
+    # entrywise. The grounded 60 x 60 solve runs 4 primes, n^3 updates each.
     if seed is not None:
         perm = list(range(60))
         random.Random(seed).shuffle(perm)
@@ -237,7 +238,9 @@ def test_pseudo_green_matches_projection_formula(bucky, seed):
     A = graph.laplacian(bucky)
     e0 = green.projection_e0(60)
     old = inverse(A + e0) - e0
-    new = green.pseudo_green(A)
+    counter = ratmat.PivotCounter()
+    new = green.pseudo_green(A, counter)
+    assert counter.ops == 4 * 60 ** 3
     assert all(new[i, j] == old[i, j] for i in range(60) for j in range(60))
     assert new == old
 
@@ -259,6 +262,22 @@ def test_pseudo_green_rejects_wrong_kernel():
     m = RationalMatrix.identity(4)
     with pytest.raises(green.KernelMismatch):
         green.pseudo_green(m)
+
+
+def test_pseudo_green_rejects_non_symmetric():
+    """Zero row sums but A^T != A. A projected inverse is then not A+: the
+    formula (A + J)^-1 - E0/n gives (1/18)[[10, -2, -8], [-8, 7, 1],
+    [-8, -2, 10]], for which A G is not symmetric, while A+ is
+    [[2/3, 1/6, -1/6], [-1/3, 1/6, -1/6], [-1/3, -1/3, 1/3]]."""
+    A = RationalMatrix([[1, -1, 0], [0, 1, -1], [0, -1, 1]])
+    with pytest.raises(ValueError, match="symmetric"):
+        green.pseudo_green(A)
+
+
+def test_pseudo_green_disconnected_is_singular():
+    """Two disjoint K2s: the grounded system keeps a second kernel vector."""
+    with pytest.raises(ratmat.SingularMatrixError):
+        green.pseudo_green(_laplacian_of(4, [(0, 1), (2, 3)]))
 
 
 def test_c0_routes_agree(g_star, p_char):
@@ -400,11 +419,24 @@ def _cycle(n):
     return _laplacian_of(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-small_laplacians = pytest.mark.parametrize("lap_small", [
+SMALL_LAPLACIANS = [
     _laplacian_of(2, [(0, 1)]),
     *(_cycle(n) for n in range(3, 13)),
     graph.laplacian(graph.truncate(graph.canonical_tetrahedron())),
-], ids=["K2", *(f"C{n}" for n in range(3, 13)), "truncated_tetrahedron"])
+]
+SMALL_IDS = ["K2", *(f"C{n}" for n in range(3, 13)), "truncated_tetrahedron"]
+BUCKY_HALF = Fraction(1, 2) * graph.laplacian(graph.buckyball())
+small_laplacians = pytest.mark.parametrize("lap_small", SMALL_LAPLACIANS, ids=SMALL_IDS)
+
+
+@pytest.mark.parametrize("A", [*SMALL_LAPLACIANS, BUCKY_HALF, RationalMatrix([[0]])],
+                         ids=[*SMALL_IDS, "bucky_half", "K1"])
+def test_pseudo_green_matches_dense_oracle(A):
+    """The projected grounded solve against (A + E0)^-1 - E0, a dense
+    system. The buckyball over 2 has den 2, so a grounded system built
+    on A.num over 1 would give 2 A+ there."""
+    e0 = green.projection_e0(A.rows)
+    assert green.pseudo_green(A) == inverse(A + e0) - e0
 
 
 # K2 has two simple eigenvalues, so its series needs all 2n = 4 terms.
@@ -437,14 +469,8 @@ def test_walk_classes_buckyball(lap, count):
     assert len(green._walk_classes(_rows(relabeled), count)[1]) == 24
 
 
-@pytest.mark.parametrize("A", [
-    _laplacian_of(2, [(0, 1)]),
-    *(_cycle(n) for n in range(3, 13)),
-    graph.laplacian(graph.truncate(graph.canonical_tetrahedron())),
-    Fraction(1, 2) * graph.laplacian(graph.buckyball()),
-    RationalMatrix([[1, 1], [0, 1]]),
-], ids=["K2", *(f"C{n}" for n in range(3, 13)), "truncated_tetrahedron",
-        "bucky_half", "jordan_block"])
+@pytest.mark.parametrize("A", [*SMALL_LAPLACIANS, BUCKY_HALF, RationalMatrix([[1, 1], [0, 1]])],
+                         ids=[*SMALL_IDS, "bucky_half", "jordan_block"])
 def test_class_evaluation_matches_dense_powers(A):
     """sum_k w_k N^k by one dot product per walk class equals the dense sum
     of N's powers, for seeded random integer weights."""
