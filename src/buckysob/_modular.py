@@ -3,7 +3,9 @@
 The three kernels take integer matrices (lists of lists of Python ints of
 any size) and return exact integers. Each is a bound and a step on one
 loop, ``_multimodular``: the rows are reduced modulo a chunk of word-size
-primes at a time on int64 numpy arrays, the step turns each slice into
+primes at a time on int64 numpy arrays, as many primes to a chunk as keep
+it within a fixed budget of residues (``_BUDGET``), so that a small
+matrix's primes run as one batch; the step turns each slice into
 residues of the result, and one ``_Crt`` per call keeps them until the
 result is read. The read is Chinese remaindering as one exact matrix
 product over 16-bit limbs in float64 (every partial sum an integer below
@@ -37,10 +39,12 @@ KERNEL_LANE = "python"
 # of two residues plus one more residue stays below 2**63 in int64, and each
 # prime adds more than 30 bits to the modulus.
 _PRIME_BITS = 30
-# Primes reduced together in one batch of int64 arrays, a slice per prime:
-# numpy's per-call overhead is paid once per chunk, and a chunk's arrays
-# hold at most _CHUNK residues per entry of the input.
-_CHUNK = 8
+# Residues reduced together in one batch of int64 arrays, a slice per
+# prime: a chunk of an r x m input holds at most max(1, _BUDGET // (r m))
+# primes, so that each working array stays near 512 KB, and numpy's
+# per-call overhead is paid once per chunk. That is 72 primes for a 30 x 30
+# and 18 for a 60 x 60.
+_BUDGET = 1 << 16
 # Bits per limb when an entry is split to be reduced modulo a prime.
 _LIMB_BITS = 30
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
@@ -102,15 +106,15 @@ def hadamard_bound(rows):
     return math.prod(math.isqrt(sum(x * x for x in row)) + 1 for row in rows)
 
 
-def _next_primes(used, modulus, bound):
+def _next_primes(used, modulus, bound, cap):
     """The primes after the first ``used`` for the next chunk: the primes
     still needed to bring ``modulus`` past ``bound``, split into as few
-    chunks of at most _CHUNK as possible and as evenly as possible."""
+    chunks of at most ``cap`` as possible and as evenly as possible."""
     need = 0
     while modulus <= bound:
         need += 1
         modulus *= prime_table(used + need)[-1]
-    count = -(-need // -(-need // _CHUNK))
+    count = -(-need // -(-need // cap))
     return prime_table(used + count)[used:]
 
 
@@ -272,12 +276,13 @@ def _multimodular(rows, bound, step):
     """
     bound = 2 * bound + (bound >> 18)
     residues = _Residues(rows)
+    cap = max(1, _BUDGET // (len(rows) * len(rows[0])))
     crt = _Crt()
     used, ops, skipped = 0, 0, 1
     while crt.modulus <= bound:
         if skipped > bound:
             raise ZeroDivisionError("matrix is singular")
-        primes = _next_primes(used, crt.modulus, bound)
+        primes = _next_primes(used, crt.modulus, bound, cap)
         used += len(primes)
         out, live, chunk_ops = step(residues.modulo(primes), primes)
         ops += chunk_ops
@@ -302,36 +307,41 @@ def _invert(a, primes):
     when they are read after an unreduced update. A slice whose pivot
     vanishes swaps in the first row below with a nonzero entry; at the end
     its swaps are undone on its inverse's columns, in reverse order.
-    Returns (det residue per prime, whether each prime had a pivot in every
-    column, ops); then a[t] is M^-1 modulo primes[t]. A prime without a
-    pivot in some column has det = 0 modulo it; its slice is carried on
-    with a stand-in pivot and must be ignored.
+    A step reads its pivots as one vector, and only the primes where the
+    pivot vanishes take the swap loop; det is kept as a vector too, negated
+    as q - det on a swap. Only the inverse pivot is taken prime by prime,
+    with ``pow``, which beats a vectorised Fermat inverse at these counts.
+    Returns (det residues, an int64 vector; whether each prime had a pivot
+    in every column, a bool vector; ops); then a[t] is M^-1 modulo
+    primes[t]. A prime without a pivot in some column has det = 0 modulo
+    it; its slice is carried on with a stand-in pivot and must be ignored.
     """
     c, n, _ = a.shape
     p1 = np.array(primes, dtype=np.int64)
     p2 = p1[:, None]
     p3 = p2[:, :, None]
     scratch = np.empty_like(a)
-    det = [1] * c
-    live = [True] * c
+    det = np.ones(c, dtype=np.int64)
+    live = np.ones(c, dtype=bool)
     swaps = []
     for k in range(n):
-        piv = (a[:, k, k] % p1).tolist()
-        for t, q in enumerate(primes):
-            if piv[t]:
-                continue
-            below = np.flatnonzero(a[t, k:, k] % q)
-            if below.size == 0:
-                live[t] = False
-                piv[t] = 1
-                continue
-            r = k + int(below[0])
-            a[t, [k, r]] = a[t, [r, k]]
-            swaps.append((t, k, r))
-            piv[t] = int(a[t, k, k] % q)
-            det[t] = -det[t]
-        det = [d * x % q for d, x, q in zip(det, piv, primes)]
-        inv = np.array([pow(x, -1, q) for x, q in zip(piv, primes)],
+        piv = a[:, k, k] % p1
+        if not piv.all():
+            for t in np.flatnonzero(piv == 0).tolist():
+                q = primes[t]
+                below = np.flatnonzero(a[t, k:, k] % q)
+                if below.size == 0:
+                    live[t] = False
+                    piv[t] = 1
+                    continue
+                r = k + int(below[0])
+                a[t, [k, r]] = a[t, [r, k]]
+                swaps.append((t, k, r))
+                piv[t] = a[t, k, k] % q
+                det[t] = q - det[t]
+        det *= piv
+        det %= p1
+        inv = np.array([pow(x, -1, q) for x, q in zip(piv.tolist(), primes)],
                        dtype=np.int64)[:, None]
         col, row = a[:, :, k], a[:, k, :]
         if k % 2:
@@ -349,14 +359,14 @@ def _invert(a, primes):
             _mod(a, primes, p3, scratch)
     for t, k, r in reversed(swaps):
         a[t][:, [k, r]] = a[t][:, [r, k]]
-    det = [d if alive else 0 for d, alive in zip(det, live)]
+    det[~live] = 0
     return det, live, c * n ** 3
 
 
 def _det_step(a, primes):
     # det 0 modulo a prime without a pivot is still the det's residue.
     det, _, ops = _invert(a, primes)
-    return np.array(det, dtype=np.int64)[:, None, None], [True] * len(primes), ops
+    return det[:, None, None], [True] * len(primes), ops
 
 
 def det_int(rows):
@@ -395,7 +405,7 @@ def jordan_int(rows):
     def step(a, primes):
         det, live, ops = _invert(a, primes)
         out = np.empty((len(primes), n, n + 1), dtype=np.int64)
-        out[:, :, n] = np.array(det, dtype=np.int64)[:, None]
+        out[:, :, n] = det[:, None]
         adj = out[:, :, :n]
         np.multiply(a, out[:, :, n:], out=adj)
         # a has been read, so it serves as the reduction's scratch.

@@ -150,9 +150,9 @@ def _verify_checks(trials: int, seed: int):
     # holds the ops of its one solve, which block_reduction reports. G(1) is
     # solved by direct elimination; block_reduction compares the block route
     # with it, and moore_penrose then solves G(1/10) and G(10) by that block
-    # route: 10 and 8 ms against 24 and 18 ms for full 60x60 inverses
-    # (in-process medians of 9, 2-core x86-64, Python 3.11, in-place
-    # inversion kernel). Neither route calls green.green_matrix, which these
+    # route: 6-9 and 4-7 ms against 16-19 and 10-15 ms for full 60x60
+    # inverses (in-process medians of 9, in each of six processes, 2-core
+    # x86-64, Python 3.11). Neither route calls green.green_matrix, which these
     # solves check: with its one-time annihilator (16 ms) and walk-class
     # table (29 ms), the polynomial route took 57-59 ms for the three G(a).
     charpoly_of_a = functools.cache(lambda: charpoly(A))

@@ -3,7 +3,7 @@ pseudo-Green matrix) are computed once per session and reused everywhere."""
 
 import pytest
 
-from buckysob import green
+from buckysob import _modular, green
 from buckysob.graph import buckyball, face_census, find_antipodal_involution, laplacian
 from buckysob.ratmat import charpoly
 
@@ -46,3 +46,19 @@ def sigma(bucky):
 @pytest.fixture(scope="session")
 def ca(p_char):
     return green.ca_via_charpoly(p_char)
+
+
+@pytest.fixture
+def chunks(monkeypatch):
+    """(primes, whether each had a pivot in every column) for every chunk
+    the kernels invert."""
+    seen = []
+    invert = _modular._invert
+
+    def recording(a, primes):
+        out = invert(a, primes)
+        seen.append((list(primes), out[1]))
+        return out
+
+    monkeypatch.setattr(_modular, "_invert", recording)
+    return seen

@@ -2,6 +2,7 @@
 (a half-turn of the buckyball, not the antipodal map)."""
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -90,6 +91,19 @@ def test_green_via_blocks(lap, split, g_one):
     assert blocks.assemble_green_via_blocks(split, 1) == g_one
     a = Fraction(1, 3)
     assert blocks.assemble_green_via_blocks(split, a) == green.green_matrix(lap, a)
+
+
+def test_green_via_blocks_wide_a(lap, split, chunks):
+    # a = p/q with p and q of 48 bits, as the benchmark's widest G(a) draws
+    # it: each 30 x 30 half needs more than 40 primes, and inverts them as
+    # one batch.
+    rng = random.Random(48)
+    a = Fraction(rng.getrandbits(48) | 1 << 47, rng.getrandbits(48) | 1 << 47)
+    via_blocks = blocks.assemble_green_via_blocks(split, a)
+    assert len(chunks) == 2
+    assert all(len(primes) > 40 and all(live) for primes, live in chunks)
+    assert via_blocks == green.green_matrix(lap, a)
+    assert via_blocks.diagonal() == [closedform.ca_closed_form()(a)] * 60
 
 
 def test_green_via_blocks_rejects_nonpositive(split):

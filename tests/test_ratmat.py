@@ -104,22 +104,6 @@ def _lu(diag, seed):
     return _int_matmul(lower, upper)
 
 
-@pytest.fixture
-def chunks(monkeypatch):
-    """(primes, whether each had a pivot in every column) for every chunk
-    the kernels invert."""
-    seen = []
-    invert = _modular._invert
-
-    def recording(a, primes):
-        out = invert(a, primes)
-        seen.append((list(primes), out[1]))
-        return out
-
-    monkeypatch.setattr(_modular, "_invert", recording)
-    return seen
-
-
 def test_kernel_skips_primes_dividing_det(chunks):
     # det = -p0 p1 for the first two kernel primes; modulo either, columns
     # 2 or 4 run out of pivots halfway through the elimination.
@@ -172,7 +156,8 @@ def test_invert_undoes_two_swaps_of_one_prime():
     a = np.array([[[x % q for x in row] for row in mat] for q in primes], dtype=np.int64)
     det, live, ops = _modular._invert(a, primes)
     d = _cofactor_det(mat)
-    assert det == [d % q for q in primes] and live == [True] * 3
+    assert det.tolist() == [d % q for q in primes]
+    assert live.tolist() == [True] * 3
     assert ops == 3 * 4 ** 3
     assert [a[t].tolist() for t in range(3)] == [_inverse_mod(mat, q) for q in primes]
     assert det_int(mat)[0] == d
@@ -199,19 +184,22 @@ def test_jordan_applies_rhs_through_its_nonzeros(rhs):
     [[0, 0], [0, 0]],
     [[2 ** 70, 3, 1], [2 ** 71, 6, 2], [5, -1, 2 ** 90]],
     _lu([1, 3, 0, -2, 1], seed=51),
-    # Several chunks, so the singular verdict comes only after the first.
+    # Many primes: at one prime per chunk, the singular verdict comes only
+    # after several chunks.
     [[2 ** 200, 3, 1], [2 ** 201, 6, 2], [5, -1, 2 ** 300]],
 ])
-def test_kernel_singular(mat):
+def test_kernel_singular(mat, monkeypatch):
     n = len(mat)
-    assert det_int(mat)[0] == 0
-    with pytest.raises(ZeroDivisionError):
-        jordan_int(mat)
-    # X = 0 solves M X = 0, but not uniquely: still singular.
-    with pytest.raises(SingularMatrixError):
-        bareiss_solve(RationalMatrix(mat), RationalMatrix.zeros(n, 1))
-    with pytest.raises(SingularMatrixError):
-        bareiss_solve(RationalMatrix(mat), RationalMatrix.identity(n))
+    for budget in (_modular._BUDGET, n * n):
+        monkeypatch.setattr(_modular, "_BUDGET", budget)
+        assert det_int(mat)[0] == 0
+        with pytest.raises(ZeroDivisionError):
+            jordan_int(mat)
+        # X = 0 solves M X = 0, but not uniquely: still singular.
+        with pytest.raises(SingularMatrixError):
+            bareiss_solve(RationalMatrix(mat), RationalMatrix.zeros(n, 1))
+        with pytest.raises(SingularMatrixError):
+            bareiss_solve(RationalMatrix(mat), RationalMatrix.identity(n))
 
 
 def test_kernel_entries_beyond_int64():
@@ -420,10 +408,14 @@ def test_limb_product_exact_at_the_largest_terms():
     assert _modular._limb_product(limbs, y).tolist() == exact.tolist()
 
 
-def test_primes_used_pass_twice_hadamard(chunks):
+def test_primes_used_pass_twice_hadamard(chunks, monkeypatch):
     # The bound is the only stopping rule: the second matrix, det(M) = k^8
     # with M^-1's reduced denominators dividing k^2, also runs to the bound
-    # and returns det(M). The bound of M also bounds every cofactor.
+    # and returns det(M). The bound of M also bounds every cofactor. A
+    # budget of 8 primes per chunk of an 8 x 8 makes each run take several
+    # chunks.
+    cap = 8
+    monkeypatch.setattr(_modular, "_BUDGET", cap * 8 * 8)
     rng = random.Random(49)
     mats = [[[rng.randint(-2 ** 40, 2 ** 40) for _ in range(8)] for _ in range(8)],
             _nilpotent_shift(8, 3, 2 ** 200 + 235, 3, seed=53)[0]]
@@ -436,7 +428,8 @@ def test_primes_used_pass_twice_hadamard(chunks):
         for run in (det_int, jordan_int):
             chunks.clear()
             assert run(mat)[0] == d
-            assert all(len(primes) <= 8 for primes, _ in chunks)
+            assert len(chunks) >= 2
+            assert all(len(primes) <= cap for primes, _ in chunks)
             assert all(all(live) for _, live in chunks)
             used = [primes for primes, _ in chunks]
             enlarged = 2 * bound + (bound >> 18)
@@ -445,18 +438,44 @@ def test_primes_used_pass_twice_hadamard(chunks):
 
 
 def test_solve_primes_run_in_even_chunks(lap, chunks):
-    # A + I needs 5 primes: one chunk.
+    # A 60 x 60 chunk holds at most 18 primes. A + I needs 5: one chunk.
+    cap = _modular._BUDGET // 60 ** 2
+    assert cap == 18
     inverse(lap.scaled_add(1))
     assert [len(primes) for primes, _ in chunks] == [5]
-    # A shift of 2**30 needs about 60 primes: split evenly into chunks of
-    # at most _CHUNK, the first full and none but the last short by more
-    # than one prime.
+    # A shift of 2**30 needs about 60 primes: split evenly into as few
+    # chunks of at most the cap as possible, none short of the first by
+    # more than one prime.
     chunks.clear()
     inverse(lap.scaled_add(2 ** 30))
     sizes = [len(primes) for primes, _ in chunks]
-    assert sizes[0] == _modular._CHUNK
+    assert len(sizes) == -(-sum(sizes) // cap) >= 2
+    assert sizes[0] <= cap
     assert sizes == sorted(sizes, reverse=True)
-    assert min(sizes[:-1]) >= _modular._CHUNK - 1
+    assert min(sizes) >= sizes[0] - 1
+
+
+def test_chunking_does_not_change_results(lap, chunks, monkeypatch):
+    # Each matrix runs at the default budget, where some chunk holds several
+    # primes, and at one prime per chunk: the same primes in other batches
+    # give the same results and ops. The matrices have 40-bit entries,
+    # primes dividing det, entries beyond int64, and a shift needing 59
+    # primes.
+    rng = random.Random(55)
+    p0, p1 = prime_table(2)
+    budget = _modular._BUDGET
+    for mat in ([[rng.randint(-2 ** 40, 2 ** 40) for _ in range(8)] for _ in range(8)],
+                _lu([1, 1, p0, -1, p1, 1], seed=50),
+                [[rng.randint(-2 ** 100, 2 ** 100) for _ in range(4)] for _ in range(4)],
+                lap.scaled_add(2 ** 30).num):
+        monkeypatch.setattr(_modular, "_BUDGET", budget)
+        chunks.clear()
+        default = jordan_int(mat), charpoly_int(mat)
+        assert max(len(primes) for primes, _ in chunks) >= 2
+        chunks.clear()
+        monkeypatch.setattr(_modular, "_BUDGET", len(mat) ** 2)
+        assert (jordan_int(mat), charpoly_int(mat)) == default
+        assert {len(primes) for primes, _ in chunks} == {1}
 
 
 def test_determinant_trivial_cases():
@@ -909,7 +928,10 @@ def test_charpoly_kernel_small_shapes():
     assert c.ops > 0
 
 
-def test_charpoly_primes_pass_twice_the_bound(hessenberg_chunks):
+def test_charpoly_primes_pass_twice_the_bound(hessenberg_chunks, monkeypatch):
+    # A budget of 8 primes per chunk of an 8 x 8: several chunks.
+    cap = 8
+    monkeypatch.setattr(_modular, "_BUDGET", cap * 8 * 8)
     rng = random.Random(53)
     mat = [[rng.randint(-2 ** 40, 2 ** 40) for _ in range(8)] for _ in range(8)]
     bound = math.prod(math.isqrt(sum(x * x for x in row)) + 2 for row in mat)
@@ -917,7 +939,7 @@ def test_charpoly_primes_pass_twice_the_bound(hessenberg_chunks):
     coeffs = charpoly_int(mat)[0]
     assert sum(map(abs, coeffs)) <= bound
     assert len(hessenberg_chunks) > 1
-    assert all(len(primes) <= 8 for primes in hessenberg_chunks)
+    assert all(len(primes) <= cap for primes in hessenberg_chunks)
     assert math.prod(map(math.prod, hessenberg_chunks)) > 2 * bound
     assert math.prod(map(math.prod, hessenberg_chunks[:-1])) <= 2 * bound
 
@@ -931,7 +953,8 @@ def test_charpoly_bound_decides_the_prime_count(hessenberg_chunks):
 
 
 def test_laplacian_charpoly_runs_as_one_chunk(lap, hessenberg_chunks):
-    # Its bound needs 5 primes, which fit in one chunk of _CHUNK.
+    # Its bound needs 5 primes, which fit in one 60 x 60 chunk of at most
+    # _BUDGET // 60**2 = 18.
     charpoly(lap)
     assert [len(primes) for primes in hessenberg_chunks] == [5]
 
