@@ -40,6 +40,8 @@ def _parse_a_values(s: str) -> list[Fraction]:
     values = [parse_rat(tok) for tok in s.split(",")]
     if any(a <= 0 for a in values):
         raise ValueError("a-values must be positive")
+    if len(set(values)) < len(values):
+        raise ValueError("a-values must be distinct after reduction")
     return values
 
 

@@ -13,13 +13,14 @@ that is not integral: every divisor it is given was computed by the
 package, so a failed division is a wrong answer, not bad input.
 
 A rational function is recovered from the coefficients of its expansion at
-infinity by Berlekamp-Massey over Q, with no degree given and no
-elimination.
+infinity by Berlekamp-Massey on integers, content removed each step, with
+no degree given and no elimination.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 
@@ -53,14 +54,7 @@ class IntPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = []
-        for c in coeffs:
-            if isinstance(c, Fraction):
-                if c.denominator != 1:
-                    raise ValueError("non-integer coefficient")
-                c = c.numerator
-            cs.append(int(c))
-        self.coeffs = tuple(_trim(cs))
+        self.coeffs = tuple(_trim(map(operator.index, coeffs)))
 
     @property
     def degree(self):
@@ -226,13 +220,7 @@ class RationalFunction:
 
     def __init__(self, num, den):
         if not (isinstance(num, IntPolynomial) and isinstance(den, IntPolynomial)):
-            # integerize with one common scale (scaling num and den
-            # separately would change the value)
-            num = [Fraction(c) for c in getattr(num, "coeffs", num)]
-            den = [Fraction(c) for c in getattr(den, "coeffs", den)]
-            scale = math.lcm(*(c.denominator for c in num + den))
-            num = IntPolynomial([c * scale for c in num])
-            den = IntPolynomial([c * scale for c in den])
+            raise TypeError("RationalFunction takes two IntPolynomials")
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         self.num, self.den = self._normalize(num, den)
@@ -279,29 +267,37 @@ class RationalFunction:
 
 def fit_rational_function(series) -> RationalFunction:
     """The rational function N/D, deg N < deg D, whose expansion at
-    infinity is sum_k series[k] a^-(k+1), by Berlekamp-Massey over Q.
+    infinity is sum_k series[k] a^-(k+1), by Berlekamp-Massey on integers,
+    content removed each step.
 
-    D is the minimal polynomial of the sequence: the monic reversal of the
-    shortest connection polynomial, whose degree L is the linear complexity
-    (Massey, IEEE TIT 1969). N is the polynomial part of D times the series,
-    so N/D is in lowest terms. The result is unique, hence determined by the
-    series, only when 2 L <= len(series); otherwise DegreeInsufficient is
-    raised. No degree is assumed: a sequence known to satisfy a recurrence
-    of order at most L (for a matrix of size L, by Cayley-Hamilton) needs
-    2 L terms.
+    D is the minimal polynomial of the sequence: up to a constant, the
+    reversal of the shortest connection polynomial, whose degree L is the
+    linear complexity (Massey, IEEE TIT 1969). N is the polynomial part of
+    D times the series, so N/D is in lowest terms. The result is unique,
+    hence determined by the series, only when 2 L <= len(series); otherwise
+    DegreeInsufficient is raised. No degree is assumed: a sequence known to
+    satisfy a recurrence of order at most L (for a matrix of size L, by
+    Cayley-Hamilton) needs 2 L terms.
+
+    The series is scaled once to integers by the lcm of its denominators.
+    Each update last C - d x^shift B cancels d with no division, and then
+    loses its content; as C is no longer monic, d sums every C_i s_(k-i).
     """
     s = [Fraction(x) for x in series]
-    conn, prev = [Fraction(1)], [Fraction(1)]  # ascending connection polys
-    length, shift, last = 0, 1, Fraction(1)
-    for k, x in enumerate(s):
-        d = x + sum(c * s[k - i] for i, c in enumerate(conn[1:length + 1], 1))
+    scale = math.lcm(*(x.denominator for x in s))
+    s = [x.numerator * (scale // x.denominator) for x in s]
+    conn, prev = [1], [1]  # ascending connection polys, content-free
+    length, shift, last = 0, 1, 1
+    for k in range(len(s)):
+        d = sum(c * s[k - i] for i, c in enumerate(conn[:length + 1]))
         if d == 0:
             shift += 1
             continue
-        f = d / last
-        new = conn + [Fraction(0)] * (len(prev) + shift - len(conn))
+        new = [last * c for c in conn] + [0] * (len(prev) + shift - len(conn))
         for i, c in enumerate(prev):
-            new[i + shift] -= f * c
+            new[i + shift] -= d * c
+        g = math.gcd(*new)
+        new = [c // g for c in new]
         if 2 * length <= k:
             length, prev, last, shift = k + 1 - length, conn, d, 1
         else:
@@ -310,8 +306,8 @@ def fit_rational_function(series) -> RationalFunction:
     if 2 * length > len(s):
         raise DegreeInsufficient(
             f"{len(s)} terms cannot fix a recurrence of order {length}")
-    conn += [Fraction(0)] * (length + 1 - len(conn))
+    conn += [0] * (length + 1 - len(conn))
     den = conn[length::-1]
     num = [sum(den[i] * s[i - j - 1] for i in range(j + 1, length + 1))
            for j in range(length)]
-    return RationalFunction(num, den)
+    return RationalFunction(IntPolynomial(num), scale * IntPolynomial(den))

@@ -1,8 +1,9 @@
 """Brute-force and exact oracles that only the tests use."""
 
+import math
 from fractions import Fraction
 
-from buckysob.polynomials import RationalFunction
+from buckysob.polynomials import DegreeInsufficient, IntPolynomial, RationalFunction
 from buckysob.ratmat import RationalMatrix
 from buckysob.sobolev import _numerators, _require_mean_zero
 
@@ -66,3 +67,39 @@ def reproducing_check(u: RationalMatrix, kernel: RationalMatrix,
     if recovered == u:
         return True, None
     return False, next(j for j in range(u.rows) if recovered[j, 0] != u[j, 0])
+
+
+def fit_rational_function_fraction(series) -> RationalFunction:
+    """Reference for ``polynomials.fit_rational_function``: Berlekamp-Massey
+    over Q, with a monic connection polynomial and the discrepancy divided
+    by the last one at every update (Massey, IEEE TIT 1969). Same result,
+    same DegreeInsufficient."""
+    s = [Fraction(x) for x in series]
+    conn, prev = [Fraction(1)], [Fraction(1)]  # ascending connection polys
+    length, shift, last = 0, 1, Fraction(1)
+    for k, x in enumerate(s):
+        d = x + sum(c * s[k - i] for i, c in enumerate(conn[1:length + 1], 1))
+        if d == 0:
+            shift += 1
+            continue
+        f = d / last
+        new = conn + [Fraction(0)] * (len(prev) + shift - len(conn))
+        for i, c in enumerate(prev):
+            new[i + shift] -= f * c
+        if 2 * length <= k:
+            length, prev, last, shift = k + 1 - length, conn, d, 1
+        else:
+            shift += 1
+        conn = new
+    if 2 * length > len(s):
+        raise DegreeInsufficient(
+            f"{len(s)} terms cannot fix a recurrence of order {length}")
+    conn += [Fraction(0)] * (length + 1 - len(conn))
+    den = conn[length::-1]
+    num = [sum(den[i] * s[i - j - 1] for i in range(j + 1, length + 1))
+           for j in range(length)]
+    # integerize with one common scale (scaling num and den separately
+    # would change the value)
+    scale = math.lcm(*(c.denominator for c in num + den))
+    return RationalFunction(IntPolynomial([int(c * scale) for c in num]),
+                            IntPolynomial([int(c * scale) for c in den]))

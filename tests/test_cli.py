@@ -98,6 +98,9 @@ def test_bad_a_values_exit_code(capsys):
     ["sample-ca", "--a-values", "0.1"],
     ["green", "--a-values", "1_0"],
     ["sample-ca", "--a-values", "1_0"],
+    # G(a) is keyed by the reduced a, so a repeat would be dropped silently.
+    ["green", "--a-values", "1,2/2"],
+    ["sample-ca", "--a-values", "1/2,2/4"],
 ])
 def test_malformed_a_values_exit_2(argv, capsys):
     assert main(argv) == 2
@@ -258,6 +261,14 @@ def _wrong_ca_numerator(monkeypatch):
     monkeypatch.setattr(closedform, "CA_NUM_COEFFS", (coeffs[0] + 1,) + coeffs[1:])
 
 
+def _fit_numerator_plus_a_squared(monkeypatch, _fit=green.fit_rational_function):
+    def wrong(series):
+        ca = _fit(series)
+        return polynomials.RationalFunction(
+            ca.num + IntPolynomial([0, 0, 1]), ca.den)
+    monkeypatch.setattr(green, "fit_rational_function", wrong)
+
+
 def _failed_checks(out):
     return {l.split()[1].rstrip(":") for l in out.splitlines() if l.startswith("FAIL")}
 
@@ -268,7 +279,10 @@ def _failed_checks(out):
     (_no_reduction, {"ca_three_routes", "limit_identity", "relabel_invariance"}),
     # The closed form's N(a) is off by 1 in its constant term.
     (_wrong_ca_numerator, {"ca_three_routes", "moore_penrose", "relabel_invariance"}),
-], ids=["poly_gcd_returns_1", "ca_numerator_plus_1"])
+    # The moment fit's N(a) gains a^2: only the three-way C(a) comparison
+    # reads the fit.
+    (_fit_numerator_plus_a_squared, {"ca_three_routes"}),
+], ids=["poly_gcd_returns_1", "ca_numerator_plus_1", "fit_numerator_plus_a2"])
 def test_planted_ca_fault_fails_exactly(plant, failing, monkeypatch, capsys):
     plant(monkeypatch)
     code, out = run(capsys, "verify-all", "--trials", "10")

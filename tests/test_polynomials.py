@@ -12,6 +12,7 @@ from buckysob.polynomials import (DegreeInsufficient, InexactDivision,
                                   IntPolynomial, RationalFunction, exact_div,
                                   fit_rational_function, poly_gcd,
                                   squarefree_part)
+from oracles import fit_rational_function_fraction
 
 
 def test_derivative():
@@ -83,7 +84,7 @@ def euclid_gcd(p, q):
     if not a:
         return IntPolynomial([])
     scale = math.lcm(*(Fraction(c).denominator for c in a))
-    return IntPolynomial([c * scale for c in a]).primitive()
+    return IntPolynomial([int(c * scale) for c in a]).primitive()
 
 
 # Small factors with contents, negative leading coefficients, constants
@@ -157,6 +158,12 @@ def test_rational_function_normalization():
     rf = RationalFunction(IntPolynomial([1]), IntPolynomial([-2]))
     assert rf.den == IntPolynomial([2])
     assert rf.num == IntPolynomial([-1])
+    # integer polynomials only: no lists, no Fraction or float coefficients
+    with pytest.raises(TypeError):
+        RationalFunction([1], [1, 1])
+    for c in (Fraction(1), Fraction(1, 2), 0.5):
+        with pytest.raises(TypeError):
+            IntPolynomial([0, c])
 
 
 def test_rational_function_cancels_common_factor():
@@ -246,8 +253,8 @@ def test_fit_recovers_random_rational_function(data):
 
 
 def test_fit_is_one_kernel_solve(monkeypatch):
-    """The C(a) fit from the route's 120 terms is Berlekamp-Massey over
-    Fraction: it runs with every multimodular kernel replaced by a failure."""
+    """The C(a) fit from the route's 120 terms is Berlekamp-Massey on
+    integers: it runs with every multimodular kernel replaced by a failure."""
     def no_kernel(*args, **kwargs):
         raise AssertionError("kernel called")
 
@@ -256,6 +263,43 @@ def test_fit_is_one_kernel_solve(monkeypatch):
         monkeypatch.setattr(_modular, name, no_kernel)
     ca = closedform.ca_closed_form()
     assert fit_rational_function(expansion(ca, 120)) == ca
+
+
+def _fit_or_insufficient(fit, series):
+    try:
+        return fit(series)
+    except DegreeInsufficient:
+        return DegreeInsufficient
+
+
+fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+# A run of zeros or one term, integral or not.
+blocks = st.one_of(st.integers(1, 6).map(lambda k: [0] * k),
+                   fractions.map(lambda x: [x]),
+                   st.integers(-9, 9).map(lambda x: [x]))
+random_series = st.lists(blocks, max_size=24).map(
+    lambda bs: [x for b in bs for x in b][:24])
+
+
+@st.composite
+def recurrent_series(draw):
+    """Terms of a random recurrence of order at most 4, which a series of
+    8 terms or more determines."""
+    order = draw(st.integers(0, 4))
+    coeffs = draw(st.lists(fractions, min_size=order, max_size=order))
+    s = draw(st.lists(fractions, min_size=order, max_size=order))
+    for _ in range(draw(st.integers(0, 24)) - order):
+        s.append(sum(c * s[-1 - i] for i, c in enumerate(coeffs)))
+    return s[:24]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(random_series, recurrent_series()))
+def test_fit_matches_fraction_berlekamp_massey(series):
+    """The integer fit returns the Fraction oracle's N/D, and raises
+    DegreeInsufficient exactly when the oracle does."""
+    assert (_fit_or_insufficient(fit_rational_function, series)
+            == _fit_or_insufficient(fit_rational_function_fraction, series))
 
 
 def test_fit_rejects_too_few_samples():
