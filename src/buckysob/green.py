@@ -135,12 +135,12 @@ def _walk_classes(rows: tuple[tuple[int, ...], ...], count: int):
     return tuple(map(tuple, index)), tuple(profiles)
 
 
-def _polynomial_rows(rows, weights):
-    """The integer rows of sum_t weights[t] N^t for the square integer
-    matrix N with these rows: one dot product per walk class."""
+def _polynomial_classes(rows, weights):
+    """sum_t weights[t] N^t for the square integer matrix N with these
+    rows, as (index, values): entry (i, j) is values[index[i][j]], one dot
+    product per walk class."""
     index, profiles = _walk_classes(rows, len(weights))
-    values = [sum(map(operator.mul, weights, profile)) for profile in profiles]
-    return [[values[c] for c in row] for row in index]
+    return index, [sum(map(operator.mul, weights, profile)) for profile in profiles]
 
 
 def green_matrix(A: RationalMatrix, a) -> RationalMatrix:
@@ -174,15 +174,18 @@ def green_matrix(A: RationalMatrix, a) -> RationalMatrix:
     r = coef.pop()
     if r == 0:
         raise SingularMatrixError(f"A + {a}I is singular: -{a} is an eigenvalue of A")
-    x = _polynomial_rows(rows, [q ** t * bj for t, bj in enumerate(reversed(coef))])
-    n = A.rows
-    residual = [[q * u + p * v for u, v in zip(nrow, xrow)]
-                for nrow, xrow in zip(_sparse_times(A.nonzeros(), x), x)]
-    if residual != [[-r * (i == k) for k in range(n)] for i in range(n)]:
+    index, values = _polynomial_classes(
+        rows, [q ** t * bj for t, bj in enumerate(reversed(coef))])
+    x = [[values[c] for c in row] for row in index]
+    residual = ([q * u + p * v for u, v in zip(nrow, xrow)]
+                for nrow, xrow in zip(_sparse_times(A.nonzeros(), x), x))
+    if not all(row[i] == -r and not any(row[:i]) and not any(row[i + 1:])
+               for i, row in enumerate(residual)):
         raise RouteMismatch(f"(A + {a}I) G(a) != I: the annihilator does not vanish "
                             "at A, or the walk classes are wrong")
     s = -q * A.den
-    return RationalMatrix.from_ints([[s * v for v in row] for row in x], r)
+    scaled = [s * v for v in values]
+    return RationalMatrix.from_ints([[scaled[c] for c in row] for row in index], r)
 
 
 def pseudo_green(A: RationalMatrix, counter: PivotCounter | None = None) -> RationalMatrix:

@@ -101,7 +101,10 @@ class RationalMatrix:
     to one ``Fraction`` per distinct entry read (24 for a full read of a
     buckyball Green matrix, up to rows * cols for a general one). A matrix
     that is never read entry by entry builds no dict, and ``to_json``
-    leaves none behind.
+    leaves none behind. ``from_ints`` likewise divides each distinct
+    numerator once, and the kernel's read rebuilds each distinct residue
+    column once: equal integers reduce alike, so the work follows the
+    values, not the entries.
     """
 
     __slots__ = ("num", "den", "rows", "cols", "_nonzeros", "_entries")
@@ -127,16 +130,26 @@ class RationalMatrix:
     @classmethod
     def from_ints(cls, num, den=1):
         """The matrix num / den for integer rows ``num`` and a nonzero
-        integer ``den``, brought to canonical form."""
+        integer ``den``, brought to canonical form.
+
+        The gcd is taken over the set of distinct numerators, and each is
+        divided once: equal numerators have equal quotients, and the
+        matrices of the package have few distinct values (807 of 3,600 in
+        the grounded inverse of ``pseudo_green``). The rows are fresh
+        lists either way, so no matrix shares a row with its caller.
+        """
         if den == 0:
             raise ZeroDivisionError("matrix denominator is zero")
+        distinct = set(itertools.chain.from_iterable(num))
+        g = math.gcd(den, *distinct)
         if den < 0:
-            num, den = [[-x for x in row] for row in num], -den
-        g = math.gcd(den, *itertools.chain.from_iterable(num))
+            g = -g  # so that den // g > 0
         m = object.__new__(cls)
-        # The rows are copied either way, so no matrix aliases its caller's.
-        m._set([[x // g for x in row] for row in num] if g > 1
-               else [list(row) for row in num], den // g)
+        if g == 1:
+            m._set([list(row) for row in num], den)
+        else:
+            reduced = {x: x // g for x in distinct}
+            m._set([[reduced[x] for x in row] for row in num], den // g)
         return m
 
     @classmethod
@@ -306,7 +319,8 @@ def inverse(m: RationalMatrix, counter: PivotCounter | None = None) -> RationalM
     """Exact m^-1 from the multimodular kernel.
 
     The kernel inverts the integer rows N = m.num and returns (det(N),
-    adj(N)); for m = N/d, m^-1 = d N^-1 = d adj(N) / det(N).
+    adj(N)); for m = N/d, m^-1 = d N^-1 = d adj(N) / det(N). adj(N) is
+    scaled by d once per distinct entry, and not at all when d = 1.
     """
     if not m.is_square():
         raise ValueError("square matrix required")
@@ -316,7 +330,10 @@ def inverse(m: RationalMatrix, counter: PivotCounter | None = None) -> RationalM
         raise SingularMatrixError(str(exc)) from None
     if counter is not None:
         counter.add(ops)
-    return RationalMatrix.from_ints([[m.den * x for x in row] for row in adj], det)
+    if m.den != 1:
+        scaled = {x: m.den * x for x in set(itertools.chain.from_iterable(adj))}
+        adj = [[scaled[x] for x in row] for row in adj]
+    return RationalMatrix.from_ints(adj, det)
 
 
 def charpoly_coeffs(m: RationalMatrix,

@@ -49,6 +49,16 @@ def charpoly_cofactor(m: RationalMatrix) -> list[Fraction]:
     return p + [Fraction(0)] * (n + 1 - len(p))
 
 
+def canonical_fraction(num, den):
+    """Reference for ``RationalMatrix.from_ints``: (rows, den) of num / den
+    from one reduced ``Fraction`` per entry, over the lcm of their
+    denominators."""
+    entries = [[Fraction(x, den) for x in row] for row in num]
+    lcm = math.lcm(*(x.denominator for row in entries for x in row))
+    return [[x.numerator * (lcm // x.denominator) for x in row]
+            for row in entries], lcm
+
+
 def monotonicity_scan(ca: RationalFunction, points) -> bool:
     """Exact evaluations at ascending positive points strictly decrease."""
     pts = [Fraction(x) for x in points]

@@ -483,7 +483,9 @@ def test_class_evaluation_matches_dense_powers(A):
         power, dense = RationalMatrix.identity(N.rows), RationalMatrix.zeros(N.rows, N.rows)
         for w in weights:
             dense, power = dense + w * power, N * power
-        assert RationalMatrix.from_ints(green._polynomial_rows(rows, weights)) == dense
+        index, values = green._polynomial_classes(rows, weights)
+        filled = [[values[c] for c in row] for row in index]
+        assert RationalMatrix.from_ints(filled) == dense
 
 
 def test_green_matrix_rejects_wrong_class_table(lap, monkeypatch):
@@ -492,6 +494,25 @@ def test_green_matrix_rejects_wrong_class_table(lap, monkeypatch):
     def swapped(rows, count, _walk_classes=green._walk_classes):
         index, profiles = _walk_classes(rows, count)
         return index, (profiles[1], profiles[0]) + profiles[2:]
+
+    monkeypatch.setattr(green, "_walk_classes", swapped)
+    with pytest.raises(green.RouteMismatch, match="walk classes are wrong"):
+        green.green_matrix(lap, Fraction(1, 3))
+
+
+def test_green_matrix_residual_checks_off_diagonal(lap, monkeypatch):
+    """Two classes of vertices at distance at least 2 swapped: the residual
+    (QN + PI) X reads X only at distance 0 and 1 on its diagonal, so the
+    diagonal still reads -r and only the off-diagonal entries fail."""
+    index, profiles = green._walk_classes(_rows(lap), 15)
+    far = [c for c, profile in enumerate(profiles) if profile[:2] == (0, 0)]
+    c1, c2 = far[-2:]
+
+    def swapped(rows, count, _walk_classes=green._walk_classes):
+        index, profiles = _walk_classes(rows, count)
+        profiles = list(profiles)
+        profiles[c1], profiles[c2] = profiles[c2], profiles[c1]
+        return index, tuple(profiles)
 
     monkeypatch.setattr(green, "_walk_classes", swapped)
     with pytest.raises(green.RouteMismatch, match="walk classes are wrong"):

@@ -17,7 +17,7 @@ from buckysob.graph import laplacian, relabel
 from buckysob.ratmat import (PivotCounter, RationalMatrix, SingularMatrixError,
                              bareiss_solve, charpoly, charpoly_coeffs,
                              inverse, parse_rat, rat_str)
-from oracles import charpoly_cofactor
+from oracles import canonical_fraction, charpoly_cofactor
 
 
 def _cofactor_det(rows):
@@ -394,6 +394,98 @@ def test_crt_add_of_no_prime():
     assert crt.symmetric() == x
 
 
+@st.composite
+def grouped_reads(draw):
+    """A matrix drawn from a few values, each repeated, with pairs x and
+    x + p_0 p_1 that agree modulo the first two primes only, negatives and
+    0; and chunk sizes, the first of them often 1, which splits p_0 from
+    p_1."""
+    p0, p1 = prime_table(2)
+    base = draw(st.lists(st.integers(-2 ** 100, 2 ** 100), min_size=1, max_size=3))
+    pool = [0, *base, *(-x for x in base), *(x + p0 * p1 for x in base),
+            *(x - p0 * p1 for x in base)]
+    r, m = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(st.sampled_from(pool), min_size=m, max_size=m),
+                         min_size=r, max_size=r))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    sizes.insert(0, draw(st.sampled_from((1, 1, 2, 3))))
+    return rows, sizes
+
+
+@settings(max_examples=80, deadline=None)
+@given(grouped_reads())
+@example(([[0, 5, 5], [5 + math.prod(prime_table(2)), -5, 0]], [1, 1, 3]))
+@example(([[7, 7 + math.prod(prime_table(2))]], [2, 1]))
+def test_grouped_read_matches_pure_python_crt(case):
+    # A read after every chunk, the first after one prime, whose key is
+    # that prime's residue alone. Entries equal modulo p_0 p_1 read equal
+    # until a later prime tells them apart.
+    x, sizes = case
+    r, m = len(x), len(x[0])
+    crt, table, used = _modular._Crt(), prime_table(60), []
+    while sizes or not all(_readable(v, crt.modulus) for row in x for v in row):
+        size = sizes.pop(0) if sizes else 1
+        primes, table = table[:size], table[size:]
+        used += primes
+        crt.add(primes, np.array([[[v % q for v in row] for row in x] for q in primes],
+                                 dtype=np.int64).reshape(size, r, m))
+        expected = _crt_oracle(used, x)
+        if all(_readable(v, crt.modulus) for row in expected for v in row):
+            assert crt.symmetric() == expected
+    assert crt.symmetric() == x
+
+
+def _read_columns(monkeypatch):
+    """The columns each read rebuilds, summed, as ``_limb_product`` sees
+    them."""
+    seen = []
+    real = _modular._limb_product
+
+    def counting(limbs, y):
+        seen.append(y.shape[1])
+        return real(limbs, y)
+
+    monkeypatch.setattr(_modular, "_limb_product", counting)
+    return seen
+
+
+@pytest.mark.parametrize("case, expected", [
+    ("A + I", [25]), ("grounded", [807]), ("halves at 1", [125, 173]),
+    ("halves at 48 bits", [125, 173]), ("random 8 x 8", [65]), ("charpoly", [61])])
+def test_read_rebuilds_each_distinct_column_once(lap, sigma, monkeypatch, case,
+                                                 expected):
+    # A read rebuilds one column per distinct value: 24 in inverse(A + I),
+    # 807 in the grounded inverse of pseudo_green and 124 and 172 in the
+    # block halves (A+- + aI)^-1. jordan_int rebuilds det(M) as one more
+    # column, which adds a group unless some entry of adj(M) equals det(M),
+    # as in row 0 of the grounded inverse, where X e_0 = 1. A random 8 x 8
+    # has 64 distinct entries in its inverse, and the charpoly 61 distinct
+    # coefficients.
+    split = blocks.block_split(lap, sigma)
+    grounded = [row[:] for row in lap.num]
+    grounded[0][0] += 1
+    rng = random.Random(64)
+    wide = Fraction(281474976710597, 281474976710655)
+    runs = {
+        "A + I": [lambda: inverse(lap.scaled_add(1))],
+        "grounded": [lambda: jordan_int(grounded)],
+        "halves at 1": [lambda: inverse(split.a_plus.scaled_add(1)),
+                        lambda: inverse(split.a_minus.scaled_add(1))],
+        "halves at 48 bits": [lambda: inverse(split.a_plus.scaled_add(wide)),
+                              lambda: inverse(split.a_minus.scaled_add(wide))],
+        "random 8 x 8": [lambda: jordan_int(
+            [[rng.randint(-2 ** 40, 2 ** 40) for _ in range(8)] for _ in range(8)])],
+        "charpoly": [lambda: charpoly_int(lap.num)],
+    }[case]
+    seen = _read_columns(monkeypatch)
+    counts = []
+    for run in runs:
+        run()
+        counts.append(sum(seen))
+        seen.clear()
+    assert counts == expected
+
+
 def test_limb_product_exact_at_the_largest_terms():
     # Every term at its largest, (2^16 - 1)(2^31 - 1): a sum over 64 of them
     # is below 2^53, over 65 it is not, and 130 columns make three groups.
@@ -661,6 +753,29 @@ def test_from_ints_copies_rows():
             expected = [row[:] for row in m.num]
             num[0][0] += 1
             assert m.num == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_from_ints_matches_per_entry_fractions(data):
+    """The canonical pair from the distinct numerators equals one reduced
+    Fraction per entry, for repeated numerators, a negative den, zero rows
+    and the empty matrix; every row is a fresh list."""
+    n = data.draw(st.integers(0, 4))
+    k = data.draw(st.integers(1, 4)) if n else 0
+    pool = data.draw(st.lists(small_or_wide, min_size=1, max_size=3))
+    scale = data.draw(st.sampled_from((1, 2, 6, 2 ** 70)))
+    entry = st.sampled_from(pool).map(lambda x: scale * x) | st.just(0)
+    num = data.draw(st.lists(st.lists(entry, min_size=k, max_size=k),
+                             min_size=n, max_size=n))
+    den = data.draw(st.sampled_from((1, -1, scale, -scale))
+                    | st.integers(-12, 12).filter(bool))
+    m = RationalMatrix.from_ints(num, den)
+    assert (m.num, m.den) == canonical_fraction(num, den)
+    assert (m.rows, m.cols) == (n, k)
+    ids = {id(row) for row in m.num}
+    assert len(ids) == n
+    assert not ids & {id(row) for row in num}
 
 
 def _reference_entries(m):
