@@ -18,8 +18,12 @@ values (24 of 3,600 in (A + I)^-1 on the buckyball).
 in-place Gauss-Jordan inversion of M's residues (n^3 multiply-mod updates
 per prime), under the Hadamard bound H = prod_i (isqrt(|row_i|^2) + 1),
 which bounds the determinant and every cofactor. ``jordan_int`` only
-inverts: it returns det(M) and adj(M), and a solve M X = R multiplies the
-exact inverse by R outside the kernel, in ``ratmat``.
+inverts: by default it returns det(M) and adj(M), and a solve M X = R
+multiplies the exact inverse by R outside the kernel, in ``ratmat``.
+Given a denominator d and a bound B instead, it returns d M^-1 from primes
+run to B, which is exact only if d M^-1 is integral with entries at most
+B; the caller proves it (the block route of G(a) by its exact residual).
+H still decides singularity in that mode.
 ``charpoly_int`` brings M to Hessenberg form by similarity and runs the
 Hessenberg charpoly recurrence, under the bound
 B = prod_i (isqrt(|row_i|^2) + 2) on its coefficients. Primes are taken
@@ -28,7 +32,8 @@ bound: past 2B the symmetric residues are the integers themselves (Abbott,
 Bronstein & Mulders, ISSAC 1999), and the extra 2**-18 B keeps every
 result's x/P at least 2**-21 from 1/2, so that the read rounds each one
 by its float estimate alone. Every result is exact by the bound alone, and
-the bound alone decides singularity.
+the bound alone decides singularity, save for ``jordan_int``'s given
+bound, which the caller proves.
 """
 
 import math
@@ -307,7 +312,7 @@ class _Crt:
         return index, index
 
 
-def _multimodular(rows, bound, step):
+def _multimodular(rows, bound, step, det_bound=None):
     """The integer matrix with entries at most ``bound`` in absolute value,
     from the residues ``step`` computes; and the ops of ``step``, summed.
     ``step(a, primes)`` may overwrite a, the rows modulo a chunk of primes,
@@ -315,15 +320,18 @@ def _multimodular(rows, bound, step):
     Primes are taken until the usable ones' product passes 2 * bound +
     (bound >> 18), which the read of ``_Crt`` needs to be exact;
     ZeroDivisionError is raised once the unusable primes' product passes
-    that too.
+    2 * det_bound + (det_bound >> 18), with det_bound = bound by default.
     """
+    if det_bound is None:
+        det_bound = bound
     bound = 2 * bound + (bound >> 18)
+    det_bound = 2 * det_bound + (det_bound >> 18)
     residues = _Residues(rows)
     cap = max(1, _BUDGET // (len(rows) * len(rows[0])))
     crt = _Crt()
     used, ops, skipped = 0, 0, 1
     while crt.modulus <= bound:
-        if skipped > bound:
+        if skipped > det_bound:
             raise ZeroDivisionError("matrix is singular")
         primes = _next_primes(used, crt.modulus, bound, cap)
         used += len(primes)
@@ -425,27 +433,44 @@ def det_int(rows):
     return values[0][0], ops
 
 
-def jordan_int(rows):
+def jordan_int(rows, denominator=None, bound=None):
     """Invert a square integer matrix M, given by its rows.
 
-    Returns (det, adj, ops) where det = det(M), nonzero and possibly
-    negative, and adj = adj(M), so that M @ adj == det I exactly. M's
-    residues are inverted in place, each prime's inverse is multiplied by
-    det(M) modulo the prime, and det(M) is rebuilt as one more column. ops
-    counts the multiply-mod updates of the inversion, n^3 per prime, summed
-    over the primes. The primes run to the Hadamard bound of M, which
-    bounds det(M) and every cofactor: a cofactor is the determinant of M
-    with one row and one column dropped, dropping a column only shortens
-    the rows, and each factor of the bound is >= 1, so dropping a row's
-    factor cannot raise it. Primes dividing det(M) are skipped; M is
-    singular exactly when their product passes 2H + (H >> 18) for the bound
-    H, and then ZeroDivisionError is raised. The input is not mutated.
-    """
-    if not rows:
-        return 1, [], 0
-    n = len(rows)
+    Returns (d, X, ops) with M @ X == d I exactly, and ops the multiply-mod
+    updates of the inversion, n^3 per prime, summed over the primes. M's
+    residues are inverted in place and each prime's inverse is multiplied
+    by d modulo the prime.
 
-    def step(a, primes):
+    By default d = det(M), nonzero and possibly negative, and X = adj(M):
+    det(M) is rebuilt as one more column, and the primes run to the
+    Hadamard bound H of M, which bounds det(M) and every cofactor: a
+    cofactor is the determinant of M with one row and one column dropped,
+    dropping a column only shortens the rows, and each factor of the bound
+    is >= 1, so dropping a row's factor cannot raise it. The result is
+    exact by the bound alone.
+
+    Given a nonzero ``denominator`` d and a ``bound`` B, X = d M^-1 and the
+    primes run to B instead (to 1 if B < 1), with no det column. The result is exact only
+    if d M^-1 is an integer matrix with every entry at most B in absolute
+    value; the kernel does not check that, and the caller must prove X,
+    for instance by the exact residual M X = d I. A smaller bound on a
+    smaller result takes fewer primes: the reduced inverse of a matrix with
+    repeated eigenvalues is far smaller than its adjugate.
+
+    Either way, primes dividing det(M) are skipped, and M is singular
+    exactly when their product passes 2H + (H >> 18); then
+    ZeroDivisionError is raised. The input is not mutated.
+    """
+    if (denominator is None) != (bound is None):
+        raise ValueError("give both a denominator and a bound, or neither")
+    if denominator == 0:
+        raise ValueError("the denominator must be nonzero")
+    if not rows:
+        return (1 if denominator is None else denominator), [], 0
+    n = len(rows)
+    det_bound = hadamard_bound(rows)
+
+    def adjugate_step(a, primes):
         det, live, ops = _invert(a, primes)
         out = np.empty((len(primes), n, n + 1), dtype=np.int64)
         out[:, :, n] = det[:, None]
@@ -455,8 +480,19 @@ def jordan_int(rows):
         _mod(adj, primes, np.array(primes, dtype=np.int64)[:, None, None], a)
         return out, live, ops
 
-    values, ops = _multimodular(rows, hadamard_bound(rows), step)
-    return values[0][n], [row[:n] for row in values], ops
+    def scaled_step(a, primes):
+        _, live, ops = _invert(a, primes)
+        d = np.array([denominator % q for q in primes], dtype=np.int64)
+        out = a * d[:, None, None]
+        _mod(out, primes, np.array(primes, dtype=np.int64)[:, None, None], a)
+        return out, live, ops
+
+    if denominator is None:
+        values, ops = _multimodular(rows, det_bound, adjugate_step)
+        return values[0][n], [row[:n] for row in values], ops
+    # d M^-1 is not 0, so no bound below 1 holds; 1 still takes a prime.
+    values, ops = _multimodular(rows, max(bound, 1), scaled_step, det_bound)
+    return denominator, values, ops
 
 
 def charpoly_bound(rows):

@@ -78,6 +78,16 @@ def positive(a) -> Fraction:
 
 
 @functools.lru_cache(maxsize=16)
+def charpoly_by_value(rows: tuple[tuple[int, ...], ...], den: int) -> IntPolynomial:
+    """det(xI - N/den) for the square integer matrix N with these rows.
+    Cached by value, so that equal matrices built separately, such as the
+    block halves that ``blocks.half_spectra_check`` checks and the block
+    route then solves, share one characteristic polynomial. den is
+    required, so that every call spells the same cache key."""
+    return charpoly(RationalMatrix.from_ints(rows, den))
+
+
+@functools.lru_cache(maxsize=16)
 def _annihilator(rows: tuple[tuple[int, ...], ...]) -> IntPolynomial:
     """A polynomial m with m(N) = 0 for the square integer matrix N with
     these rows: the squarefree part of det(xI - N) when N is symmetric, so
@@ -86,9 +96,8 @@ def _annihilator(rows: tuple[tuple[int, ...], ...]) -> IntPolynomial:
     roots of m are exactly the eigenvalues of N. Cached by value, so equal
     matrices built separately share one m.
     """
-    N = RationalMatrix.from_ints(rows)
-    p = charpoly(N)
-    return squarefree_part(p) if N.is_symmetric() else p
+    p = charpoly_by_value(rows, 1)
+    return squarefree_part(p) if rows == tuple(zip(*rows)) else p
 
 
 def _sparse_times(rows, x):
@@ -143,6 +152,31 @@ def _polynomial_classes(rows, weights):
     return index, [sum(map(operator.mul, weights, profile)) for profile in profiles]
 
 
+def _quotient_weights(m: IntPolynomial, p: int, q: int):
+    """(w, r) for b = p/q and the quotient q_b of m = sum c_k x^k, of
+    degree d, by x + b: m(x) = (x + b) q_b(x) + m(-b).
+
+    Synthetic division on integers gives B_j = q^j q_(d-1-j): B_0 = c_d,
+    B_j = c_(d-j) q^j - p B_(j-1), and r = q^d m(-b) = c_0 q^d - p B_(d-1).
+    Then w[t] = q^t B_(d-1-t) for t < d, so that
+    q^(d-1) q_b(N) = sum_t w[t] N^t for any square N.
+    """
+    coef = []
+    for j, c in enumerate(reversed(m.coeffs)):
+        coef.append(c * q ** j - p * (coef[-1] if coef else 0))
+    r = coef.pop()
+    return [q ** t * bj for t, bj in enumerate(reversed(coef))], r
+
+
+def _residual_holds(nonzeros, x, p: int, q: int, r: int) -> bool:
+    """Whether (qN + pI) X == -r I exactly, for N given per row by its
+    (column, value) nonzeros and X by its integer rows."""
+    residual = ([q * u + p * v for u, v in zip(nrow, xrow)]
+                for nrow, xrow in zip(_sparse_times(nonzeros, x), x))
+    return all(row[i] == -r and not any(row[:i]) and not any(row[i + 1:])
+               for i, row in enumerate(residual))
+
+
 def green_matrix(A: RationalMatrix, a) -> RationalMatrix:
     """(A + aI)^-1, exact, as a polynomial in A with no elimination.
 
@@ -151,11 +185,10 @@ def green_matrix(A: RationalMatrix, a) -> RationalMatrix:
     m(x) = (x + b) q(x) + m(-b) gives (N + bI) q(N) = -m(-b) I, so
     G = -den q(N)/m(-b): every function of A is a polynomial in A of
     degree below deg m (Higham, *Functions of Matrices*, SIAM 2008,
-    sec. 1.2). Synthetic division on integers gives B_j = Q^j q_(d-1-j):
-    B_0 = c_d, B_j = c_(d-j) Q^j - P B_(j-1), and r = m(-b) Q^d =
-    c_0 Q^d - P B_(d-1). X = Q^(d-1) q(N) = sum_t Q^t B_(d-1-t) N^t is
-    then one dot product per walk class of N (``_walk_classes``, 24 on
-    the buckyball), and G = -Q den X / r.
+    sec. 1.2). Synthetic division on integers (``_quotient_weights``)
+    gives r = m(-b) Q^d and X = Q^(d-1) q(N) = sum_t Q^t B_(d-1-t) N^t,
+    one dot product per walk class of N (``_walk_classes``, 24 on the
+    buckyball), and G = -Q den X / r.
 
     A zero r makes -b a root of m, so an eigenvalue of N, and raises
     SingularMatrixError. G is returned only after the exact residual
@@ -168,19 +201,12 @@ def green_matrix(A: RationalMatrix, a) -> RationalMatrix:
         raise ValueError("square matrix required")
     p, q = b.numerator, b.denominator
     rows = tuple(map(tuple, A.num))
-    coef = []
-    for j, c in enumerate(reversed(_annihilator(rows).coeffs)):
-        coef.append(c * q ** j - p * (coef[-1] if coef else 0))
-    r = coef.pop()
+    weights, r = _quotient_weights(_annihilator(rows), p, q)
     if r == 0:
         raise SingularMatrixError(f"A + {a}I is singular: -{a} is an eigenvalue of A")
-    index, values = _polynomial_classes(
-        rows, [q ** t * bj for t, bj in enumerate(reversed(coef))])
+    index, values = _polynomial_classes(rows, weights)
     x = [[values[c] for c in row] for row in index]
-    residual = ([q * u + p * v for u, v in zip(nrow, xrow)]
-                for nrow, xrow in zip(_sparse_times(A.nonzeros(), x), x))
-    if not all(row[i] == -r and not any(row[:i]) and not any(row[i + 1:])
-               for i, row in enumerate(residual)):
+    if not _residual_holds(A.nonzeros(), x, p, q, r):
         raise RouteMismatch(f"(A + {a}I) G(a) != I: the annihilator does not vanish "
                             "at A, or the walk classes are wrong")
     s = -q * A.den

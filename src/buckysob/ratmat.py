@@ -23,7 +23,9 @@ is divided out afterwards: ``jordan_int`` inverts N and nothing more,
 exact by the bound alone, so for m = N/d its (det(N), adj(N)) gives
 m^-1 = d adj(N) / det(N). A solve m X = R is
 that exact inverse times R, one sparse-aware product. The coefficient of
-x^k in det(xI - m) is that of det(xI - N) over d^(n-k).
+x^k in det(xI - m) is that of det(xI - N) over d^(n-k). The block route's
+G(a) halves call ``jordan_int`` through this module too, with a smaller
+bound of their own that their exact residual proves (``blocks``).
 """
 
 from __future__ import annotations
@@ -33,7 +35,9 @@ import math
 import re
 from fractions import Fraction
 
-# Imported only because perfbench/tracing.py wraps buckysob.ratmat.det_int.
+# det_int is imported only because perfbench/tracing.py wraps
+# buckysob.ratmat.det_int; blocks calls jordan_int as ratmat.jordan_int, so
+# that the wrapper of this name sees its half solves too.
 from buckysob._modular import charpoly_int, det_int, jordan_int
 from buckysob.polynomials import IntPolynomial, VerificationFailed
 
@@ -57,8 +61,10 @@ class PivotCounter:
     prime (inverse(A + I) on the buckyball: 5 primes, 5 * 60^3); a solve
     is an inverse, and counts as one. For characteristic polynomials it is
     the Hessenberg reduction and the charpoly recurrence. Every kernel runs
-    its primes to its bound, so a count depends on the input alone, not on
-    the size of the reduced result.
+    its primes to its bound, so a count depends on the input and the bound
+    alone: the kernels' own bounds, except for the block route's G(a)
+    halves, which give ``jordan_int`` a bound on their reduced inverse's
+    numerator (``blocks._half_green``).
     """
 
     def __init__(self):

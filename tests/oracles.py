@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+from buckysob._modular import prime_table
 from buckysob.polynomials import DegreeInsufficient, IntPolynomial, RationalFunction
 from buckysob.ratmat import RationalMatrix
 from buckysob.sobolev import _numerators, _require_mean_zero
@@ -47,6 +48,18 @@ def charpoly_cofactor(m: RationalMatrix) -> list[Fraction]:
 
     p = det(list(range(n)), list(range(n)))
     return p + [Fraction(0)] * (n + 1 - len(p))
+
+
+def primes_to_bound(bound, det=1):
+    """How many kernel primes ``_modular._multimodular`` takes for
+    ``bound`` when the primes dividing det are skipped: the fewest whose
+    usable ones' product passes 2 bound + (bound >> 18)."""
+    target, modulus, k = 2 * bound + (bound >> 18), 1, 0
+    while modulus <= target:
+        k += 1
+        q = prime_table(k)[-1]
+        modulus *= q if det % q else 1
+    return k
 
 
 def canonical_fraction(num, den):

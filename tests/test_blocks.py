@@ -2,16 +2,24 @@
 (a half-turn of the buckyball, not the antipodal map)."""
 
 import dataclasses
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from buckysob import _modular, blocks, closedform, green, ratmat
-from buckysob.polynomials import IntPolynomial
-from buckysob.ratmat import PivotCounter, RationalMatrix, charpoly
+from buckysob.polynomials import IntPolynomial, exact_div
+from buckysob.ratmat import PivotCounter, RationalMatrix, charpoly, inverse
+from oracles import primes_to_bound
+
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -93,17 +101,164 @@ def test_green_via_blocks(lap, split, g_one):
     assert blocks.assemble_green_via_blocks(split, a) == green.green_matrix(lap, a)
 
 
-def test_green_via_blocks_wide_a(lap, split, chunks):
-    # a = p/q with p and q of 48 bits, as the benchmark's widest G(a) draws
-    # it: each 30 x 30 half needs more than 40 primes, and inverts them as
-    # one batch.
+def _wide_a():
+    """a = p/q with p and q of 48 bits, as the benchmark's widest G(a)
+    draws it."""
     rng = random.Random(48)
-    a = Fraction(rng.getrandbits(48) | 1 << 47, rng.getrandbits(48) | 1 << 47)
+    return Fraction(rng.getrandbits(48) | 1 << 47, rng.getrandbits(48) | 1 << 47)
+
+
+def test_green_via_blocks_wide_a(lap, split, chunks, monkeypatch):
+    # Each 30 x 30 half is solved for its reduced numerator, under a bound
+    # from its minimal polynomial: at most half the primes of the Hadamard
+    # bound (23 and 22 against 49), every one usable, in one batch each,
+    # and both solves go through ratmat.jordan_int.
+    a = _wide_a()
+    calls = []
+
+    def recording(rows, *args, _jordan_int=ratmat.jordan_int):
+        calls.append(args)
+        return _jordan_int(rows, *args)
+
+    monkeypatch.setattr(ratmat, "jordan_int", recording)
     via_blocks = blocks.assemble_green_via_blocks(split, a)
+    assert len(calls) == 2 and all(len(args) == 2 for args in calls)
     assert len(chunks) == 2
-    assert all(len(primes) > 40 and all(live) for primes, live in chunks)
+    for (primes, live), half in zip(chunks, (split.a_plus, split.a_minus)):
+        assert all(live)
+        assert 2 * len(primes) <= primes_to_bound(
+            _modular.hadamard_bound(half.scaled_add(a).num))
     assert via_blocks == green.green_matrix(lap, a)
     assert via_blocks.diagonal() == [closedform.ca_closed_form()(a)] * 60
+
+
+def _drop_a_factor(setattr):
+    """Each half's annihilator loses its factor x - 2 (2 is an eigenvalue of
+    both halves), so it no longer vanishes on the half."""
+    real = green._annihilator
+
+    def dropped(rows):
+        return exact_div(real(rows), IntPolynomial([-2, 1]))
+
+    setattr(green, "_annihilator", dropped)
+
+
+def _cut_bound(setattr):
+    """The half solves' bounds lose half their bits."""
+    real = ratmat.jordan_int
+
+    def cut(rows, denominator=None, bound=None):
+        if bound is not None:
+            bound >>= bound.bit_length() // 2
+        return real(rows, denominator, bound)
+
+    setattr(ratmat, "jordan_int", cut)
+
+
+def _multiply_annihilator(setattr):
+    """Each half's annihilator times x + 3: still an annihilator, with a
+    larger bound."""
+    real = green._annihilator
+    setattr(green, "_annihilator", lambda rows: real(rows) * IntPolynomial([3, 1]))
+
+
+PLANTED_FAULTS = {"drop_a_factor": _drop_a_factor, "cut_bound": _cut_bound}
+
+
+@pytest.mark.parametrize("fault", sorted(PLANTED_FAULTS))
+def test_half_solve_rejects_planted_fault(split, monkeypatch, fault):
+    # A wrong annihilator or a bound too small gives a wrong X, which the
+    # exact residual rejects: the route raises and returns nothing.
+    PLANTED_FAULTS[fault](monkeypatch.setattr)
+    with pytest.raises(green.RouteMismatch, match="annihilator or its bound"):
+        blocks.assemble_green_via_blocks(split, _wide_a())
+
+
+def test_half_solve_with_a_multiple_annihilator(lap, split, chunks, monkeypatch):
+    # m (x + 3) annihilates each half too: the same G(a), from more primes.
+    a = _wide_a()
+    expected = green.green_matrix(lap, a)
+    assert blocks.assemble_green_via_blocks(split, a) == expected
+    before = [len(primes) for primes, _ in chunks]
+    chunks.clear()
+    _multiply_annihilator(monkeypatch.setattr)
+    assert blocks.assemble_green_via_blocks(split, a) == expected
+    after = [len(primes) for primes, _ in chunks]
+    assert all(x > y for x, y in zip(after, before)) and len(after) == 2
+
+
+@pytest.mark.parametrize("fault", sorted(PLANTED_FAULTS) + ["multiply_annihilator"])
+def test_half_solve_faults_under_optimize(fault):
+    """The half solve's residual raises explicitly, so the planted faults
+    are caught with asserts stripped by ``python -O``, and the harmless one
+    still gives the direct route's G(a)."""
+    script = f"""
+import sys
+from buckysob import blocks, graph, green
+import test_blocks
+g = graph.buckyball()
+A = graph.laplacian(g)
+split = blocks.block_split(A, graph.find_antipodal_involution(g))
+a = test_blocks._wide_a()
+expected = green.green_matrix(A, a)
+faults = dict(test_blocks.PLANTED_FAULTS,
+              multiply_annihilator=test_blocks._multiply_annihilator)
+faults[{fault!r}](setattr)
+try:
+    got = blocks.assemble_green_via_blocks(split, a)
+except green.RouteMismatch:
+    sys.exit(3)
+sys.exit(4 if got == expected else 5)
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), str(TESTS), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    expected_code = 4 if fault == "multiply_annihilator" else 3
+    assert proc.returncode == expected_code, proc.stdout + proc.stderr
+
+
+@st.composite
+def small_halves(draw):
+    """A square rational matrix of order 1 to 4, often non-symmetric, over a
+    denominator of 1 to 3, and a > 0 with small numerator and
+    denominator."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    if draw(st.booleans()):
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    half = RationalMatrix.from_ints(rows, draw(st.integers(1, 3)))
+    return half, Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_halves())
+@example((RationalMatrix([[-2, 0], [0, 1]]), Fraction(2)))
+@example((RationalMatrix.from_ints([[-3, 1], [0, -3]], 2), Fraction(3, 2)))
+@example((RationalMatrix([[0, 0], [0, 0]]), Fraction(1, 5)))
+def test_half_green_matches_inverse(case):
+    # Any square half, with or without repeated or defective eigenvalues:
+    # the reduced-numerator solve gives the Hadamard-bound inverse, and
+    # -a an eigenvalue of the half raises SingularMatrixError.
+    half, a = case
+    try:
+        expected = inverse(half.scaled_add(a))
+    except ratmat.SingularMatrixError:
+        with pytest.raises(ratmat.SingularMatrixError):
+            blocks._half_green(half, a, None)
+        return
+    counter = PivotCounter()
+    assert blocks._half_green(half, a, counter) == expected
+    assert counter.ops > 0
+
+
+def test_half_green_singular_despite_a_wrong_annihilator(monkeypatch):
+    # m = 1 gives r = 1 != 0 for a singular half + aI: the kernel's
+    # Hadamard bound finds it singular, and the solve says so.
+    monkeypatch.setattr(green, "_annihilator", lambda rows: IntPolynomial([1]))
+    with pytest.raises(ratmat.SingularMatrixError):
+        blocks._half_green(RationalMatrix([[-2, 0], [0, 1]]), Fraction(2), None)
 
 
 def test_green_via_blocks_rejects_nonpositive(split):
@@ -123,7 +278,6 @@ def test_green_via_blocks_random_a(lap, split, a):
 def test_reassembly_identities(split):
     half = 30
     e_half = RationalMatrix.constant(half, half, Fraction(1, half))
-    from buckysob.ratmat import inverse
     g_plus = inverse(split.a_plus + e_half) - e_half
     g_minus = inverse(split.a_minus)
     g0 = Fraction(1, 2) * (g_plus + g_minus)

@@ -140,6 +140,7 @@ def test_annihilator_cached_by_value(monkeypatch):
 
     monkeypatch.setattr(green, "charpoly", counted)
     green._annihilator.cache_clear()
+    green.charpoly_by_value.cache_clear()
     first, second = _cycle(7), _cycle(7)
     assert first is not second
     for A in (first, second):

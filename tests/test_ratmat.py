@@ -17,7 +17,7 @@ from buckysob.graph import laplacian, relabel
 from buckysob.ratmat import (PivotCounter, RationalMatrix, SingularMatrixError,
                              bareiss_solve, charpoly, charpoly_coeffs,
                              inverse, parse_rat, rat_str)
-from oracles import canonical_fraction, charpoly_cofactor
+from oracles import canonical_fraction, charpoly_cofactor, primes_to_bound
 
 
 def _cofactor_det(rows):
@@ -214,6 +214,73 @@ def test_kernel_entries_beyond_int64():
         assert det_int(mat)[0] == d
         _assert_adjugate(mat, d)
         _assert_solves(mat, rhs)
+
+
+@st.composite
+def kernel_matrices(draw):
+    """A square integer matrix of order 1 to 4: small entries, often
+    singular; entries beyond int64; or L U with the first two kernel
+    primes among the pivots, so that those primes divide det(M)."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["small", "wide", "unlucky"]))
+    if kind == "unlucky":
+        diag = draw(st.lists(st.sampled_from([1, -1, 2, *prime_table(2)]),
+                             min_size=n, max_size=n))
+        return _lu(diag, draw(st.integers(0, 2 ** 16)))
+    top = 3 if kind == "small" else 2 ** 100
+    entry = st.integers(-top, top)
+    return draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_matrices())
+@example(_lu([prime_table(1)[0], 1, -1], seed=7))
+# Nonsingular, but the primes dividing det pass twice the tight bound.
+@example([[prime_table(1)[0]]])
+@example(_lu([*prime_table(2), 1], seed=8))
+@example([[2 ** 70, 3], [2 ** 71, 6]])
+def test_jordan_scaled_contract(mat):
+    # jordan_int(rows, d, B) returns (d, d M^-1, ops) with M (d M^-1) = d I:
+    # with det and the Hadamard bound it is the default (det, adj); with d
+    # the least common denominator of M^-1 and the tightest bound it is the
+    # reduced numerator of M^-1. A singular M raises in both modes, and the
+    # default's results and ops are those of its Hadamard bound.
+    n = len(mat)
+    det = _cofactor_det(mat)
+    h = hadamard_bound(mat)
+    if det == 0:
+        for args in ((), (1, 1), (1, h)):
+            with pytest.raises(ZeroDivisionError):
+                jordan_int(mat, *args)
+        return
+    default = jordan_int(mat)
+    adj = _assert_adjugate(mat, det)
+    assert default == (det, adj, primes_to_bound(h, det) * n ** 3)
+    assert jordan_int(mat, det, h) == default
+    inv = _fraction_solve(mat, [[int(i == j) for j in range(n)] for i in range(n)])
+    d = math.lcm(*(x.denominator for row in inv for x in row))
+    reduced = [[int(d * x) for x in row] for row in inv]
+    tight = max(abs(x) for row in reduced for x in row)
+    for sign in (1, -1):
+        scaled = [[sign * x for x in row] for row in reduced]
+        got = jordan_int(mat, sign * d, tight)
+        assert got == (sign * d, scaled, primes_to_bound(tight, det) * n ** 3)
+        assert _int_matmul(mat, scaled) == [[sign * d * (i == j) for j in range(n)]
+                                            for i in range(n)]
+
+
+def test_jordan_scaled_arguments():
+    assert jordan_int([], 7, 1) == (7, [], 0)
+    assert jordan_int([[2, 1], [1, 3]], 5, 3)[:2] == (5, [[3, -1], [-1, 2]])
+    # d M^-1 need not be the adjugate: for M = 2I, d = 2 gives I.
+    assert jordan_int([[2, 0], [0, 2]], 2, 1)[:2] == (2, [[1, 0], [0, 1]])
+    # No bound below 1 holds, and none takes less than one prime.
+    assert jordan_int([[2, 0], [0, 2]], 2, 0) == (2, [[1, 0], [0, 1]], 8)
+    with pytest.raises(ZeroDivisionError):
+        jordan_int([[1, 2], [2, 4]], 1, 0)
+    for args in ((5,), (None, 3), (0, 3)):
+        with pytest.raises(ValueError):
+            jordan_int([[2, 1], [1, 3]], *args)
 
 
 def test_kernel_small_shapes_and_signs():
