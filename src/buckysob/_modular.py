@@ -18,12 +18,15 @@ values (24 of 3,600 in (A + I)^-1 on the buckyball).
 in-place Gauss-Jordan inversion of M's residues (n^3 multiply-mod updates
 per prime), under the Hadamard bound H = prod_i (isqrt(|row_i|^2) + 1),
 which bounds the determinant and every cofactor. ``jordan_int`` only
-inverts: by default it returns det(M) and adj(M), and a solve M X = R
-multiplies the exact inverse by R outside the kernel, in ``ratmat``.
-Given a denominator d and a bound B instead, it returns d M^-1 from primes
-run to B, which is exact only if d M^-1 is integral with entries at most
-B; the caller proves it (the block route of G(a) by its exact residual).
-H still decides singularity in that mode.
+inverts, by one step: each prime's M^-1 times d modulo that prime gives
+d M^-1. By default d is det(M), whose residues the inversion keeps, so the
+read is adj(M) under H, and det(M) is then entry (0, 0) of M adj(M),
+n exact products. A solve M X = R multiplies the exact inverse by R
+outside the kernel, in ``ratmat``. Given a denominator d and a bound B
+instead, the primes run to B, which is exact only if d M^-1 is integral
+with entries at most B; the caller proves it (the block route of G(a) by
+its exact residual). H decides singularity in both modes: a singular M
+raises ``SingularMatrixError``, from ``_multimodular`` alone.
 ``charpoly_int`` brings M to Hessenberg form by similarity and runs the
 Hessenberg charpoly recurrence, under the bound
 B = prod_i (isqrt(|row_i|^2) + 2) on its coefficients. Primes are taken
@@ -39,6 +42,13 @@ bound, which the caller proves.
 import math
 
 import numpy as np
+
+from buckysob.polynomials import VerificationFailed
+
+
+class SingularMatrixError(VerificationFailed):
+    """Elimination found no nonzero pivot in some column."""
+
 
 # Kept as a constant: ``perfbench/run.py`` stamps every result with it.
 KERNEL_LANE = "python"
@@ -319,8 +329,9 @@ def _multimodular(rows, bound, step, det_bound=None):
     and returns (c x r x m residues, whether each prime was usable, ops).
     Primes are taken until the usable ones' product passes 2 * bound +
     (bound >> 18), which the read of ``_Crt`` needs to be exact;
-    ZeroDivisionError is raised once the unusable primes' product passes
+    SingularMatrixError is raised once the unusable primes' product passes
     2 * det_bound + (det_bound >> 18), with det_bound = bound by default.
+    This is the kernels' one test of singularity.
     """
     if det_bound is None:
         det_bound = bound
@@ -332,7 +343,7 @@ def _multimodular(rows, bound, step, det_bound=None):
     used, ops, skipped = 0, 0, 1
     while crt.modulus <= bound:
         if skipped > det_bound:
-            raise ZeroDivisionError("matrix is singular")
+            raise SingularMatrixError("matrix is singular")
         primes = _next_primes(used, crt.modulus, bound, cap)
         used += len(primes)
         out, live, chunk_ops = step(residues.modulo(primes), primes)
@@ -439,18 +450,18 @@ def jordan_int(rows, denominator=None, bound=None):
     Returns (d, X, ops) with M @ X == d I exactly, and ops the multiply-mod
     updates of the inversion, n^3 per prime, summed over the primes. M's
     residues are inverted in place and each prime's inverse is multiplied
-    by d modulo the prime.
+    by d modulo the prime: one step for both choices of d.
 
     By default d = det(M), nonzero and possibly negative, and X = adj(M):
-    det(M) is rebuilt as one more column, and the primes run to the
-    Hadamard bound H of M, which bounds det(M) and every cofactor: a
+    the inversion's own det residues are the factor, and the primes run to
+    the Hadamard bound H of M, which bounds det(M) and every cofactor: a
     cofactor is the determinant of M with one row and one column dropped,
     dropping a column only shortens the rows, and each factor of the bound
-    is >= 1, so dropping a row's factor cannot raise it. The result is
-    exact by the bound alone.
+    is >= 1, so dropping a row's factor cannot raise it. X is exact by the
+    bound alone, and so is det(M) = sum_j M_0j X_j0, read after it.
 
     Given a nonzero ``denominator`` d and a ``bound`` B, X = d M^-1 and the
-    primes run to B instead (to 1 if B < 1), with no det column. The result is exact only
+    primes run to B instead (to 1 if B < 1). The result is exact only
     if d M^-1 is an integer matrix with every entry at most B in absolute
     value; the kernel does not check that, and the caller must prove X,
     for instance by the exact residual M X = d I. A smaller bound on a
@@ -459,7 +470,7 @@ def jordan_int(rows, denominator=None, bound=None):
 
     Either way, primes dividing det(M) are skipped, and M is singular
     exactly when their product passes 2H + (H >> 18); then
-    ZeroDivisionError is raised. The input is not mutated.
+    SingularMatrixError is raised. The input is not mutated.
     """
     if (denominator is None) != (bound is None):
         raise ValueError("give both a denominator and a bound, or neither")
@@ -467,31 +478,24 @@ def jordan_int(rows, denominator=None, bound=None):
         raise ValueError("the denominator must be nonzero")
     if not rows:
         return (1 if denominator is None else denominator), [], 0
-    n = len(rows)
     det_bound = hadamard_bound(rows)
 
-    def adjugate_step(a, primes):
-        det, live, ops = _invert(a, primes)
-        out = np.empty((len(primes), n, n + 1), dtype=np.int64)
-        out[:, :, n] = det[:, None]
-        adj = out[:, :, :n]
-        np.multiply(a, out[:, :, n:], out=adj)
-        # a has been read, so it serves as the reduction's scratch.
-        _mod(adj, primes, np.array(primes, dtype=np.int64)[:, None, None], a)
-        return out, live, ops
-
-    def scaled_step(a, primes):
-        _, live, ops = _invert(a, primes)
-        d = np.array([denominator % q for q in primes], dtype=np.int64)
+    def step(a, primes):
+        # d modulo each prime: by default the inversion's det residues.
+        d, live, ops = _invert(a, primes)
+        if denominator is not None:
+            d = np.array([denominator % q for q in primes], dtype=np.int64)
         out = a * d[:, None, None]
+        # a has been read, so it serves as the reduction's scratch.
         _mod(out, primes, np.array(primes, dtype=np.int64)[:, None, None], a)
         return out, live, ops
 
     if denominator is None:
-        values, ops = _multimodular(rows, det_bound, adjugate_step)
-        return values[0][n], [row[:n] for row in values], ops
+        adj, ops = _multimodular(rows, det_bound, step)
+        # Entry (0, 0) of M adj(M) = det(M) I.
+        return sum(x * row[0] for x, row in zip(rows[0], adj)), adj, ops
     # d M^-1 is not 0, so no bound below 1 holds; 1 still takes a prime.
-    values, ops = _multimodular(rows, max(bound, 1), scaled_step, det_bound)
+    values, ops = _multimodular(rows, max(bound, 1), step, det_bound)
     return denominator, values, ops
 
 

@@ -127,10 +127,7 @@ def _half_green(half: RationalMatrix, a: Fraction,
     bound = sum(abs(w) * norm ** t for t, w in enumerate(weights))
     shifted = [[q * x + p if i == j else q * x for j, x in enumerate(row)]
                for i, row in enumerate(rows)]
-    try:
-        _, x, ops = ratmat.jordan_int(shifted, -r, bound)
-    except ZeroDivisionError as exc:
-        raise SingularMatrixError(str(exc)) from None
+    _, x, ops = ratmat.jordan_int(shifted, -r, bound)
     if counter is not None:
         counter.add(ops)
     if not green._residual_holds(half.nonzeros(), x, p, q, r):

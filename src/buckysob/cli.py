@@ -152,16 +152,14 @@ def _verify_checks(trials: int, seed: int):
     # holds the ops of its one solve, which block_reduction reports. G(1) is
     # solved by direct elimination; block_reduction compares the block route
     # with it, and moore_penrose then solves G(1/10) and G(10) by that block
-    # route: 4.5-4.9 and 3.9-4.6 ms against 9.7-11.2 and 7.7-8.8 ms for full
-    # 60x60 inverses (in-process medians of 9, in each of six processes,
-    # 2-core x86-64, Python 3.11). The block route's first G(a) computes the
-    # halves' annihilators, which size its primes: the squarefree parts of
-    # the two 30x30 charpolys that half_spectra_check has computed and
-    # cached by value just before, about 1 ms once per process (6.1-6.5 ms
-    # with cold charpolys). Neither route calls green.green_matrix, which
-    # these solves check: with its one-time annihilator of A (10-13 ms) and
-    # walk-class table (16-20 ms), the polynomial route took 30-35 ms for
-    # the three G(a).
+    # route, two 30x30 solves each in place of a full 60x60 inverse. The
+    # block route's first G(a) computes the halves' annihilators, which
+    # size its primes: the squarefree parts of the two 30x30 charpolys that
+    # half_spectra_check has computed and cached by value just before, so
+    # they cost little, once per process. Neither route calls
+    # green.green_matrix, which these solves check, and whose one-time
+    # annihilator of A and walk-class table would cost more than the three
+    # G(a) by elimination.
     charpoly_of_a = functools.cache(lambda: charpoly(A))
     full_counter = PivotCounter()
     pseudo_green_of_a = functools.cache(

@@ -101,11 +101,6 @@ def canonical_icosahedron() -> PolyhedralGraph:
     return PolyhedralGraph(adj)
 
 
-def canonical_tetrahedron() -> PolyhedralGraph:
-    """4-vertex tetrahedron rotation system (convenience target)."""
-    return PolyhedralGraph({0: (1, 2, 3), 1: (0, 3, 2), 2: (0, 1, 3), 3: (0, 2, 1)})
-
-
 def truncate(seed: PolyhedralGraph) -> PolyhedralGraph:
     """Cut every corner: one new vertex per (seed vertex, incident edge).
 

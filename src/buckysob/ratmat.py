@@ -21,8 +21,9 @@ moment route to C(a) in ``green`` eliminates nothing.) Every kernel takes
 the matrix's own integer rows N = ``num`` and the denominator d = ``den``
 is divided out afterwards: ``jordan_int`` inverts N and nothing more,
 exact by the bound alone, so for m = N/d its (det(N), adj(N)) gives
-m^-1 = d adj(N) / det(N). A solve m X = R is
-that exact inverse times R, one sparse-aware product. The coefficient of
+m^-1 = d adj(N) / det(N), with det(N) read off adj(N) in the kernel,
+which also raises ``SingularMatrixError`` for a singular N. A solve m X = R
+is that exact inverse times R, one sparse-aware product. The coefficient of
 x^k in det(xI - m) is that of det(xI - N) over d^(n-k). The block route's
 G(a) halves call ``jordan_int`` through this module too, with a smaller
 bound of their own that their exact residual proves (``blocks``).
@@ -37,9 +38,11 @@ from fractions import Fraction
 
 # det_int is imported only because perfbench/tracing.py wraps
 # buckysob.ratmat.det_int; blocks calls jordan_int as ratmat.jordan_int, so
-# that the wrapper of this name sees its half solves too.
-from buckysob._modular import charpoly_int, det_int, jordan_int
-from buckysob.polynomials import IntPolynomial, VerificationFailed
+# that the wrapper of this name sees its half solves too. The kernel raises
+# SingularMatrixError; it is re-exported here, where its callers catch it.
+from buckysob._modular import (SingularMatrixError, charpoly_int, det_int,
+                               jordan_int)
+from buckysob.polynomials import IntPolynomial
 
 
 # The text parse_rat accepts: ASCII digits only, so no decimal point,
@@ -47,24 +50,18 @@ from buckysob.polynomials import IntPolynomial, VerificationFailed
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
-class SingularMatrixError(VerificationFailed):
-    """Elimination found no nonzero pivot in some column."""
-
-
 class PivotCounter:
-    """Accumulates the kernels' operation counts across calls.
+    """Accumulates the inversion kernel's operation counts across calls.
 
-    A kernel's count is the number of multiply-mod updates of its loops,
-    taken from the loop bounds and summed over the primes it used, so it
-    scales with the matrix shape and the bit size of the entries. For
-    inverses it is the in-place inversion of the n x n matrix, n^3 per
-    prime (inverse(A + I) on the buckyball: 5 primes, 5 * 60^3); a solve
-    is an inverse, and counts as one. For characteristic polynomials it is
-    the Hessenberg reduction and the charpoly recurrence. Every kernel runs
-    its primes to its bound, so a count depends on the input and the bound
-    alone: the kernels' own bounds, except for the block route's G(a)
-    halves, which give ``jordan_int`` a bound on their reduced inverse's
-    numerator (``blocks._half_green``).
+    A count is the number of multiply-mod updates of the in-place inversion
+    of the n x n matrix, n^3 per prime, summed over the primes it used, so
+    it scales with the matrix shape and the bit size of the entries
+    (inverse(A + I) on the buckyball: 5 primes, 5 * 60^3); a solve is an
+    inverse, and counts as one. Every inversion runs its primes to its
+    bound, so a count depends on the input and the bound alone: the
+    Hadamard bound, except for the block route's G(a) halves, which give
+    ``jordan_int`` a bound on their reduced inverse's numerator
+    (``blocks._half_green``).
     """
 
     def __init__(self):
@@ -325,15 +322,13 @@ def inverse(m: RationalMatrix, counter: PivotCounter | None = None) -> RationalM
     """Exact m^-1 from the multimodular kernel.
 
     The kernel inverts the integer rows N = m.num and returns (det(N),
-    adj(N)); for m = N/d, m^-1 = d N^-1 = d adj(N) / det(N). adj(N) is
-    scaled by d once per distinct entry, and not at all when d = 1.
+    adj(N)), or raises SingularMatrixError; for m = N/d, m^-1 = d N^-1 =
+    d adj(N) / det(N). adj(N) is scaled by d once per distinct entry, and
+    not at all when d = 1.
     """
     if not m.is_square():
         raise ValueError("square matrix required")
-    try:
-        det, adj, ops = jordan_int(m.num)
-    except ZeroDivisionError as exc:
-        raise SingularMatrixError(str(exc)) from None
+    det, adj, ops = jordan_int(m.num)
     if counter is not None:
         counter.add(ops)
     if m.den != 1:
@@ -342,8 +337,7 @@ def inverse(m: RationalMatrix, counter: PivotCounter | None = None) -> RationalM
     return RationalMatrix.from_ints(adj, det)
 
 
-def charpoly_coeffs(m: RationalMatrix,
-                    counter: PivotCounter | None = None) -> list[Fraction]:
+def charpoly_coeffs(m: RationalMatrix) -> list[Fraction]:
     """Coefficients (ascending) of det(xI - m).
 
     The kernel reduces the integer rows N = m.num to Hessenberg form modulo
@@ -353,15 +347,13 @@ def charpoly_coeffs(m: RationalMatrix,
     """
     if not m.is_square():
         raise ValueError("square matrix required")
-    coeffs, ops = charpoly_int(m.num)
-    if counter is not None:
-        counter.add(ops)
+    coeffs, _ = charpoly_int(m.num)
     n = m.rows
     return [Fraction(c, m.den ** (n - k)) for k, c in enumerate(coeffs)]
 
 
-def charpoly(m: RationalMatrix, counter: PivotCounter | None = None) -> IntPolynomial:
-    coeffs = charpoly_coeffs(m, counter)
+def charpoly(m: RationalMatrix) -> IntPolynomial:
+    coeffs = charpoly_coeffs(m)
     if any(c.denominator != 1 for c in coeffs):
         raise ValueError("characteristic polynomial is not integral")
     return IntPolynomial([int(c) for c in coeffs])

@@ -8,8 +8,8 @@ import pytest
 from buckysob import closedform
 from buckysob.graph import (InvolutionNotFound, PolyhedralGraph,
                             RotationSystemError, buckyball,
-                            canonical_icosahedron, canonical_tetrahedron,
-                            face_census, find_antipodal_involution, girth,
+                            canonical_icosahedron, face_census,
+                            find_antipodal_involution, girth,
                             laplacian, relabel, to_dot, to_json_dict,
                             truncate)
 from buckysob.ratmat import charpoly
@@ -62,7 +62,7 @@ def test_buckyball_counts(bucky):
 
 
 def test_truncated_tetrahedron():
-    g = truncate(canonical_tetrahedron())
+    g = truncate(TETRAHEDRON)
     assert g.n == 12
     assert len(g.edges) == 18
     c = face_census(g)
@@ -141,6 +141,8 @@ def cycle(n):
     return PolyhedralGraph({i: ((i + 1) % n, (i - 1) % n) for i in range(n)})
 
 
+TETRAHEDRON = PolyhedralGraph({0: (1, 2, 3), 1: (0, 3, 2), 2: (0, 1, 3),
+                               3: (0, 2, 1)})
 CUBE = PolyhedralGraph({0: (1, 3, 4), 1: (0, 5, 2), 2: (1, 6, 3),
                         3: (2, 7, 0), 4: (0, 7, 5), 5: (1, 4, 6),
                         6: (2, 5, 7), 7: (3, 6, 4)})
@@ -153,7 +155,7 @@ PENTAGONAL_PYRAMID = PolyhedralGraph({0: (1, 2, 3, 4, 5), 1: (0, 5, 2),
 
 
 @pytest.mark.parametrize("g", [
-    canonical_tetrahedron(), CUBE, TRIANGULAR_PRISM, cycle(4), cycle(6),
+    TETRAHEDRON, CUBE, TRIANGULAR_PRISM, cycle(4), cycle(6),
     cycle(8),
 ], ids=["tetrahedron", "cube", "triangular_prism", "C4", "C6", "C8"])
 def test_involution_matches_brute_force(g):
@@ -221,7 +223,7 @@ TORUS_K4 = PolyhedralGraph({0: (1, 2, 3), 1: (0, 2, 3), 2: (0, 1, 3),
 
 
 @pytest.mark.parametrize("g", [
-    canonical_tetrahedron(), CUBE, TRIANGULAR_PRISM, PENTAGONAL_PYRAMID,
+    TETRAHEDRON, CUBE, TRIANGULAR_PRISM, PENTAGONAL_PYRAMID,
     cycle(4), cycle(5), cycle(6), cycle(7), cycle(8), buckyball(), TORUS_K4,
 ], ids=["tetrahedron", "cube", "triangular_prism", "pentagonal_pyramid",
         "C4", "C5", "C6", "C7", "C8", "buckyball", "torus_K4"])

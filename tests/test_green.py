@@ -16,6 +16,7 @@ from buckysob.polynomials import (DegreeInsufficient, IntPolynomial, RationalFun
                                   fit_rational_function)
 from buckysob.ratmat import RationalMatrix, charpoly, inverse
 from oracles import monotonicity_scan
+from test_graph import TETRAHEDRON
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -335,7 +336,7 @@ def _minimal_polynomial(A):
 
 def test_walk_regular_vertex_transitive(lap, ca):
     green.walk_regular(lap, ca.den.compose_neg())
-    tt = graph.laplacian(graph.truncate(graph.canonical_tetrahedron()))
+    tt = graph.laplacian(graph.truncate(TETRAHEDRON))
     green.walk_regular(tt, _minimal_polynomial(tt))
 
 
@@ -423,7 +424,7 @@ def _cycle(n):
 SMALL_LAPLACIANS = [
     _laplacian_of(2, [(0, 1)]),
     *(_cycle(n) for n in range(3, 13)),
-    graph.laplacian(graph.truncate(graph.canonical_tetrahedron())),
+    graph.laplacian(graph.truncate(TETRAHEDRON)),
 ]
 SMALL_IDS = ["K2", *(f"C{n}" for n in range(3, 13)), "truncated_tetrahedron"]
 BUCKY_HALF = Fraction(1, 2) * graph.laplacian(graph.buckyball())
