@@ -159,7 +159,10 @@ def _verify_checks(trials: int, seed: int):
     # they cost little, once per process. Neither route calls
     # green.green_matrix, which these solves check, and whose one-time
     # annihilator of A and walk-class table would cost more than the three
-    # G(a) by elimination.
+    # G(a) by elimination. sobolev_trials checks batches of integer rows:
+    # each block of random vectors is drawn and checked in turn, and the
+    # equality witnesses walk G*'s and G(1)'s columns a block at a time, on
+    # int64 arrays where a bound proves they cannot overflow.
     charpoly_of_a = functools.cache(lambda: charpoly(A))
     full_counter = PivotCounter()
     pseudo_green_of_a = functools.cache(
@@ -253,22 +256,20 @@ def _verify_checks(trials: int, seed: int):
     def check_sobolev_trials():
         g_star = pseudo_green_of_a()
         rng = random.Random(seed)
-        for _ in range(trials):
-            u = sobolev.random_mean_zero(A.rows, rng)
-            lhs, rhs, holds = sobolev.sobolev_trial(u, closedform.C0, A)
-            check(holds, f"mean-zero inequality failed: {lhs} > {rhs}")
+        mean_zero = sobolev.draw_batch(trials, A.rows, rng, mean_zero=True)
+        for lhs, rhs, holds in sobolev.trial_batch(mean_zero, closedform.C0, A):
+            if not holds:  # the message is formatted only on failure
+                raise VerificationFailed(f"mean-zero inequality failed: {lhs} > {rhs}")
         g1 = green_at_one()
         c1 = green.constant_diagonal(g1)
-        for _ in range(max(trials // 10, 1)):
-            u = sobolev.random_vector(A.rows, rng)
-            _, _, holds = sobolev.sobolev_trial(u, c1, A, 1)
+        damped = sobolev.draw_batch(max(trials // 10, 1), A.rows, rng)
+        for _, _, holds in sobolev.trial_batch(damped, c1, A, 1):
             check(holds, "damped inequality failed")
+        c0_squared, c1_squared = closedform.C0 ** 2, c1 ** 2
         for w in sobolev.equality_witnesses(g_star, A):
-            check(w.lhs == closedform.C0 ** 2,
-                  f"mean-zero equality fails at column {w.j0}")
+            check(w.lhs == c0_squared, f"mean-zero equality fails at column {w.j0}")
         for w in sobolev.equality_witnesses(g1, A, 1):
-            check(w.lhs == c1 ** 2,
-                  f"damped equality fails at column {w.j0}")
+            check(w.lhs == c1_squared, f"damped equality fails at column {w.j0}")
         # sharpness: any constant below C0 is beaten by a G* column
         below = closedform.C0 - Fraction(1, 10 ** 6)
         column = g_star.submatrix(range(A.rows), [0])

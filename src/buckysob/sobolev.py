@@ -1,16 +1,17 @@
 """Discrete Sobolev inequalities as executable, exact statements.
 
 Energies, random inequality trials, and the equality chain on
-Green-matrix columns. A vector is an n x 1 ``RationalMatrix``, integer
-numerators over one denominator, so energies and maxima are integer sums
-and every comparison (including sharpness) is exact. ``energy`` and
-``equality_witnesses`` share one integer energy, whose edge sum must
-equal the quadratic form x . (A x); the witnesses walk the kernel's
-integer columns over its one denominator and build ``Fraction``s only
-for what they return, and random draws are mean-subtracted on integers.
-The damping parameter ``a`` selects the inequality: ``a == 0`` is the
-mean-zero one, with the pseudo-Green matrix G*, and ``a > 0`` the damped
-one, with G(a) = (A + aI)^-1; a negative ``a`` raises ``ValueError``.
+Green-matrix columns, on batches of integer rows: a batch is a stream of
+blocks of a few rows x, each over its own denominator. The random draws
+yield blocks, the trials consume them, and the witnesses take a kernel's
+columns a block at a time. ``_row_sums`` reduces each row with numpy, on
+int64 when a bound from the block's largest entry proves that no sum
+reaches 2^63 and on Python ints (dtype=object) otherwise, so every
+comparison, sharpness included, is exact. Each edge sum must equal the
+quadratic form x . (A x), or ``FormMismatch`` is raised; ``Fraction``s
+are built only for the values returned. ``a == 0`` selects the mean-zero
+inequality, with the pseudo-Green matrix G*, and ``a > 0`` the damped one,
+with G(a) = (A + aI)^-1; a negative ``a`` raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -20,8 +21,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from buckysob.polynomials import VerificationFailed
 from buckysob.ratmat import RationalMatrix
+
+# Rows to a block: a block's arrays stay at a few KB.
+_CHUNK = 8
 
 
 class FormMismatch(VerificationFailed):
@@ -45,11 +51,6 @@ def _numerators(u: RationalMatrix, A: RationalMatrix) -> list[int]:
     return [x for x, in u.num]
 
 
-def _edge_sum(x, edges) -> int:
-    """Sum over the edges of (x_i - x_j)^2, for integers x."""
-    return sum((x[i] - x[j]) ** 2 for i, j in edges)
-
-
 def _damping(a) -> Fraction:
     """The damping parameter a as a Fraction; a < 0 raises ValueError."""
     a = Fraction(a)
@@ -58,24 +59,61 @@ def _damping(a) -> Fraction:
     return a
 
 
-def _require_mean_zero(x, a):
-    if a == 0 and sum(x) != 0:
+def _require_mean_zero(total, a):
+    if a == 0 and total != 0:
         raise ValueError("the mean-zero inequality (a = 0) requires a "
                          "mean-zero vector")
 
 
-def _energy(x, den, A: RationalMatrix, a: Fraction, edges) -> tuple[int, int]:
-    """E(u) + a * sum u_j^2 for u = x / den, as an unreduced pair (numerator,
-    denominator) of integers. The edge sum E(u) of (u_i - u_j)^2 over
-    ``edges`` must equal the quadratic form u^t A u, an integer sum over A's
-    sparse rows."""
-    by_edges = _edge_sum(x, edges)
-    by_form = sum(xi * sum(c * x[j] for j, c in row)
-                  for xi, row in zip(x, A.nonzeros()) if xi)
+def _int_block(rows, n: int, bound: int) -> np.ndarray:
+    """The k x n integer ``rows`` as an int64 array when T^2 ``bound`` <
+    2^63, for T the largest |entry| (at least 1), and as an object array of
+    Python ints otherwise."""
+    try:
+        y = np.asarray(rows, dtype=np.int64).reshape(len(rows), n)
+    except OverflowError:
+        return np.array(rows, dtype=object).reshape(len(rows), n)
+    t = max(int(y.max(initial=1)), -int(y.min(initial=0)))
+    return y if t * t * bound < 2 ** 63 else y.astype(object)
+
+
+def _row_sums(blocks, A: RationalMatrix, edges):
+    """Per row x of each (rows, tags) block, in order: (max x_j^2, sum x_j,
+    sum over ``edges`` of (x_i - x_j)^2, sum x_j^2, x . (A x), tag) as
+    Python ints, for k x n integer rows, n x n A and k tags.
+
+    For T the largest |entry| of a block and R the largest absolute row sum
+    of A's numerators (at least 1), an edge sum is at most 4 T^2 |edges|,
+    and a sum of squares or x . (A x) at most n R T^2; every partial sum is
+    bounded alike, so ``_int_block`` with the larger bound picks the dtype.
+    """
+    r = max([sum(abs(c) for _, c in row) for row in A.nonzeros()] + [1])
+    bound = max(4 * len(edges), A.rows * r)
+    ei, ej = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    ai, aj, c = np.array([(i, j, v) for i, row in enumerate(A.nonzeros())
+                          for j, v in row], dtype=object).reshape(-1, 3).T
+    ai, aj = ai.astype(np.intp), aj.astype(np.intp)
+    c64 = c.astype(np.int64) if r < 2 ** 63 else c  # int64 blocks need r < 2^63
+    for rows, tags in blocks:
+        y = _int_block(rows, A.rows, bound)
+        d = y.take(ei, axis=1) - y.take(ej, axis=1)
+        form = y.take(ai, axis=1) * y.take(aj, axis=1)
+        form *= c64 if y.dtype == np.int64 else c
+        square = y * y
+        sums = (square.max(axis=1, initial=0), y.sum(axis=1), (d * d).sum(axis=1),
+                square.sum(axis=1), form.sum(axis=1))
+        yield from zip(*(s.tolist() for s in sums), tags)
+
+
+def _energy(by_edges: int, by_form: int, squares: int, den: int,
+            A: RationalMatrix, a: Fraction) -> tuple[int, int]:
+    """E(u) + a * sum u_j^2 for u = x / den as an unreduced pair (numerator,
+    denominator) of integers, from x's edge sum, quadratic form
+    x . (A.num x) and sum of squares. The edge sum must equal the form over
+    A.den, or ``FormMismatch`` is raised."""
     if by_edges * A.den != by_form:
         raise FormMismatch(f"edge sum {Fraction(by_edges, den * den)} vs "
                            f"quadratic form {Fraction(by_form, A.den * den * den)}")
-    squares = sum(v * v for v in x) if a else 0
     return (a.denominator * by_edges + a.numerator * squares,
             a.denominator * den * den)
 
@@ -83,20 +121,32 @@ def _energy(x, den, A: RationalMatrix, a: Fraction, edges) -> tuple[int, int]:
 def energy(u: RationalMatrix, A: RationalMatrix, a=0) -> Fraction:
     """E(u) + a * sum u_j^2 == u^t (A + aI) u, where the edge sum E(u) of
     (u_i - u_j)^2 is checked against u^t A u."""
-    return Fraction(*_energy(_numerators(u, A), u.den, A, _damping(a),
-                             laplacian_edges(A)))
+    x, a = _numerators(u, A), _damping(a)
+    (_, _, by_edges, squares, by_form, den), = _row_sums([([x], [u.den])], A,
+                                                         laplacian_edges(A))
+    return Fraction(*_energy(by_edges, by_form, squares, den, A, a))
+
+
+def trial_batch(blocks, c, A: RationalMatrix, a=0):
+    """``sobolev_trial`` on every vector of a batch: for each (rows, dens)
+    block, of k x n integer rows and k denominators, yields (lhs, rhs,
+    holds) for each vector rows[r] / dens[r] in order. For a == 0 every
+    vector must be mean-zero (ValueError), and every edge sum must equal its
+    quadratic form (FormMismatch)."""
+    a, c = _damping(a), Fraction(c)
+    for top2, total, by_edges, squares, by_form, den in _row_sums(
+            blocks, A, laplacian_edges(A)):
+        _require_mean_zero(total, a)
+        e_num, e_den = _energy(by_edges, by_form, squares, den, A, a)
+        rhs_num, rhs_den = c.numerator * e_num, c.denominator * e_den
+        yield (Fraction(top2, den * den), Fraction(rhs_num, rhs_den),
+               top2 * rhs_den <= rhs_num * den * den)
 
 
 def sobolev_trial(u: RationalMatrix, c: Fraction, A: RationalMatrix, a=0):
-    """(max |u_j|)^2 vs c * (E(u) + a * sum u_j^2); returns (lhs, rhs, holds)."""
-    a = _damping(a)
-    x = _numerators(u, A)
-    _require_mean_zero(x, a)
-    den2 = u.den ** 2
-    lhs = Fraction(max(map(abs, x)) ** 2, den2)
-    e = _edge_sum(x, laplacian_edges(A)) + a * sum(v * v for v in x)
-    rhs = Fraction(c) * e / den2
-    return lhs, rhs, lhs <= rhs
+    """(max |u_j|)^2 vs c * (E(u) + a * sum u_j^2); returns (lhs, rhs, holds).
+    The one-vector ``trial_batch``."""
+    return next(trial_batch([([_numerators(u, A)], [u.den])], c, A, a))
 
 
 @dataclass(frozen=True)
@@ -113,30 +163,33 @@ def equality_witnesses(kernel: RationalMatrix, A: RationalMatrix,
     diagonal attains the column max and the column's energy E equals the
     diagonal value d; these two give the third equality, max^2 = d E.
 
-    Each column is checked on its integer numerators over the kernel's
-    shared denominator; ``Fraction``s are built only for the witnesses
-    returned, one per column in order. The kernel must be n x n for the
-    n x n Laplacian A, or ValueError is raised.
+    The columns are checked in order, a block at a time, on their integer
+    numerators over the kernel's shared denominator; the first column that
+    fails raises. ``Fraction``s are built only for the witnesses returned,
+    one per column in order. The kernel must be n x n for the n x n
+    Laplacian A, or ValueError is raised.
     """
     if (kernel.rows, kernel.cols) != (A.rows, A.rows):
         raise ValueError(f"kernel is {kernel.rows}x{kernel.cols}, "
                          f"not {A.rows}x{A.rows}")
-    den = kernel.den
-    a = _damping(a)
-    edges = laplacian_edges(A)
-    witnesses = []
-    for j0, x in enumerate(zip(*kernel.num)):
-        top, d = max(map(abs, x)), x[j0]
-        if top != abs(d):
+    den, a = kernel.den, _damping(a)
+    columns = ((list(zip(*(row[j:j + _CHUNK] for row in kernel.num))),
+                range(j, min(j + _CHUNK, A.rows))) for j in range(0, A.rows, _CHUNK))
+    witnesses, fractions = [], {}
+    for top2, _, by_edges, squares, by_form, j0 in _row_sums(columns, A,
+                                                             laplacian_edges(A)):
+        d = kernel.num[j0][j0]
+        if top2 != d * d:
             raise MaxNotAtDiagonal(
-                f"column {j0}: max {Fraction(top, den)} off the diagonal")
-        e_num, e_den = _energy(x, den, A, a, edges)
-        if e_num * den != d * e_den:  # E / e_den == d / den
+                f"column {j0}: max {Fraction(math.isqrt(top2), den)} off the diagonal")
+        e_num, e_den = _energy(by_edges, by_form, squares, den, A, a)
+        if e_num * den != d * e_den:  # E = e_num / e_den against d / den
             raise MaxNotAtDiagonal(f"column {j0}: energy {Fraction(e_num, e_den)}"
                                    f" != diagonal {Fraction(d, den)}")
-        max_abs = Fraction(top, den)
-        witnesses.append(EqualityWitness(j0=j0, constant=Fraction(d, den),
-                                         max_abs=max_abs, lhs=max_abs ** 2))
+        if d not in fractions:  # one set of Fractions per distinct diagonal
+            constant = Fraction(d, den)
+            fractions[d] = constant, abs(constant), constant * constant
+        witnesses.append(EqualityWitness(j0, *fractions[d]))
     return witnesses
 
 
@@ -144,31 +197,62 @@ def equality_witnesses(kernel: RationalMatrix, A: RationalMatrix,
 equality_witness = equality_witnesses
 
 
-def _draw(n: int, rng: random.Random) -> tuple[list[int], int]:
-    """Integer numerators over one denominator of n entries p/q, p in
-    [-100, 100] and q in [1, 10], drawn p then q for each entry in turn."""
-    draws = [(rng.randint(-100, 100), rng.randint(1, 10)) for _ in range(n)]
-    den = math.lcm(*(q for _, q in draws))
-    return [p * (den // q) for p, q in draws], den
+def _draw(k: int, n: int, rng: random.Random, mean_zero: bool) -> np.ndarray:
+    """k x n entries p/q as a k x n int64 array of numerators over 2520, the
+    lcm of 1..10, with ``mean_zero`` mean-subtracted over 2520 n.
+
+    The k n values v, uniform on [0, 2010) and taken row by row, give
+    p = v // 10 - 100 and q = v % 10 + 1. They come by rejection from rng's
+    16-bit words: each round reads ``rng.getrandbits(16 m).to_bytes(2 m,
+    "little")`` as m little-endian words, for the m values still missing,
+    and keeps w % 2010 for each word w < 2^16 - 2^16 % 2010 = 32 * 2010,
+    so that every v has the same number of words mapping to it.
+    """
+    v = np.empty(0, dtype=np.int64)
+    while len(v) < k * n:
+        m = k * n - len(v)
+        w = np.frombuffer(rng.getrandbits(16 * m).to_bytes(2 * m, "little"), dtype="<u2")
+        v = np.concatenate([v, w[w < 32 * 2010] % 2010])
+    p, r = np.divmod(v.reshape(k, n), 10)
+    x = (p - 100) * (2520 // (r + 1))
+    return n * x - x.sum(axis=1, keepdims=True) if mean_zero else x
+
+
+def draw_batch(k: int, n: int, rng: random.Random, mean_zero=False):
+    """k random vectors of n entries p/q, p uniform on [-100, 100] and q on
+    [1, 10], as a batch: yields (rows, dens) blocks of up to ``_CHUNK``
+    vectors, each drawn from rng when it is reached. Block vector r is
+    rows[r] / dens[r], for an int64 array of numerators and a list of
+    denominators.
+
+    With ``mean_zero`` each vector is exactly mean-subtracted on integers:
+    x_i / den - sum(x) / (n den) is (n x_i - sum(x)) / (n den). A vector
+    that is then all zero is drawn again, in order, before the next block,
+    until it is not; that is every draw for n < 2, so that raises
+    ``ValueError`` at the first block.
+    """
+    if mean_zero and n < 2:
+        raise ValueError(f"a nonzero mean-zero vector needs n >= 2, got {n}")
+    for start in range(0, k, _CHUNK):
+        x = _draw(min(_CHUNK, k - start), n, rng, mean_zero)
+        for r in np.flatnonzero(~x.any(axis=1)) if mean_zero else ():
+            while not x[r].any():
+                x[r] = _draw(1, n, rng, mean_zero)[0]
+        yield x, [2520 * n if mean_zero else 2520] * len(x)
+
+
+def _vector(batch) -> RationalMatrix:
+    """The one vector of a one-vector batch, as an n x 1 matrix."""
+    (rows, (den,)), = batch
+    return RationalMatrix.from_ints([[v] for v in rows[0].tolist()], den)
 
 
 def random_vector(n: int, rng: random.Random) -> RationalMatrix:
-    """n x 1 matrix of entries p/q, p in [-100, 100] and q in [1, 10], drawn
-    p then q for each entry in turn."""
-    x, den = _draw(n, rng)
-    return RationalMatrix.from_ints([[v] for v in x], den)
+    """The one-vector ``draw_batch``, as an n x 1 matrix."""
+    return _vector(draw_batch(1, n, rng))
 
 
 def random_mean_zero(n: int, rng: random.Random) -> RationalMatrix:
-    """A ``random_vector`` draw, exactly mean-subtracted on integers:
-    x_i / den - sum(x) / (n den) is (n x_i - sum(x)) / (n den). Retries the
-    rare all-zero result, which is the only result for n < 2, so that raises
-    ``ValueError``."""
-    if n < 2:
-        raise ValueError(f"a nonzero mean-zero vector needs n >= 2, got {n}")
-    while True:
-        x, den = _draw(n, rng)
-        total = sum(x)
-        x = [n * v - total for v in x]
-        if any(x):
-            return RationalMatrix.from_ints([[v] for v in x], n * den)
+    """The one-vector mean-zero ``draw_batch``, as an n x 1 matrix; n < 2
+    raises ``ValueError``."""
+    return _vector(draw_batch(1, n, rng, mean_zero=True))

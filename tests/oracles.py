@@ -85,7 +85,7 @@ def reproducing_check(u: RationalMatrix, kernel: RationalMatrix,
                       A: RationalMatrix, a=0):
     """Does (u, K delta_j) in the A- (a == 0) or (A+aI)-inner product recover
     u(j) for every j? Returns (ok, offending_j)."""
-    _require_mean_zero(_numerators(u, A), a)
+    _require_mean_zero(sum(_numerators(u, A)), a)
     recovered = kernel * (A.scaled_add(a) * u)  # kernel is symmetric
     if recovered == u:
         return True, None

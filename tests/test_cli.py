@@ -357,15 +357,16 @@ sys.exit(cli.main(["verify-all", "--trials", "10"]))
         BLOCK_FAULT_FAILS
 
 
-# Without the first edge, column 0 of G* has an edge sum below its
-# quadratic form x . (A x), which is C0.
-EDGE_FAULT_FAILS = ["FAIL sobolev_trials: edge sum 1338577279/2516025600 vs "
-                    "quadratic form 239741/376200"]
+# Without the first edge, the first mean-zero trial vector of seed 0 has an
+# edge sum below its quadratic form x . (A x). The trials compare the two
+# energies, so they fail before any equality witness is reached.
+EDGE_FAULT_FAILS = ["FAIL sobolev_trials: edge sum 2086272659/21600 vs "
+                    "quadratic form 4173793393/43200"]
 
 
 def test_planted_edge_fault_fails_sobolev_trials(monkeypatch, capsys):
     """Energies over the Laplacian's edges less one: only sobolev_trials
-    FAILs, when its first equality witness compares its two energies."""
+    FAILs, when its first trial vector compares its two energies."""
     edges = sobolev.laplacian_edges
     monkeypatch.setattr(sobolev, "laplacian_edges", lambda A: edges(A)[1:])
     code, out = run(capsys, "verify-all", "--trials", "10")
@@ -411,6 +412,50 @@ sys.exit(cli.main(["verify-all", "--trials", "10"]))
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert [l for l in proc.stdout.splitlines() if l.startswith("FAIL")] == \
         EDGE_FAULT_FAILS
+
+
+def test_planted_sharpness_fault_fails_sobolev_trials(monkeypatch, capsys):
+    """A trial that adds 2/10^6 to its constant no longer refutes
+    C0 - 1/10^6 on G*'s column 0: sobolev_trials FAILs at its sharpness
+    line. Only that line calls ``sobolev.sobolev_trial``; the trials go
+    through ``sobolev.trial_batch``."""
+    def raised(u, c, *args, _trial=sobolev.sobolev_trial):
+        return _trial(u, c + Fraction(2, 10 ** 6), *args)
+
+    monkeypatch.setattr(sobolev, "sobolev_trial", raised)
+    code, out = run(capsys, "verify-all", "--trials", "10")
+    assert code == 1
+    assert [l for l in out.splitlines() if l.startswith("FAIL")] == \
+        ["FAIL sobolev_trials: C0 - 1e-6 not refuted"]
+
+
+@pytest.mark.parametrize("plant, line", [
+    ("""
+witnesses = sobolev.equality_witnesses
+def shifted(kernel, A, a=0):
+    out = witnesses(kernel, A, a)
+    if a == 0:
+        out[0] = dataclasses.replace(out[0], lhs=out[0].lhs + Fraction(1, 10 ** 6))
+    return out
+sobolev.equality_witnesses = shifted
+""", "FAIL sobolev_trials: mean-zero equality fails at column 0"),
+    ("""
+trial = sobolev.sobolev_trial
+sobolev.sobolev_trial = lambda u, c, *args: trial(u, c + Fraction(2, 10 ** 6), *args)
+""", "FAIL sobolev_trials: C0 - 1e-6 not refuted"),
+], ids=["witness_shifted", "sharpness_constant"])
+def test_planted_sobolev_fault_fails_under_optimize(plant, line):
+    """The shifted witness and the raised sharpness constant FAIL
+    sobolev_trials with asserts stripped by ``python -O``."""
+    script = ("import dataclasses, sys\nfrom fractions import Fraction\n"
+              "from buckysob import cli, sobolev\n" + plant +
+              "sys.exit(cli.main(['verify-all', '--trials', '10']))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert [l for l in proc.stdout.splitlines() if l.startswith("FAIL")] == [line]
 
 
 def _drop_last_face(monkeypatch):

@@ -1,8 +1,10 @@
 """Energies, reproducing relations, and the two Sobolev inequalities."""
 
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -176,6 +178,18 @@ def test_form_mismatch_detection():
                                    bad)
 
 
+def test_weighted_laplacian_fails_the_form_check():
+    # The edge sum has unit weights: (1 - (-1))^2 = 4, but u^t A u = 8.
+    A = RationalMatrix([[2, -2], [-2, 2]])
+    u = vector([1, -1])
+    assert (u.transpose() * A * u)[0, 0] == 8
+    for call in (lambda: sobolev.energy(u, A),
+                 lambda: sobolev.sobolev_trial(u, Fraction(1, 4), A),
+                 lambda: list(sobolev.trial_batch([([[1, -1]], [1])], Fraction(1, 4), A, 1))):
+        with pytest.raises(sobolev.FormMismatch, match="^edge sum 4 vs quadratic form 8$"):
+            call()
+
+
 def test_max_not_at_diagonal_detection(lap, g_star):
     rigged = [[g_star[i, j] for j in range(60)] for i in range(60)]
     rigged[5][0] = Fraction(2)  # bigger than the diagonal
@@ -267,35 +281,81 @@ def test_buckyball_witnesses_match_reference(a, bucky, lap, g_star, g_one):
     assert sobolev.equality_witnesses(kernel, lap, a) == expected
 
 
-def fraction_vector(n, rng):
-    """The entry-by-entry Fraction draw that ``random_vector`` must match."""
-    return RationalMatrix([[Fraction(rng.randint(-100, 100), rng.randint(1, 10))]
-                           for _ in range(n)])
+def word_values(count, rng):
+    """The values v of ``sobolev._draw``, rebuilt word by word from the
+    rule in its docstring: rounds of ``rng.getrandbits(16 m)`` for the m
+    values still missing, read low 16-bit word first, keeping w % 2010 for
+    each w < 2^16 - 2^16 % 2010."""
+    out = []
+    while len(out) < count:
+        m = count - len(out)
+        bits = rng.getrandbits(16 * m)
+        out += [w % 2010 for w in ((bits >> (16 * i)) & 0xFFFF for i in range(m))
+                if w < 2 ** 16 - 2 ** 16 % 2010]
+    return out
 
 
-def fraction_mean_zero(n, rng, retries):
-    """``fraction_vector`` minus its Fraction mean, drawn again while all
-    zero; appends each retry to ``retries``."""
-    while True:
-        u = fraction_vector(n, rng)
-        mean = sum((u[i, 0] for i in range(n)), Fraction(0)) / n
-        u = u - RationalMatrix.constant(n, 1, mean)
-        if any(u[i, 0] for i in range(n)):
-            return u
-        retries.append(n)
+def oracle_block(k, n, rng, mean_zero, drawn):
+    """k Fraction vectors p/q, row by row from the values v of
+    ``word_values(k n)``: p = v // 10 - 100 and q = v % 10 + 1; less each
+    vector's mean with ``mean_zero``. Appends every (p, q) to ``drawn``."""
+    pq = [(v // 10 - 100, v % 10 + 1) for v in word_values(k * n, rng)]
+    drawn += pq
+    vectors = [[Fraction(p, q) for p, q in pq[r * n:(r + 1) * n]] for r in range(k)]
+    if mean_zero:
+        vectors = [[x - sum(v, Fraction(0)) / n for x in v] for v in vectors]
+    return vectors
 
 
-def test_integer_draws_match_fraction_draws():
+def oracle_batch(k, n, rng, mean_zero=False, retries=None, drawn=None):
+    """The vectors of ``draw_batch(k, n, rng, mean_zero)``, rebuilt on
+    Fractions: blocks of ``sobolev._CHUNK`` vectors, and each all-zero
+    mean-zero vector of a block drawn again, in order, as a one-vector
+    block before the next block. Appends n to ``retries`` per redraw."""
+    retries = [] if retries is None else retries
+    drawn = [] if drawn is None else drawn
+    out = []
+    for start in range(0, k, sobolev._CHUNK):
+        block = oracle_block(min(sobolev._CHUNK, k - start), n, rng, mean_zero, drawn)
+        for r in range(len(block)):
+            while mean_zero and not any(block[r]):
+                retries.append(n)
+                block[r], = oracle_block(1, n, rng, True, drawn)
+        out += block
+    return out
+
+
+def batch_vectors(batch):
+    """A batch's vectors as lists of Fractions, block by block."""
+    return [[Fraction(x, den) for x in row] for rows, dens in batch
+            for row, den in zip(rows.tolist(), dens)]
+
+
+def test_draws_match_the_word_oracle():
     retries = []
     for seed in range(4):
         for n in (2, 3, 60):
             rng, oracle = random.Random(seed), random.Random(seed)
+            for k in (0, 1, 7, 8, 9, 17):
+                for mean_zero in (True, False):
+                    assert batch_vectors(sobolev.draw_batch(k, n, rng, mean_zero)) == \
+                        oracle_batch(k, n, oracle, mean_zero, retries)
             for _ in range(150 if n < 60 else 25):
                 assert sobolev.random_mean_zero(n, rng) == \
-                    fraction_mean_zero(n, oracle, retries)
-                assert sobolev.random_vector(n, rng) == fraction_vector(n, oracle)
+                    vector(oracle_batch(1, n, oracle, True, retries)[0])
+                assert sobolev.random_vector(n, rng) == vector(oracle_batch(1, n, oracle)[0])
             assert rng.getstate() == oracle.getstate()
     assert retries  # the all-zero redraw was taken
+
+
+def test_draws_cover_every_p_and_q():
+    drawn = []
+    rng, oracle = random.Random(21), random.Random(21)
+    vectors = batch_vectors(sobolev.draw_batch(500, 60, rng))
+    assert vectors == oracle_batch(500, 60, oracle, drawn=drawn)
+    ps, qs = (set(v) for v in zip(*drawn))
+    assert ps == set(range(-100, 101)) and qs == set(range(1, 11))
+    assert all(abs(x) <= 100 and x.denominator <= 10 for v in vectors for x in v)
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -345,3 +405,101 @@ def test_functions_match_fraction_reference(data):
     else:
         with pytest.raises(sobolev.MaxNotAtDiagonal):
             sobolev.equality_witnesses(kernel, A, a)
+
+
+def block_dtypes(monkeypatch):
+    """The dtype of every block ``sobolev._int_block`` returns."""
+    seen = []
+    int_block = sobolev._int_block
+
+    def recording(*args):
+        y = int_block(*args)
+        seen.append(y.dtype)
+        return y
+
+    monkeypatch.setattr(sobolev, "_int_block", recording)
+    return seen
+
+
+def reference_trials(rows, dens, c, edges, a):
+    """(lhs, rhs, holds) per vector rows[r] / dens[r], on Fractions."""
+    out = []
+    for row, den in zip(rows, dens):
+        u = [Fraction(x, den) for x in row]
+        lhs, rhs = max(abs(x) for x in u) ** 2, c * ref_energy(u, edges, a)
+        out.append((lhs, rhs, lhs <= rhs))
+    return out
+
+
+def test_buckyball_kernels_and_draws_take_the_int64_path(lap, g_star, g_one,
+                                                          monkeypatch):
+    seen = block_dtypes(monkeypatch)
+    sobolev.equality_witnesses(g_star, lap)
+    sobolev.equality_witnesses(g_one, lap, 1)
+    assert len(seen) == 2 * math.ceil(60 / sobolev._CHUNK)
+    draws = sobolev.draw_batch(100, 60, random.Random(1), mean_zero=True)
+    assert all(holds for *_, holds in sobolev.trial_batch(draws, closedform.C0, lap))
+    assert set(seen) == {np.dtype(np.int64)}
+
+
+def test_wide_green_matrix_takes_the_object_path(bucky, lap, monkeypatch):
+    # numerators of about 745 bits: no int64 bound holds
+    a = Fraction(281474976710597, 281474976710655)
+    kernel = green.green_matrix(lap, a)
+    seen = block_dtypes(monkeypatch)
+    expected = reference_witnesses(fraction_rows(kernel), bucky.edges, a)
+    assert expected is not None
+    assert sobolev.equality_witnesses(kernel, lap, a) == expected
+    columns = [list(col) for col in zip(*kernel.num)][:10]
+    dens = [kernel.den] * len(columns)
+    c = expected[0].constant
+    got = list(sobolev.trial_batch([(columns, dens)], c, lap, a))
+    assert got == reference_trials(columns, dens, c, bucky.edges, a)
+    assert all(lhs == rhs for lhs, rhs, _ in got)  # each column attains equality
+    assert seen and set(seen) == {np.dtype(object)}
+
+
+def sobolev_blocks(rows, dens, cuts=None):
+    """rows and dens as (rows, dens) blocks, split at ``cuts`` (every
+    ``sobolev._CHUNK`` rows if None)."""
+    cuts = range(sobolev._CHUNK, len(rows), sobolev._CHUNK) if cuts is None else cuts
+    edges = [0, *cuts, len(rows)]
+    return [(rows[i:j], dens[i:j]) for i, j in zip(edges, edges[1:])]
+
+
+@pytest.mark.parametrize("a", [Fraction(1), Fraction(3, 7)], ids=["a=1", "a=3/7"])
+def test_trial_batch_at_the_int64_bound(a, bucky, lap, monkeypatch):
+    # The bucky Laplacian's bound is max(4 |E|, n R) = 360, R = 6 its largest
+    # absolute row sum: entries up to the largest t with t^2 360 < 2^63 are
+    # int64, and up to t + 1 are not; at 2^40 an int64 square would wrap.
+    t = math.isqrt((2 ** 63 - 1) // 360)
+    rng = random.Random(7)
+    for top, dtype in ((t, np.int64), (t + 1, object), (2 ** 40, object)):
+        seen = block_dtypes(monkeypatch)
+        rows = [[top * (-1) ** (bucky.n * r + i) for i in range(60)] for r in range(3)]
+        rows += [[rng.randint(-top, top) for _ in range(59)] + [top] for _ in range(9)]
+        dens = [rng.randint(1, 30) for _ in rows]
+        c = Fraction(2, 3)
+        assert list(sobolev.trial_batch(sobolev_blocks(rows, dens), c, lap, a)) == \
+            reference_trials(rows, dens, c, bucky.edges, a)
+        assert set(seen) == {np.dtype(dtype)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_batched_trials_match_one_vector_trials(data):
+    n = data.draw(st.integers(2, 6))
+    vertex = st.integers(0, n - 1)
+    A, _ = path_plus_edges(n, data.draw(st.lists(st.tuples(vertex, vertex), max_size=6)))
+    a = data.draw(st.one_of(st.just(Fraction(0)), positive_fractions))
+    c = data.draw(positive_fractions)
+    k = data.draw(st.integers(0, 5))
+    rows = [data.draw(st.lists(st.integers(-60, 60), min_size=n, max_size=n))
+            for _ in range(k)]
+    if a == 0:
+        rows = [[n * x - sum(row) for x in row] for row in rows]
+    dens = [data.draw(st.integers(1, 30)) for _ in range(k)]
+    cuts = sorted(data.draw(st.lists(st.integers(0, k), max_size=3)))
+    expected = [sobolev.sobolev_trial(vector([Fraction(x, den) for x in row]), c, A, a)
+                for row, den in zip(rows, dens)]
+    assert list(sobolev.trial_batch(sobolev_blocks(rows, dens, cuts), c, A, a)) == expected
