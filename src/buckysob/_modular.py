@@ -14,10 +14,19 @@ Python big-integer arithmetic; see ``_Crt``. The read of an entry depends
 on its residues alone, so it rebuilds each distinct residue column once:
 the inverses of the package's symmetric matrices have few distinct
 values (24 of 3,600 in (A + I)^-1 on the buckyball).
+Every a-priori bound has two forms, chosen by one exact predicate,
+``dominant_symmetric``: M symmetric with 2 m_ii >= sum_j |m_ij| for every
+i, which makes M positive semidefinite, as the package's Laplacians, their
+shifts A + aI with a > 0 and their block halves are. Then Hadamard's
+inequality bounds every principal minor by the product of its diagonal
+entries; otherwise the bounds take the rows' Euclidean norms. On the
+buckyball the charpoly and ``inverse(A + I)`` then take 4 primes each,
+against 5 by row norms.
 ``det_int`` and ``jordan_int`` run the one elimination of the package, an
 in-place Gauss-Jordan inversion of M's residues (n^3 multiply-mod updates
-per prime), under the Hadamard bound H = prod_i (isqrt(|row_i|^2) + 1),
-which bounds the determinant and every cofactor. ``jordan_int`` only
+per prime), under the Hadamard bound H (``hadamard_bound``:
+prod_i max(m_ii, 1) or prod_i (isqrt(|row_i|^2) + 1)), which bounds the
+determinant and every cofactor. ``jordan_int`` only
 inverts, by one step: each prime's M^-1 times d modulo that prime gives
 d M^-1. By default d is det(M), whose residues the inversion keeps, so the
 read is adj(M) under H, and det(M) is then entry (0, 0) of M adj(M),
@@ -28,8 +37,9 @@ with entries at most B; the caller proves it (the block route of G(a) by
 its exact residual). H decides singularity in both modes: a singular M
 raises ``SingularMatrixError``, from ``_multimodular`` alone.
 ``charpoly_int`` brings M to Hessenberg form by similarity and runs the
-Hessenberg charpoly recurrence, under the bound
-B = prod_i (isqrt(|row_i|^2) + 2) on its coefficients. Primes are taken
+Hessenberg charpoly recurrence, under the bound ``charpoly_bound``,
+B = prod_i (1 + m_ii) or prod_i (isqrt(|row_i|^2) + 2), on its
+coefficients. Primes are taken
 until their product P passes 2B + (B >> 18), a little more than twice the
 bound: past 2B the symmetric residues are the integers themselves (Abbott,
 Bronstein & Mulders, ISSAC 1999), and the extra 2**-18 B keeps every
@@ -115,12 +125,34 @@ def prime_table(count):
     return _primes[:count]
 
 
+def dominant_symmetric(rows):
+    """Whether the square integer matrix M of these rows is symmetric with
+    2 m_ii >= sum_j |m_ij| for every i. Such an M is positive semidefinite:
+    its eigenvalues are real, and by Gershgorin each lies in some
+    [m_ii - r_i, m_ii + r_i] with r_i = sum_(j != i) |m_ij| <= m_ii. Then
+    every principal minor obeys Hadamard's inequality
+    0 <= det M_S <= prod_(i in S) m_ii (Horn & Johnson, *Matrix Analysis*,
+    2nd ed., 2013, Thm 7.8.1), which the bounds below use."""
+    return (list(map(tuple, rows)) == list(zip(*rows))
+            and all(2 * row[i] >= sum(map(abs, row)) for i, row in enumerate(rows)))
+
+
 def hadamard_bound(rows):
-    """prod_i (isqrt(|row_i|^2) + 1): a bound on |det| of the square matrix
-    M of these rows and on every cofactor of M, whose rows are parts of
-    all but one of M's rows. It is the only bound an inverse needs: a solve
+    """A bound H on |det| of the square matrix M of these rows and on every
+    cofactor of M. It is the only bound an inverse needs: a solve
     multiplies the exact adj(M) / det(M) by its right-hand side. Like every
-    bound of ``_multimodular``, its primes run past 2H + (H >> 18)."""
+    bound of ``_multimodular``, its primes run past 2H + (H >> 18).
+
+    For a ``dominant_symmetric`` M, H = prod_i max(m_ii, 1): M is positive
+    semidefinite, so det M <= prod_i m_ii by Hadamard's inequality, and
+    adj(M) is positive semidefinite too, so |adj_ij| <= max_i adj_ii, the
+    principal minor det M_-i <= prod_(k != i) m_kk. Otherwise
+    H = prod_i (isqrt(|row_i|^2) + 1), Hadamard's row-norm bound: a
+    cofactor is the determinant of M with one row and one column dropped,
+    dropping a column only shortens the rows, and each factor of the bound
+    is >= 1, so dropping a row's factor cannot raise it."""
+    if dominant_symmetric(rows):
+        return math.prod(max(row[i], 1) for i, row in enumerate(rows))
     return math.prod(math.isqrt(sum(x * x for x in row)) + 1 for row in rows)
 
 
@@ -454,11 +486,9 @@ def jordan_int(rows, denominator=None, bound=None):
 
     By default d = det(M), nonzero and possibly negative, and X = adj(M):
     the inversion's own det residues are the factor, and the primes run to
-    the Hadamard bound H of M, which bounds det(M) and every cofactor: a
-    cofactor is the determinant of M with one row and one column dropped,
-    dropping a column only shortens the rows, and each factor of the bound
-    is >= 1, so dropping a row's factor cannot raise it. X is exact by the
-    bound alone, and so is det(M) = sum_j M_0j X_j0, read after it.
+    the Hadamard bound H of M (``hadamard_bound``), which bounds det(M) and
+    every cofactor. X is exact by the bound alone, and so is
+    det(M) = sum_j M_0j X_j0, read after it.
 
     Given a nonzero ``denominator`` d and a ``bound`` B, X = d M^-1 and the
     primes run to B instead (to 1 if B < 1). The result is exact only
@@ -500,15 +530,19 @@ def jordan_int(rows, denominator=None, bound=None):
 
 
 def charpoly_bound(rows):
-    """prod_i (isqrt(|row_i|^2) + 2): a bound on the sum of the absolute
-    values of the coefficients of det(xI - M).
+    """A bound B on the sum of the absolute values of the coefficients of
+    det(xI - M).
 
     The coefficient of x^(n-k) is (-1)^k times the sum of the principal
-    k x k minors, and Hadamard bounds each minor on the rows S by
-    prod_{i in S} |row_i|; summed over every S that is prod_i (1 + |row_i|).
-    Like every bound of ``_multimodular``, its primes run past
-    2B + (B >> 18).
+    k x k minors det M_S. For a ``dominant_symmetric`` M each is at most
+    prod_(i in S) m_ii (Hadamard's inequality for positive semidefinite
+    matrices), and summed over every S that is B = prod_i (1 + m_ii), which
+    a diagonal M attains. Otherwise Hadamard bounds each minor by
+    prod_(i in S) |row_i|, and B = prod_i (isqrt(|row_i|^2) + 2). Like
+    every bound of ``_multimodular``, its primes run past 2B + (B >> 18).
     """
+    if dominant_symmetric(rows):
+        return math.prod(1 + row[i] for i, row in enumerate(rows))
     return math.prod(math.isqrt(sum(x * x for x in row)) + 2 for row in rows)
 
 

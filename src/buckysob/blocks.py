@@ -10,12 +10,14 @@ route is cross-checked entrywise against the direct one, and the pivot-op
 counters record that the two half solves really are cheaper.
 
 G* inverts each half under the Hadamard bound (``ratmat.inverse``). G(a)
-solves each half for the reduced numerator of its inverse instead, under
-an a-priori bound from the half's minimal polynomial: the halves have 15
-and 14 distinct eigenvalues among 30, so their adjugates carry a factor
-prod (lambda + b)^(mult - 1) that the reduced inverse does not, and for a
-48-bit a the solves take 23 and 22 primes against 49 each. Every half
-solve is returned only after its exact residual has passed.
+solves each half for the reduced numerator X of its inverse instead, with
+the half's minimal polynomial as the denominator: the halves have 15 and
+14 distinct eigenvalues among 30, so their adjugates carry a factor
+prod (lambda + b)^(mult - 1) that X does not. Each half is symmetric and
+diagonally dominant, so positive semidefinite, and X is bounded a priori
+from that alone (``_half_green``): for a 48-bit a the solves take 23 and
+21 primes against 48 each, and for a = 1 one prime each. Every half solve
+is returned only after its exact residual has passed.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from buckysob import green, ratmat
+from buckysob._modular import dominant_symmetric
 from buckysob.polynomials import IntPolynomial, VerificationFailed
 from buckysob.ratmat import (PivotCounter, RationalMatrix, SingularMatrixError,
                              inverse)
@@ -107,10 +110,14 @@ def _half_green(half: RationalMatrix, a: Fraction,
     computed on first use and cached by value), of degree d, the kernel
     solves for
     X = -r M^-1, r = q^d m(-b), which ``green._quotient_weights`` writes as
-    X = sum_t w_t N^t. As |(N^t)_ij| <= |N|_inf^t, with |N|_inf the largest
-    absolute row sum, every entry of X is at most sum_t |w_t| |N|_inf^t:
-    a bound that needs no diagonal dominance, and sizes the primes of
-    ``ratmat.jordan_int`` (called through the module, as every solve is).
+    X = sum_t w_t N^t. A bound on X sizes the primes of ``ratmat.jordan_int``
+    (called through the module, as every solve is). When N is
+    ``dominant_symmetric``, as the buckyball's halves are, N is positive
+    semidefinite, so M is at least pI and M^-1 is positive definite with
+    eigenvalues at most 1/p: every |(M^-1)_ij| <= 1/p, and every entry of
+    the integer X is at most |r| // p. Otherwise, as |(N^t)_ij| <=
+    |N|_inf^t, with |N|_inf the largest absolute row sum, every entry of X
+    is at most sum_t |w_t| |N|_inf^t.
     X is returned only after the exact residual (qN + pI) X = -r I has
     passed on N's nonzeros; then (half + aI)^-1 = -q den X / r, in which r
     cancels. So a wrong m or bound can make the solve slower or raise
@@ -123,8 +130,11 @@ def _half_green(half: RationalMatrix, a: Fraction,
     weights, r = green._quotient_weights(green._annihilator(rows), p, q)
     if r == 0:
         raise SingularMatrixError(f"half + {a}I is singular: -{a} is an eigenvalue")
-    norm = max(sum(map(abs, row)) for row in rows)
-    bound = sum(abs(w) * norm ** t for t, w in enumerate(weights))
+    if dominant_symmetric(rows):
+        bound = abs(r) // p
+    else:
+        norm = max(sum(map(abs, row)) for row in rows)
+        bound = sum(abs(w) * norm ** t for t, w in enumerate(weights))
     shifted = [[q * x + p if i == j else q * x for j, x in enumerate(row)]
                for i, row in enumerate(rows)]
     _, x, ops = ratmat.jordan_int(shifted, -r, bound)

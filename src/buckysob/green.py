@@ -35,12 +35,12 @@ import io
 import operator
 from fractions import Fraction
 
-from buckysob import closedform
+from buckysob import closedform, ratmat
 from buckysob.polynomials import (IntPolynomial, RationalFunction,
                                   VerificationFailed, fit_rational_function,
                                   squarefree_part)
 from buckysob.ratmat import (PivotCounter, RationalMatrix, SingularMatrixError,
-                             charpoly, inverse, rat_str)
+                             charpoly, rat_str)
 
 
 class NonPositiveParameter(ValueError):
@@ -230,9 +230,14 @@ def pseudo_green(A: RationalMatrix, counter: PivotCounter | None = None) -> Rati
     A's integer entry (0, 0) makes c = 1.
 
     Both steps need A symmetric; a non-symmetric A raises ValueError. The
-    grounded system keeps A's sparsity, unlike A + J with J all ones: on
-    the buckyball its Hadamard bound is 121 bits, against 191 for A + J,
-    so the kernel runs 4 primes instead of 7.
+    grounded system keeps A's sparsity, unlike A + J with J all ones, and
+    a Laplacian's diagonal dominance: on the buckyball its Hadamard bound
+    is 96 bits (``_modular.hadamard_bound``), against 191 for A + J, so
+    the kernel runs 4 primes instead of 7.
+
+    The kernel's integer pair is projected as it is, with no canonical
+    inverse in between: for grounded rows K, X = den adj(K) / det(K), so
+    N = den adj(K) and d = det(K) above.
     """
     n = A.rows
     if any(map(sum, A.num)):  # the row sums are A 1
@@ -241,12 +246,15 @@ def pseudo_green(A: RationalMatrix, counter: PivotCounter | None = None) -> Rati
         raise ValueError("the pseudo-Green matrix needs a symmetric A")
     grounded = [row[:] for row in A.num]
     grounded[0][0] += A.den
-    x = inverse(RationalMatrix.from_ints(grounded, A.den), counter)
-    r = list(map(sum, x.num))
-    s = sum(r)
+    det, adj, ops = ratmat.jordan_int(grounded)
+    if counter is not None:
+        counter.add(ops)
+    r = list(map(sum, adj))
+    s = A.den * sum(r)
+    nn, nr = n * n * A.den, n * A.den
     return RationalMatrix.from_ints(
-        [[n * n * v - n * (ri + rj) + s for v, rj in zip(row, r)]
-         for row, ri in zip(x.num, r)], n * n * x.den)
+        [[nn * v - nr * (ri + rj) + s for v, rj in zip(row, r)]
+         for row, ri in zip(adj, r)], n * n * det)
 
 
 def constant_diagonal(m: RationalMatrix) -> Fraction:

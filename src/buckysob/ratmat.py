@@ -56,7 +56,7 @@ class PivotCounter:
     A count is the number of multiply-mod updates of the in-place inversion
     of the n x n matrix, n^3 per prime, summed over the primes it used, so
     it scales with the matrix shape and the bit size of the entries
-    (inverse(A + I) on the buckyball: 5 primes, 5 * 60^3); a solve is an
+    (inverse(A + I) on the buckyball: 4 primes, 4 * 60^3); a solve is an
     inverse, and counts as one. Every inversion runs its primes to its
     bound, so a count depends on the input and the bound alone: the
     Hadamard bound, except for the block route's G(a) halves, which give
@@ -137,8 +137,8 @@ class RationalMatrix:
 
         The gcd is taken over the set of distinct numerators, and each is
         divided once: equal numerators have equal quotients, and the
-        matrices of the package have few distinct values (807 of 3,600 in
-        the grounded inverse of ``pseudo_green``). The rows are fresh
+        matrices of the package have few distinct values (24 of 3,600 in
+        G* and in every G(a) of the buckyball). The rows are fresh
         lists either way, so no matrix shares a row with its caller.
         """
         if den == 0:

@@ -111,7 +111,7 @@ def _wide_a():
 def test_green_via_blocks_wide_a(lap, split, chunks, monkeypatch):
     # Each 30 x 30 half is solved for its reduced numerator, under a bound
     # from its minimal polynomial: at most half the primes of the Hadamard
-    # bound (23 and 22 against 49), every one usable, in one batch each,
+    # bound (23 and 21 against 48), every one usable, in one batch each,
     # and both solves go through ratmat.jordan_int.
     a = _wide_a()
     calls = []
@@ -187,6 +187,41 @@ def test_half_solve_with_a_multiple_annihilator(lap, split, chunks, monkeypatch)
     assert all(x > y for x, y in zip(after, before)) and len(after) == 2
 
 
+def test_half_bounds_come_from_dominance(split, monkeypatch):
+    # Both halves are symmetric and diagonally dominant, so each solve's
+    # bound is |r| // p, within a factor 4 of the largest |X| at the wide a;
+    # cut on that path, the bound still gives a wrong X that the residual
+    # rejects.
+    a = _wide_a()
+    seen = []
+
+    def recording(rows, denominator, bound, _jordan_int=ratmat.jordan_int):
+        out = _jordan_int(rows, denominator, bound)
+        seen.append((denominator, bound, max(abs(v) for row in out[1] for v in row)))
+        return out
+
+    monkeypatch.setattr(ratmat, "jordan_int", recording)
+    assert all(_modular.dominant_symmetric(half.num)
+               for half in (split.a_plus, split.a_minus))
+    blocks.assemble_green_via_blocks(split, a)
+    assert [bound for _, bound, _ in seen] == [abs(r) // a.numerator for r, _, _ in seen]
+    assert all(top <= bound < 4 * top for _, bound, top in seen)
+    _cut_bound(monkeypatch.setattr)
+    with pytest.raises(green.RouteMismatch, match="annihilator or its bound"):
+        blocks.assemble_green_via_blocks(split, a)
+
+
+def test_block_solve_prime_counts(split, chunks):
+    # G*'s halves: A+ + E, not diagonally dominant, under its row-norm bound
+    # (7 primes), and A- under its diagonal bound (2). G(1)'s half solves
+    # take 1 prime each under |r| // p.
+    blocks.assemble_green_via_blocks(split)
+    assert [len(primes) for primes, _ in chunks] == [7, 2]
+    chunks.clear()
+    blocks.assemble_green_via_blocks(split, 1)
+    assert [len(primes) for primes, _ in chunks] == [1, 1]
+
+
 @pytest.mark.parametrize("fault", sorted(PLANTED_FAULTS) + ["multiply_annihilator"])
 def test_half_solve_faults_under_optimize(fault):
     """The half solve's residual raises explicitly, so the planted faults
@@ -237,9 +272,13 @@ def small_halves(draw):
 @example((RationalMatrix([[-2, 0], [0, 1]]), Fraction(2)))
 @example((RationalMatrix.from_ints([[-3, 1], [0, -3]], 2), Fraction(3, 2)))
 @example((RationalMatrix([[0, 0], [0, 0]]), Fraction(1, 5)))
+@example((RationalMatrix.from_ints([[1, -1], [-1, 1]], 2), Fraction(1, 5)))
+@example((RationalMatrix.from_ints([[3, -1, 2], [-1, 2, 0], [2, 0, 4]], 3),
+          Fraction(7, 2)))
 def test_half_green_matches_inverse(case):
-    # Any square half, with or without repeated or defective eigenvalues:
-    # the reduced-numerator solve gives the Hadamard-bound inverse, and
+    # Any square half, with or without repeated or defective eigenvalues,
+    # diagonally dominant (sized by |r| // p) or not: the reduced-numerator
+    # solve gives the Hadamard-bound inverse, and
     # -a an eigenvalue of the half raises SingularMatrixError.
     half, a = case
     try:

@@ -594,11 +594,12 @@ def test_primes_used_pass_twice_hadamard(chunks, monkeypatch):
 
 
 def test_solve_primes_run_in_even_chunks(lap, chunks):
-    # A 60 x 60 chunk holds at most 18 primes. A + I needs 5: one chunk.
+    # A 60 x 60 chunk holds at most 18 primes. A + I needs 4 under its
+    # diagonal bound 4^60: one chunk.
     cap = _modular._BUDGET // 60 ** 2
     assert cap == 18
     inverse(lap.scaled_add(1))
-    assert [len(primes) for primes, _ in chunks] == [5]
+    assert [len(primes) for primes, _ in chunks] == [4]
     # A shift of 2**30 needs about 60 primes: split evenly into as few
     # chunks of at most the cap as possible, none short of the first by
     # more than one prime.
@@ -746,11 +747,11 @@ def test_solve_counts_pivot_ops():
 
 def test_inverse_ops_are_n_cubed_per_prime(lap, chunks):
     # The in-place inversion makes n^2 multiply-mod updates per pivot step
-    # and prime, and nothing else is counted. inverse(A + I) takes 5 primes.
+    # and prime, and nothing else is counted. inverse(A + I) takes 4 primes.
     c = PivotCounter()
     inverse(lap.scaled_add(1), c)
-    assert [len(primes) for primes, _ in chunks] == [5]
-    assert c.ops == 5 * 60 ** 3 == 1080000
+    assert [len(primes) for primes, _ in chunks] == [4]
+    assert c.ops == 4 * 60 ** 3 == 864000
 
 
 def test_charpoly_1x1_zero():
@@ -1129,11 +1130,17 @@ def test_charpoly_bound_decides_the_prime_count(hessenberg_chunks):
     assert hessenberg_chunks == [[p0, p1]]
 
 
-def test_laplacian_charpoly_runs_as_one_chunk(lap, hessenberg_chunks):
-    # Its bound needs 5 primes, which fit in one 60 x 60 chunk of at most
-    # _BUDGET // 60**2 = 18.
+def test_laplacian_charpoly_runs_as_one_chunk(lap, sigma, hessenberg_chunks):
+    # Its bound (1 + 3)^60 needs 4 primes, which fit in one 60 x 60 chunk of
+    # at most _BUDGET // 60**2 = 18; each 30 x 30 block half's diagonal
+    # bound, of 60 and 61 bits, needs 2.
     charpoly(lap)
-    assert [len(primes) for primes in hessenberg_chunks] == [5]
+    assert [len(primes) for primes in hessenberg_chunks] == [4]
+    hessenberg_chunks.clear()
+    split = blocks.block_split(lap, sigma)
+    charpoly(split.a_plus)
+    charpoly(split.a_minus)
+    assert [len(primes) for primes in hessenberg_chunks] == [2, 2]
 
 
 integer_entries = st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70))
@@ -1152,3 +1159,114 @@ def test_charpoly_matches_cofactor_property(data):
     assert coeffs == charpoly_cofactor(m)
     assert sum(abs(c) * m.den ** (n - k) for k, c in enumerate(coeffs)) \
         <= charpoly_bound(m.num)
+
+
+def _row_norm_bounds(mat):
+    """Hadamard's row-norm bounds: (det and cofactors, charpoly)."""
+    norms = [math.isqrt(sum(x * x for x in row)) for row in mat]
+    return math.prod(x + 1 for x in norms), math.prod(x + 2 for x in norms)
+
+
+def _assert_bounds_hold(mat):
+    """|det| and every |cofactor| of mat are at most hadamard_bound, and the
+    coefficients of det(xI - mat) sum in absolute value to at most
+    charpoly_bound, by the cofactor oracle; and the kernels, whose primes
+    those bounds size, return the oracle's det, adjugate and charpoly."""
+    n = len(mat)
+    det = _cofactor_det(mat)
+    h = hadamard_bound(mat)
+    assert abs(det) <= h
+    if n > 1:
+        assert all(abs(_cofactor_det([row[:j] + row[j + 1:]
+                                      for k, row in enumerate(mat) if k != i])) <= h
+                   for i in range(n) for j in range(n))
+    coeffs = charpoly_cofactor(RationalMatrix(mat))
+    assert sum(map(abs, coeffs)) <= charpoly_bound(mat)
+    assert charpoly_int(mat)[0] == coeffs
+    assert det_int(mat)[0] == det
+    if det:
+        _assert_adjugate(mat, det)
+    else:
+        with pytest.raises(SingularMatrixError):
+            jordan_int(mat)
+
+
+@st.composite
+def dominant_symmetric_matrices(draw):
+    """A symmetric integer matrix of order 1 to 5 with 2 m_ii >= sum_j |m_ij|:
+    a Laplacian-like one, with off-diagonal entries <= 0 and each diagonal
+    entry their absolute sum, so singular; or any signs with slack on the
+    diagonal. Entries are small or beyond int64."""
+    n = draw(st.integers(1, 5))
+    top = draw(st.sampled_from([3, 2 ** 70]))
+    laplacian_like = draw(st.booleans())
+    entry = st.integers(-top, 0 if laplacian_like else top)
+    mat = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            mat[i][j] = mat[j][i] = draw(entry)
+    for i, row in enumerate(mat):
+        row[i] = sum(map(abs, row)) + (0 if laplacian_like else draw(st.integers(0, top)))
+    return mat
+
+
+@settings(max_examples=60, deadline=None)
+@given(dominant_symmetric_matrices())
+@example([[0, 0], [0, 0]])
+@example([[2, -1, -1], [-1, 1, 0], [-1, 0, 1]])
+@example([[2 ** 70, -(2 ** 70)], [-(2 ** 70), 2 ** 70]])
+def test_dominance_bounds_hold(mat):
+    # Symmetric and diagonally dominant, so positive semidefinite: the
+    # diagonal products bound every minor, and each is at most the
+    # row-norm bound it replaces.
+    assert _modular.dominant_symmetric(mat)
+    diagonal = [row[i] for i, row in enumerate(mat)]
+    assert hadamard_bound(mat) == math.prod(max(x, 1) for x in diagonal)
+    assert charpoly_bound(mat) == math.prod(1 + x for x in diagonal)
+    rows_h, rows_c = _row_norm_bounds(mat)
+    assert hadamard_bound(mat) <= rows_h and charpoly_bound(mat) <= rows_c
+    _assert_bounds_hold(mat)
+
+
+def test_dominance_bounds_are_tight_on_diagonals():
+    # diag(d) has det(xI - D) = prod (x - d_i), whose coefficients sum in
+    # absolute value to prod (1 + d_i) for d_i >= 0; and det D = prod d_i.
+    d = [0, 1, 3, 2 ** 70]
+    mat = [[x if i == j else 0 for j, _ in enumerate(d)] for i, x in enumerate(d)]
+    assert sum(map(abs, charpoly_int(mat)[0])) == charpoly_bound(mat) \
+        == math.prod(1 + x for x in d)
+    mat[0][0] = 2
+    assert det_int(mat)[0] == hadamard_bound(mat) == 2 * 3 * 2 ** 70
+
+
+@pytest.mark.parametrize("k", [1, 2 ** 40])
+@pytest.mark.parametrize("shape", ["symmetric", "unsymmetric", "negative"])
+def test_bounds_keep_row_norms_off_dominance(shape, k):
+    # Symmetric but not dominant (eigenvalue -k), dominant but not
+    # symmetric (det 2k^2), or a negative diagonal: the diagonal products
+    # would not bound each one's det or charpoly, so the row norms stay.
+    mat = {"symmetric": [[k, 2 * k], [2 * k, k]],
+           "unsymmetric": [[k, k], [-k, k]],
+           "negative": [[-k, 0], [0, -k]]}[shape]
+    assert not _modular.dominant_symmetric(mat)
+    assert (hadamard_bound(mat), charpoly_bound(mat)) == _row_norm_bounds(mat)
+    diagonal = [row[i] for i, row in enumerate(mat)]
+    coeffs = charpoly_cofactor(RationalMatrix(mat))
+    assert (abs(_cofactor_det(mat)) > math.prod(max(x, 1) for x in diagonal)
+            or sum(map(abs, coeffs)) > math.prod(1 + x for x in diagonal))
+    _assert_bounds_hold(mat)
+
+
+def test_dominance_certificate_is_not_vacuous(monkeypatch):
+    # A predicate that accepts everything sizes [[0, 2^40], [2^40, 0]],
+    # which has eigenvalues +-2^40, by its zero diagonal: both bounds are 1,
+    # one prime is read, and the charpoly and the adjugate come out wrong,
+    # which the bound checks above reject.
+    mat = [[0, 2 ** 40], [2 ** 40, 0]]
+    _assert_bounds_hold(mat)
+    monkeypatch.setattr(_modular, "dominant_symmetric", lambda rows: True)
+    assert hadamard_bound(mat) == charpoly_bound(mat) == 1
+    assert charpoly_int(mat)[0] != [-2 ** 80, 0, 1]
+    assert jordan_int(mat)[:2] != (-2 ** 80, [[0, -2 ** 40], [-2 ** 40, 0]])
+    with pytest.raises(AssertionError):
+        _assert_bounds_hold(mat)
